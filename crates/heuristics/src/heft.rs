@@ -5,7 +5,9 @@
 //! with the §4.1 heterogeneous averages); at each step the highest-priority
 //! ready task is placed on the processor minimizing its finish time, where
 //! the evaluation of a candidate processor greedily schedules the incoming
-//! messages on the one-port send/receive timelines.
+//! messages on the one-port send/receive timelines. On a platform that
+//! lacks some direct links, each message is relayed hop by hop along its
+//! static route (the §4.3 extension, see the placement engine).
 //!
 //! With [`CommModel::MacroDataflow`] the same code is the classical HEFT
 //! (ports never contend), which serves as the macro-dataflow baseline.
@@ -13,6 +15,7 @@
 use crate::avg_weights::paper_bottom_levels;
 use crate::placement::{best_placement_with, EftScratch, PlacementPolicy};
 use crate::probe::{NoProbe, Phase, Probe};
+use crate::scheduler::{connected_routes, schedule_or_panic, RoutedError};
 use crate::Scheduler;
 use onesched_dag::{TaskGraph, TaskId, TopoOrder};
 use onesched_platform::Platform;
@@ -44,9 +47,9 @@ impl Heft {
 
 /// Heap entry: max bottom level first, then min task id (deterministic).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct ReadyEntry {
-    pub bl: f64,
-    pub task: TaskId,
+struct ReadyEntry {
+    bl: f64,
+    task: TaskId,
 }
 
 impl Eq for ReadyEntry {}
@@ -65,60 +68,55 @@ impl PartialOrd for ReadyEntry {
     }
 }
 
-impl Heft {
-    /// The scheduling loop, reporting phases and scan counters to
-    /// `probe`. The probe is write-only: every decision is identical to
-    /// an unprobed run.
-    fn schedule_probed(
-        &self,
-        g: &TaskGraph,
-        platform: &Platform,
-        model: CommModel,
-        probe: &dyn Probe,
-    ) -> Schedule {
+/// The ready list HEFT and ILHA share: tasks whose parents are all
+/// scheduled, highest bottom level first (ties: lowest task id).
+pub(crate) struct ReadyList {
+    bl: Vec<f64>,
+    pending_preds: Vec<u32>,
+    heap: BinaryHeap<ReadyEntry>,
+}
+
+impl ReadyList {
+    /// Rank `g` by the §4.1 bottom levels (reported to `probe` as
+    /// [`Phase::Rank`]) and queue its entry tasks.
+    pub(crate) fn new(g: &TaskGraph, platform: &Platform, probe: &dyn Probe) -> ReadyList {
         probe.phase_begin(Phase::Rank);
         let topo = TopoOrder::new(g);
         let bl = paper_bottom_levels(g, &topo, platform);
         probe.phase_end(Phase::Rank);
+        let mut ready = ReadyList {
+            bl,
+            pending_preds: g.tasks().map(|v| g.in_degree(v) as u32).collect(),
+            heap: BinaryHeap::new(),
+        };
+        for task in g.tasks().filter(|&v| g.in_degree(v) == 0) {
+            ready.push(task);
+        }
+        ready
+    }
 
-        let mut pool = ResourcePool::new(platform.num_procs(), model);
-        let mut sched = Schedule::with_tasks(g.num_tasks());
+    fn push(&mut self, task: TaskId) {
+        let bl = self.bl.get(task.index()).copied().unwrap_or_default();
+        self.heap.push(ReadyEntry { bl, task });
+    }
 
-        let mut pending_preds: Vec<u32> = g.tasks().map(|v| g.in_degree(v) as u32).collect();
-        let mut ready: BinaryHeap<ReadyEntry> = g
-            .tasks()
-            .filter(|&v| g.in_degree(v) == 0)
-            .map(|task| ReadyEntry {
-                bl: bl.get(task.index()).copied().unwrap_or_default(),
-                task,
-            })
-            .collect();
+    /// Take the highest-priority ready task.
+    pub(crate) fn pop(&mut self) -> Option<TaskId> {
+        self.heap.pop().map(|entry| entry.task)
+    }
 
-        let mut scratch = EftScratch::default();
-        while let Some(ReadyEntry { task, .. }) = ready.pop() {
-            probe.phase_begin(Phase::Scan);
-            let tp =
-                best_placement_with(g, platform, &pool, &sched, task, self.policy, &mut scratch);
-            probe.phase_end(Phase::Scan);
-            probe.phase_begin(Phase::Commit);
-            scratch.commit(&mut pool, &mut sched, tp);
-            probe.phase_end(Phase::Commit);
-            for (succ, _) in g.successors(task) {
-                let Some(pending) = pending_preds.get_mut(succ.index()) else {
-                    continue;
-                };
-                *pending -= 1;
-                if *pending == 0 {
-                    ready.push(ReadyEntry {
-                        bl: bl.get(succ.index()).copied().unwrap_or_default(),
-                        task: succ,
-                    });
-                }
+    /// Record `task` as scheduled: queue every successor whose parents are
+    /// now all scheduled.
+    pub(crate) fn release(&mut self, g: &TaskGraph, task: TaskId) {
+        for (succ, _) in g.successors(task) {
+            let Some(pending) = self.pending_preds.get_mut(succ.index()) else {
+                continue;
+            };
+            *pending -= 1;
+            if *pending == 0 {
+                self.push(succ);
             }
         }
-        probe.placement_scan(scratch.scan());
-        debug_assert!(sched.is_complete());
-        sched
     }
 }
 
@@ -132,7 +130,7 @@ impl Scheduler for Heft {
     }
 
     fn schedule(&self, g: &TaskGraph, platform: &Platform, model: CommModel) -> Schedule {
-        self.schedule_probed(g, platform, model, &NoProbe)
+        schedule_or_panic(self, g, platform, model, &NoProbe)
     }
 
     fn schedule_with_probe(
@@ -142,7 +140,46 @@ impl Scheduler for Heft {
         model: CommModel,
         probe: &dyn Probe,
     ) -> Schedule {
-        self.schedule_probed(g, platform, model, probe)
+        schedule_or_panic(self, g, platform, model, probe)
+    }
+
+    /// The scheduling loop, reporting phases and scan counters to `probe`
+    /// (write-only: every decision is identical to an unprobed run).
+    /// Rejects disconnected platforms with a typed error instead of
+    /// panicking mid-schedule.
+    fn try_schedule_probed(
+        &self,
+        g: &TaskGraph,
+        platform: &Platform,
+        model: CommModel,
+        probe: &dyn Probe,
+    ) -> Result<Schedule, RoutedError> {
+        let routes = connected_routes(platform)?;
+        let mut ready = ReadyList::new(g, platform, probe);
+        let mut pool = ResourcePool::new(platform.num_procs(), model);
+        let mut sched = Schedule::with_tasks(g.num_tasks());
+        let mut scratch = EftScratch::default();
+        while let Some(task) = ready.pop() {
+            probe.phase_begin(Phase::Scan);
+            let tp = best_placement_with(
+                g,
+                platform,
+                &routes,
+                &pool,
+                &sched,
+                task,
+                self.policy,
+                &mut scratch,
+            );
+            probe.phase_end(Phase::Scan);
+            probe.phase_begin(Phase::Commit);
+            scratch.commit(&mut pool, &mut sched, tp);
+            probe.phase_end(Phase::Commit);
+            ready.release(g, task);
+        }
+        probe.placement_scan(scratch.scan());
+        debug_assert!(sched.is_complete());
+        Ok(sched)
     }
 }
 
@@ -152,15 +189,20 @@ mod tests {
     use onesched_dag::TaskGraphBuilder;
     use onesched_sim::validate;
 
-    /// Paper Figure 1: fork with six unit children, unit comms.
-    fn fig1_fork() -> TaskGraph {
+    /// A root with `n` unit children, each edge carrying `data`.
+    fn fork(n: usize, data: f64) -> TaskGraph {
         let mut b = TaskGraphBuilder::new();
-        let v0 = b.add_task(1.0);
-        for _ in 0..6 {
+        let root = b.add_task(1.0);
+        for _ in 0..n {
             let c = b.add_task(1.0);
-            b.add_edge(v0, c, 1.0).unwrap();
+            b.add_edge(root, c, data).unwrap();
         }
         b.build().unwrap()
+    }
+
+    /// Paper Figure 1: fork with six unit children, unit comms.
+    fn fig1_fork() -> TaskGraph {
+        fork(6, 1.0)
     }
 
     #[test]
@@ -264,5 +306,65 @@ mod tests {
         };
         assert!(b > a, "higher bottom level wins");
         assert!(c > a, "equal level: smaller id wins");
+    }
+
+    #[test]
+    fn valid_on_star_topology() {
+        let g = fig1_fork();
+        let p = onesched_platform::topology::star(vec![1.0; 4], 1.0).unwrap();
+        for m in [CommModel::OnePortBidir, CommModel::OnePortUnidir] {
+            let s = Heft::new().schedule(&g, &p, m);
+            let v = validate(&g, &p, m, &s);
+            assert!(v.is_empty(), "{m}: {v:?}");
+        }
+    }
+
+    #[test]
+    fn valid_on_line_topology_with_relays() {
+        // enough cheap children that HEFT spreads to the far end of a
+        // 4-node line, so some message has to be forwarded through a relay.
+        let g = fork(8, 0.5);
+        let p = onesched_platform::topology::line(vec![1.0; 4], 1.0).unwrap();
+        let s = Heft::new().schedule(&g, &p, CommModel::OnePortBidir);
+        let v = validate(&g, &p, CommModel::OnePortBidir, &s);
+        assert!(v.is_empty(), "{v:?}");
+        assert!(s.is_complete());
+        let relayed = s.comms().iter().any(|c| {
+            let e = g.edge(c.edge);
+            s.alloc(e.src) != Some(c.from) || s.alloc(e.dst) != Some(c.to)
+        });
+        assert!(relayed, "no hop was relayed: {:?}", s.comms());
+    }
+
+    #[test]
+    fn larger_graph_on_ring() {
+        let g = onesched_testbeds::laplace(6, 2.0);
+        let p = onesched_platform::topology::ring(vec![1.0, 2.0, 1.0, 2.0, 1.0], 1.0).unwrap();
+        let s = Heft::new().schedule(&g, &p, CommModel::OnePortBidir);
+        let v = validate(&g, &p, CommModel::OnePortBidir, &s);
+        assert!(v.is_empty(), "{v:?}");
+        assert!(s.is_complete());
+    }
+
+    #[test]
+    fn disconnected_platform_is_a_typed_error() {
+        let inf = f64::INFINITY;
+        let p = Platform::new(vec![1.0, 1.0], vec![0.0, inf, inf, 0.0]).unwrap();
+        let g = fig1_fork();
+        let err = Heft::new()
+            .try_schedule(&g, &p, CommModel::OnePortBidir)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            RoutedError::Disconnected {
+                from: onesched_platform::ProcId(0),
+                to: onesched_platform::ProcId(1)
+            }
+        );
+        assert!(err.to_string().contains("no route"), "{err}");
+        let err2 = crate::Ilha::new(4)
+            .try_schedule(&g, &p, CommModel::OnePortBidir)
+            .unwrap_err();
+        assert_eq!(err, err2);
     }
 }

@@ -14,21 +14,23 @@
 //!    on the processor minimizing their completion time, with incoming
 //!    messages serialized on the one-port timelines.
 //!
+//! Both steps route messages hop by hop on platforms that lack some direct
+//! links (the §4.3 extension, see the placement engine).
+//!
 //! The chunk size `B` trades off load-balancing quality (large `B`) against
 //! fast progress along the critical path (small `B`); the paper found the
 //! best `B` experimentally per testbed (LU: 4, DOOLITTLE/LDMt: 20,
 //! LAPLACE/STENCIL/FORK-JOIN: 38).
 
-use crate::avg_weights::paper_bottom_levels;
 use crate::distribution::optimal_distribution;
-use crate::heft::ReadyEntry;
+use crate::heft::ReadyList;
 use crate::placement::{best_placement_with, stage_on, EftScratch, PlacementPolicy};
 use crate::probe::{NoProbe, Phase, Probe};
+use crate::scheduler::{connected_routes, schedule_or_panic, RoutedError};
 use crate::Scheduler;
-use onesched_dag::{TaskGraph, TaskId, TopoOrder};
+use onesched_dag::{TaskGraph, TaskId};
 use onesched_platform::{Platform, ProcId};
 use onesched_sim::{CommModel, CommPlacement, ResourcePool, Schedule, TaskPlacement, TxnBuffers};
-use std::collections::BinaryHeap;
 
 /// How far the zero-communication scan of step 1 goes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -76,36 +78,43 @@ impl Ilha {
     }
 }
 
-impl Ilha {
-    /// The scheduling loop, reporting phases and scan counters to
-    /// `probe`. The probe is write-only: every decision is identical to
-    /// an unprobed run.
-    fn schedule_probed(
+impl Scheduler for Ilha {
+    fn name(&self) -> String {
+        match self.scan {
+            ScanDepth::ZeroComm => format!("ILHA(B={})", self.b),
+            ScanDepth::UpToOneComm => format!("ILHA1(B={})", self.b),
+        }
+    }
+
+    fn schedule(&self, g: &TaskGraph, platform: &Platform, model: CommModel) -> Schedule {
+        schedule_or_panic(self, g, platform, model, &NoProbe)
+    }
+
+    fn schedule_with_probe(
         &self,
         g: &TaskGraph,
         platform: &Platform,
         model: CommModel,
         probe: &dyn Probe,
     ) -> Schedule {
-        probe.phase_begin(Phase::Rank);
-        let topo = TopoOrder::new(g);
-        let bl = paper_bottom_levels(g, &topo, platform);
-        probe.phase_end(Phase::Rank);
+        schedule_or_panic(self, g, platform, model, probe)
+    }
 
+    /// The scheduling loop, reporting phases and scan counters to `probe`
+    /// (write-only: every decision is identical to an unprobed run).
+    /// Rejects disconnected platforms with a typed error instead of
+    /// panicking mid-schedule.
+    fn try_schedule_probed(
+        &self,
+        g: &TaskGraph,
+        platform: &Platform,
+        model: CommModel,
+        probe: &dyn Probe,
+    ) -> Result<Schedule, RoutedError> {
+        let routes = connected_routes(platform)?;
+        let mut ready = ReadyList::new(g, platform, probe);
         let mut pool = ResourcePool::new(platform.num_procs(), model);
         let mut sched = Schedule::with_tasks(g.num_tasks());
-
-        let mut pending_preds: Vec<u32> = g.tasks().map(|v| g.in_degree(v) as u32).collect();
-        // Ready tasks, highest priority first (same total order the seed's
-        // sorted list used; a heap makes release and take O(log n)).
-        let mut ready: BinaryHeap<ReadyEntry> = g
-            .tasks()
-            .filter(|&v| g.in_degree(v) == 0)
-            .map(|task| ReadyEntry {
-                bl: bl.get(task.index()).copied().unwrap_or_default(),
-                task,
-            })
-            .collect();
 
         let mut chunk: Vec<TaskId> = Vec::with_capacity(self.b);
         let mut deferred: Vec<TaskId> = Vec::with_capacity(self.b);
@@ -116,11 +125,13 @@ impl Ilha {
         let mut step1_bufs = TxnBuffers::default();
         let mut scratch = EftScratch::default();
 
-        while !ready.is_empty() {
+        loop {
             // Take the B highest-priority ready tasks.
-            let take = self.b.min(ready.len());
             chunk.clear();
-            chunk.extend((0..take).map(|_| ready.pop().expect("len checked").task));
+            chunk.extend(std::iter::from_fn(|| ready.pop()).take(self.b));
+            if chunk.is_empty() {
+                break;
+            }
 
             // Load-balancing caps for this round: the §4.2 "optimal
             // distribution" of the chunk's task count over the processors
@@ -159,6 +170,7 @@ impl Ilha {
                         staged_tasks.push(stage_on(
                             g,
                             platform,
+                            &routes,
                             &sched,
                             &mut txn,
                             task,
@@ -188,6 +200,7 @@ impl Ilha {
                 let tp = best_placement_with(
                     g,
                     platform,
+                    &routes,
                     &pool,
                     &sched,
                     task,
@@ -200,48 +213,13 @@ impl Ilha {
                 probe.phase_end(Phase::Commit);
             }
 
-            // Release newly ready tasks.
             for &task in &chunk {
-                for (succ, _) in g.successors(task) {
-                    let Some(pending) = pending_preds.get_mut(succ.index()) else {
-                        continue;
-                    };
-                    *pending -= 1;
-                    if *pending == 0 {
-                        ready.push(ReadyEntry {
-                            bl: bl.get(succ.index()).copied().unwrap_or_default(),
-                            task: succ,
-                        });
-                    }
-                }
+                ready.release(g, task);
             }
         }
         probe.placement_scan(scratch.scan());
         debug_assert!(sched.is_complete());
-        sched
-    }
-}
-
-impl Scheduler for Ilha {
-    fn name(&self) -> String {
-        match self.scan {
-            ScanDepth::ZeroComm => format!("ILHA(B={})", self.b),
-            ScanDepth::UpToOneComm => format!("ILHA1(B={})", self.b),
-        }
-    }
-
-    fn schedule(&self, g: &TaskGraph, platform: &Platform, model: CommModel) -> Schedule {
-        self.schedule_probed(g, platform, model, &NoProbe)
-    }
-
-    fn schedule_with_probe(
-        &self,
-        g: &TaskGraph,
-        platform: &Platform,
-        model: CommModel,
-        probe: &dyn Probe,
-    ) -> Schedule {
-        self.schedule_probed(g, platform, model, probe)
+        Ok(sched)
     }
 }
 
@@ -249,12 +227,7 @@ impl Scheduler for Ilha {
 /// any: all parents on one processor. Under [`ScanDepth::UpToOneComm`], a
 /// task whose parents span exactly two processors is directed to the parent
 /// processor receiving the larger incoming volume (one message).
-pub(crate) fn step1_target(
-    g: &TaskGraph,
-    sched: &Schedule,
-    task: TaskId,
-    scan: ScanDepth,
-) -> Option<ProcId> {
+fn step1_target(g: &TaskGraph, sched: &Schedule, task: TaskId, scan: ScanDepth) -> Option<ProcId> {
     let mut iter = g.predecessors(task);
     let (first, first_edge) = iter.next()?; // entry tasks -> step 2
     let first_proc = sched.task(first).expect("parents scheduled").proc;
@@ -410,5 +383,36 @@ mod tests {
     #[should_panic(expected = "at least 1")]
     fn b_zero_rejected() {
         let _ = Ilha::new(0);
+    }
+
+    #[test]
+    fn valid_on_routed_topologies_all_models() {
+        use onesched_platform::topology;
+        let g = onesched_testbeds::laplace(5, 2.0);
+        for p in [
+            topology::star(vec![1.0; 5], 1.0).unwrap(),
+            topology::ring(vec![1.0, 2.0, 1.0, 2.0], 1.0).unwrap(),
+            topology::line(vec![1.0; 4], 1.0).unwrap(),
+            topology::random_connected(vec![1.0; 6], 1.0, 0.3, 11).unwrap(),
+        ] {
+            for m in CommModel::ALL {
+                let s = Ilha::new(4).schedule(&g, &p, m);
+                let v = validate(&g, &p, m, &s);
+                assert!(v.is_empty(), "{m}: {v:?}");
+                assert!(s.is_complete());
+            }
+        }
+    }
+
+    #[test]
+    fn step1_reduces_communications_on_a_routed_line() {
+        // the §4.4 toy on a 2-proc line: step 1 keeps each fork's
+        // children local, as on the complete platform
+        let g = toy_graph();
+        let p = onesched_platform::topology::line(vec![1.0, 1.0], 1.0).unwrap();
+        let ilha = Ilha::new(8).schedule(&g, &p, CommModel::OnePortBidir);
+        let heft = crate::Heft::new().schedule(&g, &p, CommModel::OnePortBidir);
+        assert!(ilha.num_effective_comms() <= heft.num_effective_comms());
+        assert!(ilha.num_effective_comms() <= 2);
     }
 }

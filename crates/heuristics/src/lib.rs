@@ -20,9 +20,6 @@
 //!   levels (§4.1).
 //! * [`resched`] — the §4.4 "second variation": keep only the allocation and
 //!   greedily re-schedule all communications in a third step.
-//! * [`routed`] — the §4.3 extension to non-fully-connected networks:
-//!   store-and-forward multi-hop placement with a pruned candidate scan,
-//!   [`routed::RoutedHeft`] and the two-step [`routed::RoutedIlha`].
 //! * [`bsweep`] — experimental search for the chunk size `B` (the paper
 //!   found the best `B` by trying several values; §5.3).
 //! * [`registry`] — the scheduler registry: canonical
@@ -32,6 +29,13 @@
 //! Every scheduler works under all four [`CommModel`]s through the same
 //! transactional resource machinery — the macro-dataflow variants of HEFT
 //! and ILHA are the same code with free communication ports.
+//!
+//! One placement engine ([`best_placement`], [`place_on`], [`stage_on`])
+//! serves every heuristic. It walks each message's static route from a
+//! [`onesched_platform::RoutingTable`] hop by hop, so HEFT and ILHA also
+//! run on networks without a direct link between every pair (the §4.3
+//! extension); on a fully connected platform every route is the direct
+//! link. They refuse disconnected platforms with [`RoutedError`].
 
 #![warn(missing_docs)]
 // Burn-down: pre-existing unwrap/expect/panic sites are grandfathered
@@ -50,7 +54,6 @@ mod placement;
 pub mod probe;
 pub mod registry;
 pub mod resched;
-pub mod routed;
 mod scheduler;
 
 pub use heft::Heft;
@@ -60,7 +63,7 @@ pub use placement::{
     EftScratch, PlacementPolicy, TentativePlacement,
 };
 pub use probe::{NoProbe, Phase, Probe, ScanStats};
-pub use scheduler::Scheduler;
+pub use scheduler::{RoutedError, Scheduler};
 
 // Re-export the model enum so downstream users need one import.
 pub use onesched_sim::CommModel;

@@ -1,17 +1,32 @@
-//! Shared placement machinery: tentatively place one task (plus its incoming
-//! communications) on a candidate processor.
+//! The placement engine: tentatively place one task, plus its incoming
+//! communications, on a candidate processor, and pick the candidate with
+//! the earliest finish.
 //!
 //! This implements the §4.3 evaluation step: "in addition to scheduling the
 //! selected task we must also schedule eventual incoming communications …
 //! we can assign the new communications as early as possible, in a greedy
-//! fashion". Both HEFT and ILHA's step 2 use it, as do all the baseline
-//! heuristics in `onesched-baselines`.
+//! fashion", together with its extension to networks where some processor
+//! pairs lack a direct link: "if there is no direct link from P2 to P1, we
+//! redo the previous step for all intermediate messages between adjacent
+//! processors". Every message walks its static route from the schedule's
+//! [`RoutingTable`] hop by hop, store-and-forward, each hop as early as
+//! possible on its own send and receive ports. A direct link is a one-hop
+//! route, so on a fully connected platform this is exactly the paper's
+//! one-port placement. Relays use their communication ports only, not
+//! their compute core (under [`onesched_sim::CommModel::OnePortNoOverlap`]
+//! the relay hops do exclude computation on the relay processors, which
+//! the resource pool enforces).
+//!
+//! HEFT, both steps of ILHA, and every baseline heuristic in
+//! `onesched-baselines` place through this module. Callers build the
+//! routing table once per schedule (`RoutingTable::new`) and pass it to
+//! every call.
 
 use crate::probe::ScanStats;
-use onesched_dag::{TaskGraph, TaskId};
-use onesched_platform::{Platform, ProcId};
+use onesched_dag::{EdgeId, TaskGraph, TaskId};
+use onesched_platform::{Platform, ProcId, RoutingTable};
 use onesched_sim::{
-    CommPlacement, ResourcePool, Schedule, StagedPlacements, TaskPlacement, Txn, TxnBuffers,
+    CommPlacement, ResourcePool, Schedule, StagedPlacements, TaskPlacement, Txn, TxnBuffers, EPS,
 };
 
 /// How a task's incoming messages are ordered when they are greedily
@@ -65,7 +80,8 @@ pub struct TentativePlacement {
     pub start: f64,
     /// Task finish time on the candidate (the EFT criterion).
     pub finish: f64,
-    /// The incoming communications that the placement would schedule.
+    /// The incoming communications that the placement would schedule, one
+    /// per hop of each routed message.
     pub comms: Vec<CommPlacement>,
     /// The staged resource occupancy, ready to commit if this candidate wins.
     pub staged: StagedPlacements,
@@ -83,12 +99,12 @@ impl TentativePlacement {
 
 /// One incoming transfer of the task under placement:
 /// `(parent finish, parent proc, data, edge id)`.
-pub(crate) type Incoming = (f64, ProcId, f64, onesched_dag::EdgeId);
+type Incoming = (f64, ProcId, f64, EdgeId);
 
 /// Gather `task`'s incoming transfers and order them per `comm_order`.
 /// The order depends only on the parents' placements, not on the candidate
 /// processor, so [`best_placement`] computes it once for all candidates.
-pub(crate) fn gather_incoming_into(
+fn gather_incoming_into(
     incoming: &mut Vec<Incoming>,
     g: &TaskGraph,
     sched: &Schedule,
@@ -115,14 +131,14 @@ pub(crate) fn gather_incoming_into(
 /// The heap storage one candidate evaluation fills: its message list and
 /// its transaction's buffers.
 #[derive(Debug, Default)]
-pub(crate) struct CandidateBufs {
-    pub(crate) comms: Vec<CommPlacement>,
-    pub(crate) txn: TxnBuffers,
+struct CandidateBufs {
+    comms: Vec<CommPlacement>,
+    txn: TxnBuffers,
 }
 
 impl CandidateBufs {
     /// The storage of a candidate abandoned mid-evaluation.
-    pub(crate) fn abandon(txn: Txn<'_>, comms: Vec<CommPlacement>) -> CandidateBufs {
+    fn abandon(txn: Txn<'_>, comms: Vec<CommPlacement>) -> CandidateBufs {
         CandidateBufs {
             comms,
             txn: txn.into_buffers(),
@@ -143,21 +159,21 @@ fn recycle(spare: &mut Vec<CandidateBufs>, bufs: CandidateBufs) {
     }
 }
 
-/// Reusable buffers for [`best_placement_with`] and
-/// [`crate::routed::best_routed_placement_with`]: the placement loop runs
-/// once per task, and per-task allocations were a measurable slice of
-/// schedule construction. The schedulers carry one scratch across their
-/// whole run and commit through [`EftScratch::commit`], so every
-/// candidate's message list and transaction reuse the storage of earlier
-/// ones and a warmed-up scan allocates nothing. [`best_placement`] makes a
-/// fresh one for ad-hoc callers.
+/// Reusable buffers for [`best_placement_with`] and [`stage_on`]: the
+/// placement loop runs once per task, and per-task allocations were a
+/// measurable slice of schedule construction. The schedulers carry one
+/// scratch across their whole run and commit through
+/// [`EftScratch::commit`], so every candidate's message list and
+/// transaction reuse the storage of earlier ones and a warmed-up scan
+/// allocates nothing. [`best_placement`] makes a fresh one for ad-hoc
+/// callers.
 #[derive(Debug, Default)]
 pub struct EftScratch {
-    pub(crate) incoming: Vec<Incoming>,
-    pub(crate) order: Vec<(f64, ProcId)>,
-    pub(crate) send_cache: Vec<(f64, f64)>,
-    pub(crate) spare: Vec<CandidateBufs>,
-    pub(crate) scan: ScanStats,
+    incoming: Vec<Incoming>,
+    order: Vec<(f64, ProcId)>,
+    send_cache: Vec<(f64, f64)>,
+    spare: Vec<CandidateBufs>,
+    scan: ScanStats,
 }
 
 impl EftScratch {
@@ -182,73 +198,74 @@ impl EftScratch {
     }
 }
 
-/// The pruned candidate loop shared by the direct and the routed scan.
-///
-/// Candidates come best bound first (`order`). Once an incumbent exists, a
-/// candidate is skipped unless it could still (a) strictly beat the
-/// incumbent or (b) tie it and win on the lower processor id — first on
-/// its cheap bound, then on `disqualified`, the committed-state bound.
-/// Survivors are evaluated by `evaluate`, which gets recycled storage and
-/// the incumbent, and hands the storage back (`Err`) when it aborts a
-/// candidate that provably cannot win. `ctx` is passed to both callbacks,
-/// which share it (the per-message send-gap memo).
-pub(crate) fn scan_candidates<C>(
-    order: &[(f64, ProcId)],
-    scan: &mut ScanStats,
-    spare: &mut Vec<CandidateBufs>,
-    ctx: &mut C,
-    mut disqualified: impl FnMut(&mut C, ProcId, f64, ProcId) -> bool,
-    mut evaluate: impl FnMut(
-        &mut C,
-        ProcId,
-        CandidateBufs,
-        Option<(f64, ProcId)>,
-    ) -> Result<TentativePlacement, CandidateBufs>,
-) -> Option<TentativePlacement> {
-    let mut best: Option<TentativePlacement> = None;
-    for &(bound, proc) in order {
-        scan.candidates += 1;
-        let incumbent = best.as_ref().map(|b| (b.finish, b.proc));
-        if let Some((finish, best_proc)) = incumbent {
-            if !can_still_win(bound, proc, finish, best_proc) {
-                scan.pruned_bound += 1;
-                continue;
-            }
-            if disqualified(ctx, proc, finish, best_proc) {
-                scan.pruned_contention += 1;
-                continue;
-            }
-        }
-        let bufs = spare.pop().unwrap_or_default();
-        match evaluate(ctx, proc, bufs, incumbent) {
-            Err(bufs) => {
-                // aborted mid-evaluation: provably cannot win
-                recycle(spare, bufs);
-                scan.aborted += 1;
-            }
-            Ok(tp) => {
-                scan.evaluated += 1;
-                let better = best
-                    .as_ref()
-                    .is_none_or(|b| can_still_win(tp.finish, tp.proc, b.finish, b.proc));
-                let loser = if better { best.replace(tp) } else { Some(tp) };
-                if let Some(loser) = loser {
-                    recycle(spare, loser.into_buffers());
-                }
-            }
-        }
-    }
-    best
-}
-
 /// Whether a candidate that can finish no earlier than `bound` could still
 /// displace an incumbent finishing at `finish` on processor `best_proc`:
 /// either a strictly better finish, or an exact tie won by the lower
 /// processor id (the paper's tie-break).
 #[inline]
-pub(crate) fn can_still_win(bound: f64, proc: ProcId, finish: f64, best_proc: ProcId) -> bool {
-    let eps = onesched_sim::EPS;
-    bound < finish - eps || (bound <= finish + eps && proc < best_proc)
+fn can_still_win(bound: f64, proc: ProcId, finish: f64, best_proc: ProcId) -> bool {
+    bound < finish - EPS || (bound <= finish + EPS && proc < best_proc)
+}
+
+/// Stage one message of `data` items from `src` to `dst`, available at
+/// `src` from `available`, hop by hop along its static route: each hop as
+/// early as possible on its ports and no earlier than the previous hop's
+/// arrival. Records the hops in `comms` and returns the arrival at `dst`.
+///
+/// `send_memo` seeds the first hop's search with the committed send-port
+/// gap of `src`, memoized across candidates (see
+/// [`contention_disqualifies`]): the committed send port alone already
+/// forbids anything earlier, so the search may start there instead of
+/// walking up from `available`, and when it starts exactly there the send
+/// view is pre-verified. The memo holds `(hop duration, gap end)`; the gap
+/// depends on the candidate only through the first hop's duration.
+///
+/// # Panics
+/// Panics if `dst` is unreachable from `src`: HEFT and ILHA reject such
+/// platforms upfront with [`crate::RoutedError::Disconnected`].
+#[allow(clippy::too_many_arguments)]
+fn route_message(
+    txn: &mut Txn<'_>,
+    platform: &Platform,
+    routes: &RoutingTable,
+    comms: &mut Vec<CommPlacement>,
+    edge: EdgeId,
+    (src, dst): (ProcId, ProcId),
+    data: f64,
+    mut available: f64,
+    mut send_memo: Option<&mut (f64, f64)>,
+) -> f64 {
+    let mut cur = src;
+    while cur != dst {
+        let to = routes
+            .first_hop(cur, dst)
+            .expect("no route between two processors: reject disconnected platforms first");
+        let dur = platform.comm_time(data, cur, to);
+        let start = match send_memo.take() {
+            Some(memo) => {
+                let send_free = if memo.0 == dur {
+                    memo.1 - dur
+                } else {
+                    let gap = txn.pool().send_timeline(cur).earliest_gap(available, dur);
+                    *memo = (dur, gap + dur);
+                    gap
+                };
+                txn.earliest_comm_slot_seeded(cur, to, available, dur, send_free)
+            }
+            None => txn.earliest_comm_slot(cur, to, available, dur),
+        };
+        txn.add_comm(cur, to, start, dur);
+        comms.push(CommPlacement {
+            edge,
+            from: cur,
+            to,
+            start,
+            finish: start + dur,
+        });
+        available = start + dur;
+        cur = to;
+    }
+    available
 }
 
 /// The candidate evaluation proper, with the incoming transfers already
@@ -260,12 +277,13 @@ pub(crate) fn can_still_win(bound: f64, proc: ProcId, finish: f64, best_proc: Pr
 /// displace the incumbent the remaining messages are abandoned and the
 /// transaction's buffers are handed back for reuse (`Err`). This is what
 /// makes [`best_placement`] cheap — losing candidates pay for one or two
-/// message placements instead of all of them. The messages are recorded in
+/// message placements instead of all of them. The hops are recorded in
 /// `comms` (cleared first), so a recycled list allocates nothing.
 #[allow(clippy::too_many_arguments, clippy::result_large_err)]
 fn place_on_ordered(
     g: &TaskGraph,
     platform: &Platform,
+    routes: &RoutingTable,
     mut txn: Txn<'_>,
     mut comms: Vec<CommPlacement>,
     task: TaskId,
@@ -284,41 +302,23 @@ fn place_on_ordered(
     let mut ready = 0.0f64;
     comms.clear();
     for (j, &(src_finish, src_proc, data, edge)) in incoming.iter().enumerate() {
-        if src_proc == proc || data <= onesched_sim::EPS {
+        if src_proc == proc || data <= EPS {
             // Local or free edge: data is available when the parent finishes.
             ready = ready.max(src_finish);
             continue;
         }
-        let dur = platform.comm_time(data, src_proc, proc);
-        assert!(
-            dur.is_finite(),
-            "no direct link {src_proc} -> {proc}: route the graph first"
-        );
-        // Seed the fixpoint with the single-view send-port gap (memoized
-        // across candidates — see `contention_disqualifies`): the committed
-        // send port alone already forbids anything earlier, so the search
-        // may start there instead of walking up from the parent's finish —
-        // and when it starts exactly there, the send view is pre-verified.
-        let cached = send_cache.get(j).copied().unwrap_or((f64::NAN, 0.0));
-        let send_free = if cached.0 == dur {
-            cached.1 - dur
-        } else {
-            let gap = pool_send_gap(&txn, src_proc, src_finish, dur);
-            if let Some(c) = send_cache.get_mut(j) {
-                *c = (dur, gap + dur);
-            }
-            gap
-        };
-        let start = txn.earliest_comm_slot_seeded(src_proc, proc, src_finish, dur, send_free);
-        txn.add_comm(src_proc, proc, start, dur);
-        comms.push(CommPlacement {
+        let arrival = route_message(
+            &mut txn,
+            platform,
+            routes,
+            &mut comms,
             edge,
-            from: src_proc,
-            to: proc,
-            start,
-            finish: start + dur,
-        });
-        ready = ready.max(start + dur);
+            (src_proc, proc),
+            data,
+            src_finish,
+            send_cache.get_mut(j),
+        );
+        ready = ready.max(arrival);
         if beaten(ready) {
             return Err(CandidateBufs::abandon(txn, comms));
         }
@@ -332,35 +332,32 @@ fn place_on_ordered(
     if beaten(start) {
         return Err(CandidateBufs::abandon(txn, comms));
     }
+    txn.add_compute(proc, start, exec);
     Ok(TentativePlacement {
         task,
         proc,
         start,
         finish: start + exec,
         comms,
-        staged: {
-            txn.add_compute(proc, start, exec);
-            txn.finish()
-        },
+        staged: txn.finish(),
     })
 }
 
-/// The committed send-port gap constraining one message, read through the
-/// transaction's pool handle (valid as a search floor for any candidate
-/// receiving the same message: the sender's committed state is shared).
-fn pool_send_gap(txn: &Txn<'_>, src: ProcId, after: f64, dur: f64) -> f64 {
-    txn.pool().send_timeline(src).earliest_gap(after, dur)
-}
-
-/// Tentatively place `task` on `proc`, scheduling its incoming
-/// communications greedily (earliest possible slot under the pool's
-/// communication model), then finding the earliest compute slot.
+/// Tentatively place `task` on `proc`, routing each incoming message along
+/// its static route and scheduling every hop greedily (earliest possible
+/// slot under the pool's communication model), then finding the earliest
+/// compute slot.
 ///
 /// Every predecessor of `task` must already be placed in `sched`.
 /// The transaction is consumed; nothing is committed.
+///
+/// # Panics
+/// Panics if some predecessor's processor cannot reach `proc`.
+#[allow(clippy::too_many_arguments)]
 pub fn place_on(
     g: &TaskGraph,
     platform: &Platform,
+    routes: &RoutingTable,
     sched: &Schedule,
     txn: Txn<'_>,
     task: TaskId,
@@ -373,6 +370,7 @@ pub fn place_on(
     place_on_ordered(
         g,
         platform,
+        routes,
         txn,
         Vec::new(),
         task,
@@ -394,14 +392,15 @@ pub fn place_on(
 /// ILHA's step 1 uses this to stage a whole chunk of zero-communication
 /// placements in one transaction and batch-commit them together
 /// (`ResourcePool::commit_batch`), amortizing the former per-placement
-/// `occupy` cost. Returns the task placement and appends the staged
-/// communications to `comms`; the caller records both in the schedule
-/// after committing. `scratch` lends its incoming-message buffer, so
-/// staging allocates nothing once warmed up.
+/// `occupy` cost. Returns the task placement and appends the staged hops
+/// to `comms`; the caller records both in the schedule after committing.
+/// `scratch` lends its incoming-message buffer, so staging allocates
+/// nothing once warmed up.
 #[allow(clippy::too_many_arguments)]
 pub fn stage_on(
     g: &TaskGraph,
     platform: &Platform,
+    routes: &RoutingTable,
     sched: &Schedule,
     txn: &mut Txn<'_>,
     task: TaskId,
@@ -414,25 +413,15 @@ pub fn stage_on(
     gather_incoming_into(incoming, g, sched, task, policy.comm_order);
     let mut ready = 0.0f64;
     for &(src_finish, src_proc, data, edge) in incoming.iter() {
-        if src_proc == proc || data <= onesched_sim::EPS {
-            ready = ready.max(src_finish);
-            continue;
-        }
-        let dur = platform.comm_time(data, src_proc, proc);
-        assert!(
-            dur.is_finite(),
-            "no direct link {src_proc} -> {proc}: route the graph first"
-        );
-        let start = txn.earliest_comm_slot(src_proc, proc, src_finish, dur);
-        txn.add_comm(src_proc, proc, start, dur);
-        comms.push(CommPlacement {
-            edge,
-            from: src_proc,
-            to: proc,
-            start,
-            finish: start + dur,
-        });
-        ready = ready.max(start + dur);
+        let arrival = if src_proc == proc || data <= EPS {
+            src_finish
+        } else {
+            let route = (src_proc, proc);
+            route_message(
+                txn, platform, routes, comms, edge, route, data, src_finish, None,
+            )
+        };
+        ready = ready.max(arrival);
     }
     let exec = platform.exec_time(g.weight(task), proc);
     let start = txn.earliest_compute_slot(proc, ready, exec, policy.insertion);
@@ -448,38 +437,41 @@ pub fn stage_on(
 /// A cheap lower bound on the finish time `task` could achieve on `proc`,
 /// ignoring the committed port state (which can only delay the task):
 ///
-/// * per-message data-ready: each message arrives no earlier than its
-///   parent's finish plus the raw transfer time;
-/// * receive-port serialization (one-port models only): all remote messages
-///   pass through `proc`'s receive resource one at a time, so the last one
-///   lands no earlier than the earliest remote parent finish plus the *sum*
-///   of the transfer times.
+/// * per-message data-ready: a store-and-forward chain cannot deliver
+///   earlier than the parent's finish plus `data × route_latency`, the sum
+///   of its raw per-hop transfer times;
+/// * receive-port serialization (one-port models only): every remote
+///   message's *final* hop passes through `proc`'s receive resource one at
+///   a time, and none can start before the earliest remote parent finish;
+///   each takes `data × last_hop_latency`.
 ///
-/// Used to order candidates best-first; [`contended_lower_bound`] tightens
-/// it against the committed timelines before a full evaluation is paid for.
+/// On a one-hop route both terms are the message's raw transfer time.
+/// Used to order candidates best-first; [`contention_disqualifies`]
+/// tightens it against the committed timelines before a full evaluation is
+/// paid for.
 #[inline]
 fn quick_lower_bound(
     platform: &Platform,
+    routes: &RoutingTable,
     one_port: bool,
     incoming: &[Incoming],
     weight: f64,
     proc: ProcId,
 ) -> f64 {
     let mut ready = 0.0f64;
-    let mut total_remote = 0.0f64;
+    let mut total_final = 0.0f64;
     let mut first_remote = f64::INFINITY;
     for &(src_finish, src_proc, data, _) in incoming {
-        if src_proc == proc || data <= onesched_sim::EPS {
+        if src_proc == proc || data <= EPS {
             ready = ready.max(src_finish);
         } else {
-            let dur = platform.comm_time(data, src_proc, proc);
-            ready = ready.max(src_finish + dur);
-            total_remote += dur;
+            ready = ready.max(src_finish + data * routes.route_latency(src_proc, proc));
+            total_final += data * routes.last_hop_latency(src_proc, proc);
             first_remote = first_remote.min(src_finish);
         }
     }
-    if one_port && total_remote > 0.0 {
-        ready = ready.max(first_remote + total_remote);
+    if one_port && total_final > 0.0 {
+        ready = ready.max(first_remote + total_final);
     }
     ready + platform.exec_time(weight, proc)
 }
@@ -488,19 +480,22 @@ fn quick_lower_bound(
 /// resource state through [`Timeline::earliest_finish_of_work`] free-time
 /// accounting (`Timeline` = `onesched_sim::Timeline`):
 ///
-/// * each remote message needs `dur` units of its sender's send port, none
-///   usable before the parent finishes;
-/// * the remote messages together need their summed durations on `proc`'s
-///   receive port, none usable before the earliest remote parent finish;
+/// * each remote message's first hop needs a contiguous slot of its
+///   duration on its sender's send port, none usable before the parent
+///   finishes, and the rest of the route takes at least its raw
+///   store-and-forward time;
+/// * the remote messages' final hops together need their summed durations
+///   on `proc`'s receive port, none usable before the earliest remote
+///   parent finish;
 /// * the task itself needs `exec` units of `proc`'s compute core after the
 ///   data is ready.
 ///
 /// In the paper's communication-bound testbeds the committed ports are
 /// nearly saturated, so these terms approach the true finish and prune most
-/// candidates. A `(2 + messages)·EPS` slack absorbs the scheduler's
-/// tolerance-based packing (each placement may overlap busy intervals by up
-/// to `EPS`, so a candidate's true finish can undercut the bound by roughly
-/// one `EPS` per placed message).
+/// candidates. A `(2 + messages × longest route)·EPS` slack absorbs the
+/// scheduler's tolerance-based packing (each staged hop may overlap busy
+/// intervals by up to `EPS`, so a candidate's true finish can undercut the
+/// bound by roughly one `EPS` per staged hop).
 ///
 /// Returns `true` as soon as any partial term already disqualifies the
 /// candidate against the incumbent — the remaining (timeline-walking) terms
@@ -508,6 +503,7 @@ fn quick_lower_bound(
 #[allow(clippy::too_many_arguments)]
 fn contention_disqualifies(
     platform: &Platform,
+    routes: &RoutingTable,
     pool: &ResourcePool,
     one_port: bool,
     incoming: &[Incoming],
@@ -517,29 +513,32 @@ fn contention_disqualifies(
     finish: f64,
     best_proc: ProcId,
 ) -> bool {
-    let eps = onesched_sim::EPS;
     let exec = platform.exec_time(weight, proc);
-    let slack = (2 + incoming.len()) as f64 * eps;
+    let slack = (2 + incoming.len() * routes.max_hops()) as f64 * EPS;
     // `ready + exec - slack` is a finish lower bound throughout; check it
     // after every term so the first saturated resource ends the scan.
     let lost = |ready: f64| !can_still_win(ready + exec - slack, proc, finish, best_proc);
 
     let mut ready = 0.0f64;
-    let mut total_remote = 0.0f64;
+    let mut total_final = 0.0f64;
     let mut first_remote = f64::INFINITY;
     for (j, &(src_finish, src_proc, data, _)) in incoming.iter().enumerate() {
-        if src_proc == proc || data <= eps {
+        if src_proc == proc || data <= EPS {
             ready = ready.max(src_finish);
         } else {
-            let dur = platform.comm_time(data, src_proc, proc);
+            let chain = data * routes.route_latency(src_proc, proc);
             let arrival = if one_port {
-                // the message needs a *contiguous* `dur` on the sender's
-                // send port, no earlier than the parent's finish. The term
-                // only depends on the candidate through `dur`, so on
-                // uniform-link platforms one computation serves every
-                // candidate (`send_cache` is keyed by the message).
+                let Some(hop) = routes.first_hop(src_proc, proc) else {
+                    return true; // unreachable: the message never arrives
+                };
+                // The first hop needs a *contiguous* `dur` on the sender's
+                // send port. The term depends on the candidate only
+                // through `dur`, so on uniform-link platforms one
+                // computation serves every candidate (`send_cache` is
+                // keyed by the message).
+                let dur = platform.comm_time(data, src_proc, hop);
                 let cached = send_cache.get(j).copied().unwrap_or((f64::NAN, 0.0));
-                if cached.0 == dur {
+                let sent = if cached.0 == dur {
                     cached.1
                 } else {
                     let a = pool.send_timeline(src_proc).earliest_gap(src_finish, dur) + dur;
@@ -547,22 +546,23 @@ fn contention_disqualifies(
                         *c = (dur, a);
                     }
                     a
-                }
+                };
+                sent + (chain - dur)
             } else {
-                src_finish + dur
+                src_finish + chain
             };
             ready = ready.max(arrival);
-            total_remote += dur;
+            total_final += data * routes.last_hop_latency(src_proc, proc);
             first_remote = first_remote.min(src_finish);
         }
         if lost(ready) {
             return true;
         }
     }
-    if one_port && total_remote > 0.0 {
+    if one_port && total_final > 0.0 {
         ready = ready.max(
             pool.recv_timeline(proc)
-                .earliest_finish_of_work(first_remote, total_remote),
+                .earliest_finish_of_work(first_remote, total_final),
         );
         if lost(ready) {
             return true;
@@ -610,20 +610,24 @@ fn commit_into(
 /// earliest finish time (ties: lowest processor id, the paper's tie-break).
 ///
 /// The scan is *pruned*: candidates are ordered by [`quick_lower_bound`]
-/// (best bound first, so the likely winner is evaluated early) and any
-/// candidate whose bound cannot beat the incumbent — strictly better finish,
-/// or an exact tie won by a lower processor id — is skipped without paying
-/// the transactional message-by-message evaluation. On the paper platform
-/// this skips most of the 10 candidates for most tasks and returns the same
-/// placement as the exhaustive id-order scan whenever distinct finish times
-/// differ by more than `EPS` — true of every paper workload, where all
-/// times are integral (pinned by the schedule-equivalence fixture and a
-/// pruned-vs-exhaustive proptest). Finish times packed inside a sub-`EPS`
+/// (best bound first, so the likely winner is evaluated early). Once an
+/// incumbent exists, a candidate is skipped unless it could still (a)
+/// strictly beat the incumbent or (b) tie it and win on the lower
+/// processor id — first on its cheap bound, then on
+/// [`contention_disqualifies`], the committed-state bound. Survivors are
+/// evaluated message by message and abort the moment they provably lose.
+/// On the paper platform this skips most of the 10 candidates for most
+/// tasks and returns the same placement as the exhaustive id-order scan
+/// whenever distinct finish times differ by more than `EPS` — true of
+/// every paper workload, where all times are integral (pinned by the
+/// schedule-equivalence fixture and a pruned-vs-exhaustive proptest over
+/// complete and routed platforms). Finish times packed inside a sub-`EPS`
 /// band fall back to the same `EPS`-tolerant tie-break, which may resolve
 /// an intransitive chain differently than the seed's fold order did.
 pub fn best_placement(
     g: &TaskGraph,
     platform: &Platform,
+    routes: &RoutingTable,
     pool: &ResourcePool,
     sched: &Schedule,
     task: TaskId,
@@ -632,6 +636,7 @@ pub fn best_placement(
     best_placement_with(
         g,
         platform,
+        routes,
         pool,
         sched,
         task,
@@ -642,9 +647,11 @@ pub fn best_placement(
 
 /// [`best_placement`] with caller-provided scratch buffers (reused across
 /// tasks by the schedulers' main loops).
+#[allow(clippy::too_many_arguments)]
 pub fn best_placement_with(
     g: &TaskGraph,
     platform: &Platform,
+    routes: &RoutingTable,
     pool: &ResourcePool,
     sched: &Schedule,
     task: TaskId,
@@ -664,41 +671,62 @@ pub fn best_placement_with(
     let one_port = pool.model().is_one_port();
     order.clear();
     order.extend(platform.procs().map(|proc| {
-        (
-            quick_lower_bound(platform, one_port, incoming, weight, proc),
-            proc,
-        )
+        let bound = quick_lower_bound(platform, routes, one_port, incoming, weight, proc);
+        (bound, proc)
     }));
     order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-
     send_cache.clear();
     send_cache.resize(incoming.len(), (f64::NAN, 0.0f64));
-    scan_candidates(
-        order,
-        scan,
-        spare,
-        send_cache,
-        |send_cache, proc, finish, best_proc| {
-            contention_disqualifies(
-                platform, pool, one_port, incoming, send_cache, weight, proc, finish, best_proc,
-            )
-        },
-        |send_cache, proc, bufs, incumbent| {
-            place_on_ordered(
-                g,
-                platform,
-                pool.begin_with(bufs.txn),
-                bufs.comms,
-                task,
-                proc,
-                policy,
-                incoming,
-                send_cache,
-                incumbent,
-            )
-        },
-    )
-    .expect("platform has at least one processor")
+
+    let mut best: Option<TentativePlacement> = None;
+    for &(bound, proc) in order.iter() {
+        scan.candidates += 1;
+        let incumbent = best.as_ref().map(|b| (b.finish, b.proc));
+        if let Some((finish, best_proc)) = incumbent {
+            if !can_still_win(bound, proc, finish, best_proc) {
+                scan.pruned_bound += 1;
+                continue;
+            }
+            if contention_disqualifies(
+                platform, routes, pool, one_port, incoming, send_cache, weight, proc, finish,
+                best_proc,
+            ) {
+                scan.pruned_contention += 1;
+                continue;
+            }
+        }
+        let bufs = spare.pop().unwrap_or_default();
+        match place_on_ordered(
+            g,
+            platform,
+            routes,
+            pool.begin_with(bufs.txn),
+            bufs.comms,
+            task,
+            proc,
+            policy,
+            incoming,
+            send_cache,
+            incumbent,
+        ) {
+            Err(bufs) => {
+                // aborted mid-evaluation: provably cannot win
+                recycle(spare, bufs);
+                scan.aborted += 1;
+            }
+            Ok(tp) => {
+                scan.evaluated += 1;
+                let better = best
+                    .as_ref()
+                    .is_none_or(|b| can_still_win(tp.finish, tp.proc, b.finish, b.proc));
+                let loser = if better { best.replace(tp) } else { Some(tp) };
+                if let Some(loser) = loser {
+                    recycle(spare, loser.into_buffers());
+                }
+            }
+        }
+    }
+    best.expect("platform has at least one processor")
 }
 
 #[cfg(test)]
@@ -726,6 +754,7 @@ mod tests {
         let tp = place_on(
             &g,
             &p,
+            &RoutingTable::new(&p),
             &sched,
             pool.begin(),
             TaskId(0),
@@ -745,6 +774,7 @@ mod tests {
         let tp = place_on(
             &g,
             &p,
+            &RoutingTable::new(&p),
             &sched,
             pool.begin(),
             TaskId(0),
@@ -756,6 +786,7 @@ mod tests {
         let tp = place_on(
             &g,
             &p,
+            &RoutingTable::new(&p),
             &sched,
             pool.begin(),
             TaskId(1),
@@ -769,6 +800,7 @@ mod tests {
         let tp0 = place_on(
             &g,
             &p,
+            &RoutingTable::new(&p),
             &sched,
             pool.begin(),
             TaskId(1),
@@ -784,7 +816,15 @@ mod tests {
         let (g, p) = fork2();
         let pool = ResourcePool::new(2, CommModel::OnePortBidir);
         let sched = Schedule::with_tasks(3);
-        let tp = best_placement(&g, &p, &pool, &sched, TaskId(0), PlacementPolicy::paper());
+        let tp = best_placement(
+            &g,
+            &p,
+            &RoutingTable::new(&p),
+            &pool,
+            &sched,
+            TaskId(0),
+            PlacementPolicy::paper(),
+        );
         assert_eq!(tp.proc, ProcId(0));
     }
 
@@ -805,6 +845,7 @@ mod tests {
         let tp = place_on(
             &g,
             &p3,
+            &RoutingTable::new(&p3),
             &sched,
             pool.begin(),
             TaskId(0),
@@ -815,6 +856,7 @@ mod tests {
         let tp1 = place_on(
             &g,
             &p3,
+            &RoutingTable::new(&p3),
             &sched,
             pool.begin(),
             TaskId(1),
@@ -825,6 +867,7 @@ mod tests {
         let tp2 = place_on(
             &g,
             &p3,
+            &RoutingTable::new(&p3),
             &sched,
             pool.begin(),
             TaskId(2),
@@ -839,6 +882,7 @@ mod tests {
         let tp = place_on(
             &g,
             &p3,
+            &RoutingTable::new(&p3),
             &msched,
             mpool.begin(),
             TaskId(0),
@@ -849,6 +893,7 @@ mod tests {
         let tp1 = place_on(
             &g,
             &p3,
+            &RoutingTable::new(&p3),
             &msched,
             mpool.begin(),
             TaskId(1),
@@ -859,6 +904,7 @@ mod tests {
         let tp2m = place_on(
             &g,
             &p3,
+            &RoutingTable::new(&p3),
             &msched,
             mpool.begin(),
             TaskId(2),
@@ -887,6 +933,7 @@ mod tests {
             let tp = place_on(
                 &g,
                 &p,
+                &RoutingTable::new(&p),
                 &sched,
                 pool.begin(),
                 t,
@@ -899,7 +946,16 @@ mod tests {
             insertion: true,
             comm_order: CommOrder::ByDataDesc,
         };
-        let tp = place_on(&g, &p, &sched, pool.begin(), sink, ProcId(2), pol);
+        let tp = place_on(
+            &g,
+            &p,
+            &RoutingTable::new(&p),
+            &sched,
+            pool.begin(),
+            sink,
+            ProcId(2),
+            pol,
+        );
         // large message [1,6), small [1,2)?? both receive on P2: recv port
         // serializes: large [1,6), then small [6,7) -> ready 7.
         assert_eq!(tp.comms[0].finish - tp.comms[0].start, 5.0);
@@ -909,8 +965,77 @@ mod tests {
             insertion: true,
             comm_order: CommOrder::ByDataAsc,
         };
-        let tp2 = place_on(&g, &p, &sched, pool.begin(), sink, ProcId(2), pol);
+        let tp2 = place_on(
+            &g,
+            &p,
+            &RoutingTable::new(&p),
+            &sched,
+            pool.begin(),
+            sink,
+            ProcId(2),
+            pol,
+        );
         assert_eq!(tp2.start, 7.0);
         assert_eq!(tp2.comms[0].finish - tp2.comms[0].start, 1.0);
+    }
+
+    #[test]
+    fn relay_chain_is_store_and_forward() {
+        // Force a relay: two processors linked only through a hub; the
+        // child must run on P2, so the message goes P1 -> P0 -> P2.
+        let mut b = TaskGraphBuilder::new();
+        let a = b.add_task(1.0);
+        let c = b.add_task(1.0);
+        b.add_edge(a, c, 3.0).unwrap();
+        let g = b.build().unwrap();
+        let p = onesched_platform::topology::star(vec![1.0; 3], 1.0).unwrap();
+        let pool = ResourcePool::new(3, CommModel::OnePortBidir);
+        let mut sched = Schedule::with_tasks(2);
+        sched.place_task(TaskPlacement {
+            task: a,
+            proc: ProcId(1),
+            start: 0.0,
+            finish: 1.0,
+        });
+        let routes = RoutingTable::new(&p);
+        let policy = PlacementPolicy::paper();
+        let tp = place_on(&g, &p, &routes, &sched, pool.begin(), c, ProcId(2), policy);
+        assert_eq!(tp.comms.len(), 2, "two hops through the hub");
+        assert_eq!(tp.comms[0].from, ProcId(1));
+        assert_eq!(tp.comms[0].to, ProcId(0));
+        assert_eq!(tp.comms[1].from, ProcId(0));
+        assert_eq!(tp.comms[1].to, ProcId(2));
+        // store-and-forward: second hop starts after the first completes
+        assert!(tp.comms[1].start >= tp.comms[0].finish - EPS);
+        assert_eq!(tp.start, 7.0, "1 (task) + 3 + 3 (two hops of duration 3)");
+    }
+
+    #[test]
+    fn pruned_scan_matches_exhaustive_on_star() {
+        // hand-rolled equivalence check on one routed topology (the
+        // proptest in tests/scheduler_properties.rs covers random ones)
+        let g = onesched_testbeds::laplace(5, 3.0);
+        let p = onesched_platform::topology::star(vec![1.0, 2.0, 1.0, 2.0, 1.0], 1.0).unwrap();
+        let routes = RoutingTable::new(&p);
+        let policy = PlacementPolicy::paper();
+        for m in CommModel::ALL {
+            let mut pool = ResourcePool::new(p.num_procs(), m);
+            let mut sched = Schedule::with_tasks(g.num_tasks());
+            for &task in onesched_dag::TopoOrder::new(&g).order() {
+                let mut want: Option<TentativePlacement> = None;
+                for proc in p.procs() {
+                    let tp = place_on(&g, &p, &routes, &sched, pool.begin(), task, proc, policy);
+                    if want.as_ref().is_none_or(|b| tp.finish < b.finish - EPS) {
+                        want = Some(tp);
+                    }
+                }
+                let want = want.unwrap();
+                let got = best_placement(&g, &p, &routes, &pool, &sched, task, policy);
+                assert_eq!(got.proc, want.proc, "{m}: task {task}");
+                assert_eq!(got.start, want.start, "{m}: task {task}");
+                assert_eq!(got.finish, want.finish, "{m}: task {task}");
+                commit_placement(&mut pool, &mut sched, got);
+            }
+        }
     }
 }

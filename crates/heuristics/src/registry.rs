@@ -8,9 +8,10 @@
 //!   used for CSV columns, bench labels, and cache keys.
 //!   [`SchedulerSpec::parse`] inverts it.
 //! * [`Catalog`] — the kind table: metadata ([`KindInfo`]) plus a builder
-//!   per kind. [`Catalog::core`] registers the four heuristics this crate
-//!   owns (`heft`, `ilha`, `routed-heft`, `routed-ilha`); downstream
-//!   crates extend it with [`Catalog::register`] — `onesched-baselines`
+//!   per kind. [`Catalog::core`] registers the four kinds this crate
+//!   owns (`heft`, `ilha`, and their aliases `routed-heft`,
+//!   `routed-ilha`); downstream crates extend it with
+//!   [`Catalog::register`] — `onesched-baselines`
 //!   adds its nine comparison schedulers and exposes the composed
 //!   workspace catalog as `onesched_baselines::registry::catalog()`.
 //! * [`Portfolio`] — the `portfolio` meta-kind, handled by the catalog
@@ -22,9 +23,9 @@
 //! catalog; services that want baseline kinds too go through the composed
 //! catalog.
 
-use crate::probe::Probe;
-use crate::routed::RoutedError;
-use crate::{Heft, Ilha, Scheduler};
+use crate::probe::{NoProbe, Probe};
+use crate::scheduler::schedule_or_panic;
+use crate::{Heft, Ilha, RoutedError, Scheduler};
 use onesched_dag::TaskGraph;
 use onesched_platform::Platform;
 use onesched_sim::{CommModel, Schedule, EPS};
@@ -108,14 +109,15 @@ impl SchedulerSpec {
         }
     }
 
-    /// HEFT with store-and-forward routing (required on non-fully-connected
-    /// platforms).
+    /// HEFT addressed for non-fully-connected platforms (an alias of
+    /// [`SchedulerSpec::heft`] that the service accepts there).
     pub fn routed_heft() -> SchedulerSpec {
         SchedulerSpec::named("routed-heft")
     }
 
-    /// ILHA with store-and-forward routing (chunk size defaults to the
-    /// platform's perfect-balance chunk).
+    /// ILHA addressed for non-fully-connected platforms (an alias of
+    /// `ilha`; the chunk size defaults to the platform's perfect-balance
+    /// chunk).
     pub fn routed_ilha() -> SchedulerSpec {
         SchedulerSpec::named("routed-ilha")
     }
@@ -354,8 +356,12 @@ impl Catalog {
         Catalog::default()
     }
 
-    /// The four heuristics this crate owns: `heft`, `ilha`, `routed-heft`,
-    /// `routed-ilha`.
+    /// The four kinds this crate owns: `heft`, `ilha`, and the aliases
+    /// `routed-heft`, `routed-ilha`, which build the same [`Heft`] and
+    /// [`Ilha`] (every HEFT and ILHA routes around missing links). The
+    /// aliases keep their own canonical strings, cache keys and `routed`
+    /// flag: they are the kinds the service accepts on non-fully-connected
+    /// platforms, and the default portfolio leaves them out.
     pub fn core() -> Catalog {
         let mut c = Catalog::new();
         c.register(
@@ -392,16 +398,16 @@ impl Catalog {
                 kind: "routed-heft",
                 params: "-",
                 routed: true,
-                summary: "HEFT with store-and-forward routing",
+                summary: "alias of heft, accepted on routed platforms",
             },
-            |_| Ok(Box::new(crate::routed::RoutedHeft::new())),
+            |_| Ok(Box::new(Heft::new())),
         );
         c.register(
             KindInfo {
                 kind: "routed-ilha",
                 params: "b (chunk size)",
                 routed: true,
-                summary: "ILHA with store-and-forward routing",
+                summary: "alias of ilha, accepted on routed platforms",
             },
             |spec| {
                 let b = spec.b.ok_or_else(|| {
@@ -413,7 +419,7 @@ impl Catalog {
                         "chunk size b must be at least 1",
                     ));
                 }
-                Ok(Box::new(crate::routed::RoutedIlha::new(b)))
+                Ok(Box::new(Ilha::new(b)))
             },
         );
         c
@@ -565,7 +571,7 @@ impl Portfolio {
     }
 
     /// Construct every member's schedule in parallel and return them in
-    /// member order (`None` for members that rejected the platform).
+    /// member order (an error for each member that rejected the platform).
     /// The service's portfolio path uses this to cache each member's
     /// schedule individually; [`Portfolio::schedule`] is the plain
     /// best-of wrapper on top.
@@ -574,34 +580,38 @@ impl Portfolio {
         g: &TaskGraph,
         platform: &Platform,
         model: CommModel,
-    ) -> Vec<Option<Schedule>> {
-        let mut slots: Vec<Option<Schedule>> = Vec::new();
-        slots.resize_with(self.members.len(), || None);
-        let slot_refs: Vec<std::sync::Mutex<&mut Option<Schedule>>> =
-            slots.iter_mut().map(std::sync::Mutex::new).collect();
+    ) -> Vec<Result<Schedule, RoutedError>> {
         std::thread::scope(|scope| {
-            for ((_, member), slot) in self.members.iter().zip(&slot_refs) {
-                scope.spawn(move || {
-                    let result = member.try_schedule(g, platform, model).ok();
-                    if let Ok(mut guard) = slot.lock() {
-                        **guard = result;
-                    }
-                });
-            }
-        });
-        drop(slot_refs);
-        slots
+            let handles: Vec<_> = self
+                .members
+                .iter()
+                .map(|(_, member)| scope.spawn(move || member.try_schedule(g, platform, model)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|handle| {
+                    // a panicking member re-panics here, as it would have
+                    // when the scope joined it
+                    handle
+                        .join()
+                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+                })
+                .collect()
+        })
     }
 
     /// Pick the winner among member schedules: smallest makespan, ties
     /// within [`EPS`] broken by the smaller canonical member string.
     /// Returns `(member index, schedule)`.
-    pub fn select<'a>(&self, schedules: &'a [Option<Schedule>]) -> Option<(usize, &'a Schedule)> {
+    pub fn select<'a>(
+        &self,
+        schedules: &'a [Result<Schedule, RoutedError>],
+    ) -> Option<(usize, &'a Schedule)> {
         let present: Vec<(usize, &str, &Schedule)> = schedules
             .iter()
             .enumerate()
             .filter_map(|(i, sched)| {
-                let sched = sched.as_ref()?;
+                let sched = sched.as_ref().ok()?;
                 let label = self.members.get(i).map_or("", |(l, _)| l.as_str());
                 Some((i, label, sched))
             })
@@ -621,9 +631,7 @@ impl Scheduler for Portfolio {
     }
 
     fn schedule(&self, g: &TaskGraph, platform: &Platform, model: CommModel) -> Schedule {
-        self.try_schedule(g, platform, model)
-            // analyze:allow(P203): infallible-by-contract mirror of `schedule`
-            .unwrap_or_else(|e| panic!("Portfolio: {e}"))
+        schedule_or_panic(self, g, platform, model, &NoProbe)
     }
 
     /// Members run with their own (silent) probes — a shared probe would
@@ -636,16 +644,11 @@ impl Scheduler for Portfolio {
         model: CommModel,
         _probe: &dyn Probe,
     ) -> Result<Schedule, RoutedError> {
-        let schedules = self.schedule_members(g, platform, model);
-        match self.select(&schedules) {
-            Some((_, sched)) => Ok(sched.clone()),
-            // every member refused: all members are routed-capable only
-            // when the platform is disconnected, so surface that error
-            None => Err(RoutedError::Disconnected {
-                from: onesched_platform::ProcId(0),
-                to: onesched_platform::ProcId(0),
-            }),
-        }
+        let mut schedules = self.schedule_members(g, platform, model);
+        // without a winner every member refused the platform: report the
+        // first member's refusal (a portfolio has at least one member)
+        let winner = self.select(&schedules).map_or(0, |(winner, _)| winner);
+        schedules.swap_remove(winner)
     }
 }
 
@@ -776,5 +779,64 @@ mod tests {
         let schedules = p.schedule_members(&g, &Platform::homogeneous(2), CommModel::OnePortBidir);
         let (winner, _) = p.select(&schedules).unwrap();
         assert_eq!(winner, 1, "a-heft sorts before z-heft");
+    }
+
+    #[test]
+    fn portfolio_reports_its_first_members_refusal() {
+        // two processors with no link at all: every member refuses, and
+        // the error names the real unroutable pair
+        let inf = f64::INFINITY;
+        let p = Platform::new(vec![1.0, 1.0], vec![0.0, inf, inf, 0.0]).unwrap();
+        let g = onesched_testbeds::toy();
+        let spec = SchedulerSpec::parse("portfolio[routed-heft,routed-ilha(b=2)]").unwrap();
+        let portfolio = Catalog::core().build(&spec).unwrap();
+        let err = portfolio
+            .try_schedule(&g, &p, CommModel::OnePortBidir)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            RoutedError::Disconnected {
+                from: onesched_platform::ProcId(0),
+                to: onesched_platform::ProcId(1),
+            }
+        );
+    }
+
+    #[test]
+    fn routed_aliases_keep_direct_links_that_a_detour_would_undercut() {
+        // fully connected, but the direct 0 <-> 2 link (10 per item) costs
+        // more than the detour through P1 (1 + 1): every message still
+        // takes its direct link, so the alias schedules exactly like HEFT
+        let link = vec![
+            0.0, 1.0, 10.0, //
+            1.0, 0.0, 1.0, //
+            10.0, 1.0, 0.0,
+        ];
+        let p = Platform::new(vec![1.0; 3], link).unwrap();
+        let mut b = onesched_dag::TaskGraphBuilder::new();
+        let root = b.add_task(1.0);
+        for _ in 0..6 {
+            let child = b.add_task(1.0);
+            b.add_edge(root, child, 0.1).unwrap();
+        }
+        let g = b.build().unwrap();
+        let m = CommModel::OnePortBidir;
+        let c = Catalog::core();
+        let heft = c.build(&SchedulerSpec::heft()).unwrap().schedule(&g, &p, m);
+        let routed = c
+            .build(&SchedulerSpec::routed_heft())
+            .unwrap()
+            .schedule(&g, &p, m);
+        assert_eq!(
+            onesched_sim::placement_fingerprint(&routed),
+            onesched_sim::placement_fingerprint(&heft)
+        );
+        assert!(routed.comms().iter().any(|c| c.to.index() == 2), "uses P2");
+        for comm in routed.comms() {
+            let edge = g.edge(comm.edge);
+            assert_eq!(Some(comm.from), routed.alloc(edge.src), "relayed hop");
+            assert_eq!(Some(comm.to), routed.alloc(edge.dst), "relayed hop");
+        }
+        assert!(onesched_sim::validate(&g, &p, m, &routed).is_empty());
     }
 }

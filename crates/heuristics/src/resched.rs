@@ -10,14 +10,12 @@
 //! all communications re-serialized from scratch. A wrapper scheduler
 //! applies it on top of any inner scheduler and keeps the better makespan.
 
-use crate::avg_weights::paper_bottom_levels;
-use crate::heft::ReadyEntry;
+use crate::heft::ReadyList;
 use crate::placement::{commit_placement, place_on, PlacementPolicy};
-use crate::Scheduler;
-use onesched_dag::{TaskGraph, TopoOrder};
-use onesched_platform::{Platform, ProcId};
+use crate::{NoProbe, Scheduler};
+use onesched_dag::TaskGraph;
+use onesched_platform::{Platform, ProcId, RoutingTable};
 use onesched_sim::{CommModel, ResourcePool, Schedule};
-use std::collections::BinaryHeap;
 
 /// Rebuild a schedule keeping a fixed task-to-processor allocation:
 /// tasks are processed by decreasing bottom level (among ready tasks) and
@@ -34,39 +32,25 @@ pub fn reschedule_with_allocation(
         g.num_tasks(),
         "one processor per task required"
     );
-    let topo = TopoOrder::new(g);
-    let bl = paper_bottom_levels(g, &topo, platform);
-
+    let routes = RoutingTable::new(platform);
+    let mut ready = ReadyList::new(g, platform, &NoProbe);
     let mut pool = ResourcePool::new(platform.num_procs(), model);
     let mut sched = Schedule::with_tasks(g.num_tasks());
-    let mut pending: Vec<u32> = g.tasks().map(|v| g.in_degree(v) as u32).collect();
-    let mut ready: BinaryHeap<ReadyEntry> = g
-        .tasks()
-        .filter(|&v| g.in_degree(v) == 0)
-        .map(|task| ReadyEntry {
-            bl: bl.get(task.index()).copied().unwrap_or_default(),
-            task,
-        })
-        .collect();
-
-    while let Some(ReadyEntry { task, .. }) = ready.pop() {
-        let Some(&proc) = alloc.get(task.index()) else {
-            continue;
-        };
-        let tp = place_on(g, platform, &sched, pool.begin(), task, proc, policy);
-        commit_placement(&mut pool, &mut sched, tp);
-        for (succ, _) in g.successors(task) {
-            let Some(p) = pending.get_mut(succ.index()) else {
-                continue;
-            };
-            *p -= 1;
-            if *p == 0 {
-                ready.push(ReadyEntry {
-                    bl: bl.get(succ.index()).copied().unwrap_or_default(),
-                    task: succ,
-                });
-            }
+    while let Some(task) = ready.pop() {
+        if let Some(&proc) = alloc.get(task.index()) {
+            let tp = place_on(
+                g,
+                platform,
+                &routes,
+                &sched,
+                pool.begin(),
+                task,
+                proc,
+                policy,
+            );
+            commit_placement(&mut pool, &mut sched, tp);
         }
+        ready.release(g, task);
     }
     sched
 }

@@ -1,10 +1,62 @@
 //! The common scheduler interface.
 
-use crate::probe::Probe;
-use crate::routed::RoutedError;
+use crate::probe::{NoProbe, Probe};
 use onesched_dag::TaskGraph;
-use onesched_platform::Platform;
+use onesched_platform::{Platform, ProcId, RoutingTable};
 use onesched_sim::{CommModel, Schedule};
+
+/// Why a scheduler refused a platform.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RoutedError {
+    /// Some ordered processor pair has no route at all; store-and-forward
+    /// scheduling cannot deliver messages between them.
+    Disconnected {
+        /// Source processor of the first unreachable pair.
+        from: ProcId,
+        /// Destination processor of the first unreachable pair.
+        to: ProcId,
+    },
+}
+
+impl std::fmt::Display for RoutedError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RoutedError::Disconnected { from, to } => write!(
+                f,
+                "platform is disconnected: no route from {from} to {to} \
+                 (routed schedulers need a connected topology)"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for RoutedError {}
+
+/// The routing table of `platform`, or the first processor pair it cannot
+/// route.
+pub(crate) fn connected_routes(platform: &Platform) -> Result<RoutingTable, RoutedError> {
+    let routes = RoutingTable::new(platform);
+    match routes.first_unreachable() {
+        Some((from, to)) => Err(RoutedError::Disconnected { from, to }),
+        None => Ok(routes),
+    }
+}
+
+/// [`Scheduler::try_schedule_probed`] for the infallible entry points of a
+/// scheduler that can refuse a platform: they have no error path, so a
+/// refusal panics with the typed error.
+pub(crate) fn schedule_or_panic<S: Scheduler + ?Sized>(
+    scheduler: &S,
+    g: &TaskGraph,
+    platform: &Platform,
+    model: CommModel,
+    probe: &dyn Probe,
+) -> Schedule {
+    scheduler
+        .try_schedule_probed(g, platform, model, probe)
+        // analyze:allow(P203): infallible-by-contract mirror of `try_schedule`
+        .unwrap_or_else(|e| panic!("{}: {e}", scheduler.name()))
+}
 
 /// A static task-graph scheduler: maps every task to a processor and a start
 /// time, emitting explicit communication placements, under a given
@@ -42,8 +94,8 @@ pub trait Scheduler: Send + Sync {
 
     /// Fallible [`Scheduler::schedule`]: reject the platform with a typed
     /// error instead of panicking mid-schedule. The default wraps the
-    /// infallible path — only schedulers with a real rejection case (the
-    /// routed ones, which refuse disconnected platforms) override it.
+    /// infallible path — only schedulers with a real rejection case (HEFT
+    /// and ILHA, which refuse disconnected platforms) override it.
     /// This is the one call shape the registry and the service use for
     /// every scheduler, routed or not.
     fn try_schedule(
@@ -52,7 +104,7 @@ pub trait Scheduler: Send + Sync {
         platform: &Platform,
         model: CommModel,
     ) -> Result<Schedule, RoutedError> {
-        self.try_schedule_probed(g, platform, model, &crate::probe::NoProbe)
+        self.try_schedule_probed(g, platform, model, &NoProbe)
     }
 
     /// [`Scheduler::try_schedule`] reporting phases and scan counters to

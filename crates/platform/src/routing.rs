@@ -1,11 +1,15 @@
-//! Static shortest-path routing over non-fully-connected networks.
+//! Static routes for the placement engine.
 //!
 //! The paper's §4.3 notes the one-port machinery extends to routed networks:
 //! "if there is no direct link from P2 to P1, we redo the previous step for
 //! all intermediate messages between adjacent processors". This module
-//! provides the static routing table (Floyd–Warshall over link latencies, as
-//! in the Sinnen–Sousa model the paper cites, where "each processor is
-//! provided with a routing table" and routing is fully static).
+//! provides the static routing table the placement engine walks, one hop at
+//! a time. On a fully connected platform every route is its direct link
+//! (one hop), even where a detour would be cheaper: the paper places every
+//! message on its direct link. Only a platform with missing links gets
+//! shortest-path routes (Floyd–Warshall over link latencies, as in the
+//! Sinnen–Sousa model the paper cites, where "each processor is provided
+//! with a routing table" and routing is fully static).
 
 use crate::{Platform, ProcId};
 
@@ -18,28 +22,36 @@ pub struct RoutingTable {
     /// `next[q * p + r]` = next hop from `q` towards `r` (`u32::MAX` if
     /// unreachable).
     next: Vec<u32>,
-    /// `min_in[r]` = cheapest finite direct link into `r` (0 if none).
-    min_in: Vec<f64>,
+    /// `last[q * p + r]` = per-item latency of the route's final hop into
+    /// `r` (0 if `q == r`, `+∞` if unreachable).
+    last: Vec<f64>,
+    /// Hops on the longest route (at least 1).
+    max_hops: usize,
 }
 
 impl RoutingTable {
-    /// Build the routing table for `platform` (Floyd–Warshall,
-    /// `O(p³)` — platforms are small).
+    /// Build the routing table for `platform`: the direct links in
+    /// `O(p²)` when the platform is fully connected, Floyd–Warshall in
+    /// `O(p³)` otherwise (platforms are small).
     pub fn new(platform: &Platform) -> RoutingTable {
         let p = platform.num_procs();
-        let mut dist = vec![f64::INFINITY; p * p];
-        let mut next = vec![u32::MAX; p * p];
-        for q in 0..p {
-            for r in 0..p {
-                let l = platform.link(ProcId(q as u32), ProcId(r as u32));
-                if q == r {
-                    dist[q * p + r] = 0.0;
-                    next[q * p + r] = r as u32;
-                } else if l.is_finite() {
-                    dist[q * p + r] = l;
-                    next[q * p + r] = r as u32;
-                }
+        let mut dist = Vec::with_capacity(p * p);
+        let mut next = Vec::with_capacity(p * p);
+        for q in platform.procs() {
+            for r in platform.procs() {
+                let l = if q == r { 0.0 } else { platform.link(q, r) };
+                dist.push(l);
+                next.push(if l.is_finite() { r.0 } else { u32::MAX });
             }
+        }
+        if platform.is_fully_connected() {
+            return RoutingTable {
+                p,
+                last: dist.clone(),
+                dist,
+                next,
+                max_hops: 1,
+            };
         }
         for k in 0..p {
             for q in 0..p {
@@ -56,44 +68,58 @@ impl RoutingTable {
                 }
             }
         }
-        let min_in = platform
-            .procs()
-            .map(|r| {
-                let min = platform
-                    .procs()
-                    .filter(|&q| q != r)
-                    .map(|q| platform.link(q, r))
-                    .filter(|l| l.is_finite())
-                    .fold(f64::INFINITY, f64::min);
-                if min.is_finite() {
-                    min
-                } else {
-                    0.0 // isolated receiver: no serialization bound
-                }
-            })
-            .collect();
-        RoutingTable {
+        let mut table = RoutingTable {
             p,
             dist,
             next,
-            min_in,
+            last: Vec::with_capacity(p * p),
+            max_hops: 1,
+        };
+        // walk every route once for its final hop and its length
+        for q in platform.procs() {
+            for r in platform.procs() {
+                let (mut prev, mut cur, mut hops) = (q, q, 0);
+                while let Some(to) = table.first_hop(cur, r).filter(|_| hops < p) {
+                    (prev, cur, hops) = (cur, to, hops + 1);
+                }
+                let last = match (q == r, cur == r) {
+                    (true, _) => 0.0,
+                    (false, true) => platform.link(prev, r),
+                    (false, false) => f64::INFINITY,
+                };
+                table.last.push(last);
+                table.max_hops = table.max_hops.max(hops);
+            }
         }
+        table
     }
 
     /// Total per-item latency of the static route from `q` to `r`
     /// (`+∞` if disconnected, 0 if `q == r`).
     #[inline]
     pub fn route_latency(&self, q: ProcId, r: ProcId) -> f64 {
-        self.dist[q.index() * self.p + r.index()]
+        self.dist
+            .get(q.index() * self.p + r.index())
+            .copied()
+            .unwrap_or(f64::INFINITY)
     }
 
-    /// The cheapest finite per-item latency of any direct link into `r`
-    /// (0 when `r` has none): every routed message's last hop into `r`
-    /// costs at least this per item, which floors the routed scan's
-    /// receive-serialization bound. Computed once with the table.
+    /// Per-item latency of the static route's final hop, the one into `r`
+    /// (`+∞` if disconnected, 0 if `q == r`). Every message routed from
+    /// `q` occupies `r`'s receive port for `data` times this.
     #[inline]
-    pub fn min_in_link(&self, r: ProcId) -> f64 {
-        self.min_in.get(r.index()).copied().unwrap_or_default()
+    pub fn last_hop_latency(&self, q: ProcId, r: ProcId) -> f64 {
+        self.last
+            .get(q.index() * self.p + r.index())
+            .copied()
+            .unwrap_or(f64::INFINITY)
+    }
+
+    /// The number of hops on the longest route (at least 1; exactly 1 on
+    /// a fully connected platform).
+    #[inline]
+    pub fn max_hops(&self) -> usize {
+        self.max_hops
     }
 
     /// Whether `r` is reachable from `q`.
@@ -106,10 +132,13 @@ impl RoutingTable {
     /// (`None` when `q == r` or `r` is unreachable).
     #[inline]
     pub fn first_hop(&self, q: ProcId, r: ProcId) -> Option<ProcId> {
-        if q == r || !self.reachable(q, r) {
+        if q == r {
             return None;
         }
-        Some(ProcId(self.next[q.index() * self.p + r.index()]))
+        self.next
+            .get(q.index() * self.p + r.index())
+            .filter(|&&next| next != u32::MAX)
+            .map(|&next| ProcId(next))
     }
 
     /// The first ordered pair `(q, r)` with no route from `q` to `r`, or
@@ -117,36 +146,24 @@ impl RoutingTable {
     /// check this upfront so disconnection surfaces as a typed error
     /// instead of a mid-schedule panic.
     pub fn first_unreachable(&self) -> Option<(ProcId, ProcId)> {
-        for q in 0..self.p {
-            for r in 0..self.p {
-                if !self.dist[q * self.p + r].is_finite() {
-                    return Some((ProcId(q as u32), ProcId(r as u32)));
-                }
-            }
-        }
-        None
+        let procs = (0..self.p as u32).map(ProcId);
+        procs
+            .clone()
+            .flat_map(|q| procs.clone().map(move |r| (q, r)))
+            .find(|&(q, r)| !self.reachable(q, r))
     }
 
     /// The sequence of hops `(from, to)` of the static route from `q` to `r`.
     /// Empty when `q == r`; `None` when disconnected.
     pub fn path(&self, q: ProcId, r: ProcId) -> Option<Vec<(ProcId, ProcId)>> {
-        if q == r {
-            return Some(Vec::new());
-        }
         if !self.reachable(q, r) {
             return None;
         }
         let mut hops = Vec::new();
         let mut cur = q;
-        while cur != r {
-            let nxt = self.next[cur.index() * self.p + r.index()];
-            debug_assert_ne!(nxt, u32::MAX);
-            let nxt = ProcId(nxt);
-            hops.push((cur, nxt));
-            cur = nxt;
-            if hops.len() > self.p {
-                unreachable!("routing loop: Floyd-Warshall next-hop table is loop-free");
-            }
+        while let Some(next) = self.first_hop(cur, r).filter(|_| hops.len() < self.p) {
+            hops.push((cur, next));
+            cur = next;
         }
         Some(hops)
     }
@@ -232,19 +249,33 @@ mod tests {
     }
 
     #[test]
-    fn min_in_link_is_the_cheapest_incoming_link() {
-        // 0 -> 1 costs 1, 1 -> 0 costs 5; on the line, 0 and 2 are
-        // reached only through 1
+    fn last_hop_is_the_link_into_the_receiver() {
+        // 0 -> 1 costs 1, 1 -> 0 costs 5: on a direct link the last hop is
+        // the whole route
         let p = Platform::new(vec![1.0, 1.0], vec![0.0, 1.0, 5.0, 0.0]).unwrap();
         let rt = RoutingTable::new(&p);
-        assert_eq!(rt.min_in_link(ProcId(0)), 5.0);
-        assert_eq!(rt.min_in_link(ProcId(1)), 1.0);
-        let line = RoutingTable::new(&line3());
-        assert_eq!(line.min_in_link(ProcId(0)), 1.0);
-        // isolated receiver: no floor
+        assert_eq!(rt.last_hop_latency(ProcId(1), ProcId(0)), 5.0);
+        assert_eq!(rt.last_hop_latency(ProcId(0), ProcId(1)), 1.0);
+        assert_eq!(rt.last_hop_latency(ProcId(0), ProcId(0)), 0.0);
+        assert_eq!(rt.max_hops(), 1);
+        // on a 0 - 1 - 2 line with a slow 1 -> 2 link, 0 reaches 2 through 1
         let inf = f64::INFINITY;
+        let link = vec![
+            0.0, 1.0, inf, //
+            1.0, 0.0, 3.0, //
+            inf, 1.0, 0.0,
+        ];
+        let line = RoutingTable::new(&Platform::new(vec![1.0; 3], link).unwrap());
+        assert_eq!(line.route_latency(ProcId(0), ProcId(2)), 4.0);
+        assert_eq!(line.last_hop_latency(ProcId(0), ProcId(2)), 3.0);
+        assert_eq!(line.last_hop_latency(ProcId(2), ProcId(0)), 1.0);
+        assert_eq!(line.max_hops(), 2);
+        // disconnected pairs have no last hop
         let cut = Platform::new(vec![1.0, 1.0], vec![0.0, inf, inf, 0.0]).unwrap();
-        assert_eq!(RoutingTable::new(&cut).min_in_link(ProcId(1)), 0.0);
+        assert_eq!(
+            RoutingTable::new(&cut).last_hop_latency(ProcId(0), ProcId(1)),
+            inf
+        );
     }
 
     #[test]
@@ -259,7 +290,25 @@ mod tests {
 
     #[test]
     fn routing_prefers_cheap_detour() {
-        // direct 0->2 costs 10, through 1 costs 2.
+        // direct 0 -> 2 costs 10, through 1 costs 2; the missing 2 -> 0
+        // link is what makes the table search for routes at all
+        let inf = f64::INFINITY;
+        let link = vec![
+            0.0, 1.0, 10.0, //
+            1.0, 0.0, 1.0, //
+            inf, 1.0, 0.0,
+        ];
+        let p = Platform::new(vec![1.0; 3], link).unwrap();
+        let rt = RoutingTable::new(&p);
+        assert_eq!(rt.route_latency(ProcId(0), ProcId(2)), 2.0);
+        assert_eq!(rt.path(ProcId(0), ProcId(2)).unwrap().len(), 2);
+        assert_eq!(rt.route_latency(ProcId(2), ProcId(0)), 2.0);
+    }
+
+    #[test]
+    fn fully_connected_platforms_route_directly_even_past_a_cheaper_detour() {
+        // the same costs with every link present: each pair keeps its
+        // direct link, as the paper's one-port model places every message
         let link = vec![
             0.0, 1.0, 10.0, //
             1.0, 0.0, 1.0, //
@@ -267,7 +316,12 @@ mod tests {
         ];
         let p = Platform::new(vec![1.0; 3], link).unwrap();
         let rt = RoutingTable::new(&p);
-        assert_eq!(rt.route_latency(ProcId(0), ProcId(2)), 2.0);
-        assert_eq!(rt.path(ProcId(0), ProcId(2)).unwrap().len(), 2);
+        assert_eq!(rt.route_latency(ProcId(0), ProcId(2)), 10.0);
+        assert_eq!(rt.last_hop_latency(ProcId(0), ProcId(2)), 10.0);
+        assert_eq!(
+            rt.path(ProcId(0), ProcId(2)).unwrap(),
+            vec![(ProcId(0), ProcId(2))]
+        );
+        assert_eq!(rt.max_hops(), 1);
     }
 }

@@ -18,7 +18,6 @@
 //! deterministic scheduling problem.
 
 use onesched_dag::TaskGraph;
-use onesched_heuristics::routed::RoutedIlha;
 use onesched_heuristics::{Ilha, Scheduler};
 use onesched_platform::{topology, Platform};
 use onesched_sim::CommModel;
@@ -835,8 +834,8 @@ impl JobSpec {
                 ));
             }
             // Reject disconnected topologies here, at intake, so a worker
-            // never panics on one: the routed schedulers need every ordered
-            // pair routable (`heuristics::routed::RoutedError`). Two O(p²)
+            // never panics on one: HEFT and ILHA need every ordered pair
+            // routable (`heuristics::RoutedError`). Two O(p²)
             // reachability sweeps, not the worker's O(p³) Floyd–Warshall —
             // intake is single-threaded and specs may name MAX_PROCS.
             if let Some((from, to)) = first_unroutable_pair(&platform) {
@@ -898,7 +897,7 @@ fn normalize_member(
         "routed-ilha" => {
             // routed platforms have no paper-tuned B; the platform's
             // perfect-balance chunk is the deterministic default
-            let b = s.b.unwrap_or_else(|| RoutedIlha::auto(platform).b);
+            let b = s.b.unwrap_or_else(|| Ilha::auto(platform).b);
             if b == 0 {
                 return Err("routed-ilha chunk size b must be at least 1".into());
             }
@@ -1365,7 +1364,7 @@ mod tests {
         let r = job.resolve().unwrap();
         let b = r.spec.scheduler.as_ref().unwrap().b.expect("b filled");
         assert!(b >= 6, "chunk at least the processor count, got {b}");
-        assert_eq!(r.build_scheduler().name(), format!("ILHA-routed(B={b})"));
+        assert_eq!(r.build_scheduler().name(), format!("ILHA(B={b})"));
     }
 
     #[test]

@@ -16,10 +16,10 @@
 //!   models         HEFT/ILHA under all four communication models
 //!   baselines      every scheduler on every testbed at one size
 //!   routed [--procs P]
-//!                  routed HEFT + ILHA on star/ring/line topologies (§4.3
-//!                  extension), validated, with a complete-network sanity row
+//!                  HEFT + ILHA on star/ring/line topologies (§4.3
+//!                  routing extension), every schedule validated
 //!   routed-figs [--procs P] [--seed S]
-//!                  the routed sweeps: HEFT-routed and ILHA-routed over
+//!                  the routed sweeps: HEFT and ILHA over
 //!                  star/ring/line/random-connected topologies × every
 //!                  testbed × --sizes (capped at 24), fanned out over the
 //!                  worker pool, every schedule validated, per-schedule
@@ -733,7 +733,7 @@ fn routed_sweep(opts: &Opts) {
     use onesched::service::{cache, workloads};
     let n = (*opts.sizes.iter().min().unwrap_or(&100)).min(24);
     println!(
-        "== routed: RoutedHeft/RoutedIlha on star/ring/line ({} heterogeneous procs, n = {n}) ==",
+        "== routed: HEFT/ILHA on star/ring/line ({} heterogeneous procs, n = {n}) ==",
         opts.procs
     );
     let mut csv =
@@ -755,21 +755,10 @@ fn routed_sweep(opts: &Opts) {
             r.scheduler, r.tasks, r.speedup, r.effective_comms, r.construct
         );
     }
-    // Sanity row: on a complete network, routed HEFT degenerates to HEFT.
-    let g = Testbed::Lu.generate(n, PAPER_C);
-    let p = Platform::paper();
-    let plain = Heft::new().schedule(&g, &p, CommModel::OnePortBidir);
-    let routed =
-        onesched::heuristics::routed::RoutedHeft::new().schedule(&g, &p, CommModel::OnePortBidir);
-    assert_eq!(plain.makespan(), routed.makespan());
-    println!(
-        "sanity: LU n={n} on the complete paper platform, HEFT == HEFT-routed (makespan {})",
-        plain.makespan()
-    );
     write_csv(opts, "routed.csv", &csv);
 }
 
-/// The routed figure sweeps: HEFT-routed and ILHA-routed over every
+/// The routed figure sweeps: HEFT and ILHA over every
 /// non-fully-connected topology (star, ring, line, and a seeded
 /// random-connected graph) × every testbed × `--sizes` (capped at 24 —
 /// routed placement pays per-hop evaluation, and the §4.3 story needs
@@ -779,7 +768,6 @@ fn routed_sweep(opts: &Opts) {
 /// gate. Every schedule passes the independent validator, and the CSV
 /// records each schedule's placement fingerprint.
 fn routed_figs(opts: &Opts) {
-    use onesched::heuristics::routed::{RoutedHeft, RoutedIlha};
     use onesched::platform::topology;
     use onesched_sim::placement_fingerprint;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -847,9 +835,9 @@ fn routed_figs(opts: &Opts) {
                 let j = &jobs[i];
                 let g = j.tb.generate(j.n, PAPER_C);
                 let sched: Box<dyn Scheduler> = if j.ilha {
-                    Box::new(RoutedIlha::auto(j.platform))
+                    Box::new(Ilha::auto(j.platform))
                 } else {
-                    Box::new(RoutedHeft::new())
+                    Box::new(Heft::new())
                 };
                 let (s, construct) = runner::schedule_timed(&g, j.platform, sched.as_ref(), m);
                 let v = validate(&g, j.platform, m, &s);

@@ -11,7 +11,6 @@
 //! compares. Regenerate the fixture (only after an *intentional* schedule
 //! change) with `experiments record-baseline`.
 
-use onesched_heuristics::routed::{RoutedHeft, RoutedIlha};
 use onesched_heuristics::{Heft, Ilha, Scheduler};
 use onesched_platform::{topology, Platform};
 use onesched_sim::CommModel;
@@ -33,8 +32,8 @@ pub struct BaselineEntry {
     /// `"line"` — see [`baseline_platform`]).
     pub topology: String,
     /// Scheduler key: `"HEFT"` / `"ILHA"` (with the testbed's paper-best
-    /// B) on the paper platform, `"HEFT-routed"` / `"ILHA-routed"` (fixed
-    /// `B = 8`) on the routed topologies.
+    /// B) on the paper platform, `"HEFT-routed"` / `"ILHA-routed"` (HEFT
+    /// and ILHA with a fixed `B = 8`) on the routed topologies.
     pub scheduler: String,
     /// Number of tasks in the generated graph.
     pub tasks: usize,
@@ -90,16 +89,15 @@ pub fn baseline_platform(topology: &str) -> Platform {
 /// The scheduler a baseline entry refers to.
 pub fn baseline_scheduler(key: &str, tb: Testbed) -> Box<dyn Scheduler> {
     match key {
-        "HEFT" => Box::new(Heft::new()),
+        "HEFT" | "HEFT-routed" => Box::new(Heft::new()),
         "ILHA" => Box::new(Ilha::new(tb.paper_best_b())),
-        "HEFT-routed" => Box::new(RoutedHeft::new()),
-        "ILHA-routed" => Box::new(RoutedIlha::new(ROUTED_BASELINE_PROCS)),
+        "ILHA-routed" => Box::new(Ilha::new(ROUTED_BASELINE_PROCS)),
         other => panic!("unknown baseline scheduler key {other:?}"),
     }
 }
 
 /// Schedule HEFT and ILHA on every testbed at each size (paper platform,
-/// bi-directional one-port model), then routed HEFT and routed ILHA on
+/// bi-directional one-port model), then HEFT and ILHA (`B = 8`) on
 /// every testbed at [`ROUTED_BASELINE_N`] over each
 /// [`BASELINE_TOPOLOGIES`] entry, and record the outcomes.
 pub fn record_baseline(sizes: &[usize]) -> BaselineFile {
@@ -189,11 +187,11 @@ mod tests {
         assert_eq!(baseline_platform("paper").num_procs(), 10);
         assert_eq!(
             baseline_scheduler("ILHA-routed", Testbed::Lu).name(),
-            "ILHA-routed(B=8)"
+            "ILHA(B=8)"
         );
         assert_eq!(
             baseline_scheduler("HEFT-routed", Testbed::Lu).name(),
-            "HEFT-routed"
+            "HEFT"
         );
     }
 

@@ -9,7 +9,6 @@
 //! This binary registers the counting allocator and holds a single test,
 //! so no concurrent test moves the process-wide counters.
 
-use onesched::heuristics::routed::{RoutedHeft, RoutedIlha};
 use onesched::platform::topology;
 use onesched::prelude::*;
 
@@ -26,8 +25,8 @@ fn construction_allocates_less_than_once_per_two_tasks() {
         ("heft", Box::new(Heft::new()), &paper),
         ("ilha b=38", Box::new(Ilha::new(38)), &paper),
         ("ilha b=4", Box::new(Ilha::new(4)), &paper),
-        ("routed-heft ring", Box::new(RoutedHeft::new()), &ring),
-        ("routed-ilha ring", Box::new(RoutedIlha::new(6)), &ring),
+        ("heft ring", Box::new(Heft::new()), &ring),
+        ("ilha ring", Box::new(Ilha::new(6)), &ring),
     ];
     for (name, scheduler, platform) in runs {
         let before = onesched::prof::snapshot();

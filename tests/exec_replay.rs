@@ -95,7 +95,6 @@ proptest! {
         model_ix in 0usize..4,
         use_ilha in 0u8..2,
     ) {
-        use onesched::heuristics::routed::{RoutedHeft, RoutedIlha};
         use onesched::platform::topology::random_connected;
 
         let g = small_dag(layers, width, edge_prob, seed);
@@ -103,9 +102,9 @@ proptest! {
         let p = random_connected(cts, 1.0, extra_prob, topo_seed).unwrap();
         let model = CommModel::ALL[model_ix];
         let sched = if use_ilha == 1 {
-            RoutedIlha::new(4).try_schedule(&g, &p, model).unwrap()
+            Ilha::new(4).try_schedule(&g, &p, model).unwrap()
         } else {
-            RoutedHeft::new().try_schedule(&g, &p, model).unwrap()
+            Heft::new().try_schedule(&g, &p, model).unwrap()
         };
         prop_assert!(validate(&g, &p, model, &sched).is_empty());
         let tol = onesched_sim::EPS * (g.num_tasks() + sched.comms().len()) as f64;

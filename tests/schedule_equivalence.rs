@@ -1,11 +1,12 @@
 //! Schedule-equivalence regression: HEFT and ILHA must produce bit-identical
 //! schedules to the recorded seed fixture on every testbed at n ∈ {30, 60},
-//! and the routed schedulers (HEFT-routed, ILHA-routed) on every testbed at
-//! n = 12 over each star/ring/line baseline topology.
+//! and HEFT and ILHA (fixture keys `HEFT-routed`, `ILHA-routed`) on every
+//! testbed at n = 12 over each star/ring/line baseline topology.
 //!
 //! The placement hot path is under active performance work (indexed
-//! timelines, pruned candidate scans — direct *and* routed); this test
-//! guarantees that such work can never *silently* change a schedule. If a
+//! timelines, the pruned candidate scan over one-hop and multi-hop
+//! routes); this test guarantees that such work can never *silently*
+//! change a schedule. If a
 //! change is intentional, regenerate the fixture with
 //! `cargo run --release --bin experiments -- record-baseline`
 //! and say so in the PR (CI's fixture-drift gate enforces the same).

@@ -19,11 +19,71 @@ fn schedulers(platform: &Platform) -> Vec<Box<dyn Scheduler>> {
         Box::new(Ilha::new(4)),
         Box::new(Ilha::auto(platform)),
         Box::new(onesched_heuristics::resched::WithResched::new(Heft::new())),
-        Box::new(onesched_heuristics::routed::RoutedHeft::new()),
-        Box::new(onesched_heuristics::routed::RoutedIlha::new(4)),
     ];
     v.extend(onesched::baselines::all_baselines(99));
     v
+}
+
+/// Builds a schedule of `g` on `p` task by task in topological order, under
+/// every communication model and every message order, and checks at each
+/// step that the pruned `best_placement` picks what the exhaustive scan
+/// picks: every processor evaluated in id order, strict EFT improvements
+/// only (ties fall to the lowest processor id).
+fn check_pruned_matches_exhaustive(g: &TaskGraph, p: &Platform) {
+    use onesched::dag::TopoOrder;
+    use onesched::heuristics::{
+        best_placement, commit_placement, place_on, CommOrder, TentativePlacement,
+    };
+    use onesched::platform::RoutingTable;
+    use onesched::sim::{ResourcePool, Schedule, EPS};
+
+    let routes = RoutingTable::new(p);
+    prop_assert!(routes.first_unreachable().is_none());
+    for comm_order in [
+        CommOrder::ByParentFinish,
+        CommOrder::ByDataDesc,
+        CommOrder::ByDataAsc,
+        CommOrder::ByParentId,
+    ] {
+        let policy = PlacementPolicy {
+            insertion: true,
+            comm_order,
+        };
+        for m in CommModel::ALL {
+            let mut pool = ResourcePool::new(p.num_procs(), m);
+            let mut sched = Schedule::with_tasks(g.num_tasks());
+            for &task in TopoOrder::new(g).order() {
+                let mut want: Option<TentativePlacement> = None;
+                for proc in p.procs() {
+                    let tp = place_on(g, p, &routes, &sched, pool.begin(), task, proc, policy);
+                    let better = match &want {
+                        None => true,
+                        Some(b) => tp.finish < b.finish - EPS,
+                    };
+                    if better {
+                        want = Some(tp);
+                    }
+                }
+                let want = want.unwrap();
+                let got = best_placement(g, p, &routes, &pool, &sched, task, policy);
+                prop_assert_eq!(
+                    got.proc,
+                    want.proc,
+                    "task {} under {} ({:?}, {} procs): pruned chose {:?}, exhaustive {:?}",
+                    task,
+                    m,
+                    comm_order,
+                    p.num_procs(),
+                    got.proc,
+                    want.proc
+                );
+                prop_assert_eq!(got.finish, want.finish);
+                prop_assert_eq!(got.start, want.start);
+                prop_assert_eq!(got.comms.len(), want.comms.len());
+                commit_placement(&mut pool, &mut sched, got);
+            }
+        }
+    }
 }
 
 proptest! {
@@ -107,19 +167,14 @@ proptest! {
     /// The pruned candidate scan of `best_placement` (bound ordering,
     /// committed-state disqualification, mid-evaluation abort) returns the
     /// exact placement the seed's exhaustive scan would have picked —
-    /// including the lowest-processor-id tie-break — on random layered DAGs
-    /// under every communication model, as the schedule is built task by
-    /// task in priority order.
+    /// including the lowest-processor-id tie-break — on random layered
+    /// DAGs on the paper platform, under every communication model and
+    /// every message order, as the schedule is built task by task in
+    /// priority order.
     #[test]
     fn pruned_best_placement_matches_exhaustive_scan(
         (seed, layers, width, prob) in small_dag_strategy()
     ) {
-        use onesched::heuristics::{
-            best_placement, commit_placement, place_on, TentativePlacement,
-        };
-        use onesched::sim::{ResourcePool, Schedule};
-        use onesched::dag::TopoOrder;
-
         let cfg = RandomDagConfig {
             layers,
             max_width: width,
@@ -127,44 +182,15 @@ proptest! {
             ..Default::default()
         };
         let g = random_layered(&cfg, seed);
-        let p = Platform::paper();
-        let policy = PlacementPolicy::paper();
-        for m in CommModel::ALL {
-            let mut pool = ResourcePool::new(p.num_procs(), m);
-            let mut sched = Schedule::with_tasks(g.num_tasks());
-            for &task in TopoOrder::new(&g).order() {
-                // the seed's exhaustive scan: evaluate every processor in
-                // id order, keep strict EFT improvements only
-                let mut want: Option<TentativePlacement> = None;
-                for proc in p.procs() {
-                    let tp = place_on(&g, &p, &sched, pool.begin(), task, proc, policy);
-                    let better = match &want {
-                        None => true,
-                        Some(b) => tp.finish < b.finish - 1e-6,
-                    };
-                    if better {
-                        want = Some(tp);
-                    }
-                }
-                let want = want.unwrap();
-                let got = best_placement(&g, &p, &pool, &sched, task, policy);
-                prop_assert_eq!(got.proc, want.proc,
-                    "task {task} under {m}: pruned chose {:?}, exhaustive {:?}",
-                    got.proc, want.proc);
-                prop_assert_eq!(got.finish, want.finish);
-                prop_assert_eq!(got.start, want.start);
-                commit_placement(&mut pool, &mut sched, got);
-            }
-        }
+        check_pruned_matches_exhaustive(&g, &Platform::paper());
     }
 
-    /// The pruned routed candidate scan (`best_routed_placement`: per-hop
-    /// no-contention bound ordering, committed send-gap /
-    /// receive-serialization disqualification, mid-evaluation abort)
-    /// returns the exact placement the exhaustive id-order routed scan
-    /// picks — including the lowest-processor-id tie-break — on random
-    /// layered DAGs × random connected topologies under every
-    /// communication model, as the schedule is built task by task.
+    /// The same pruned scan on random connected topologies, where
+    /// messages follow multi-hop routes (per-hop no-contention bound
+    /// ordering, committed send-gap / receive-serialization
+    /// disqualification): it returns the exact placement of the
+    /// exhaustive id-order scan under every communication model and
+    /// every message order.
     #[test]
     fn pruned_routed_placement_matches_exhaustive_scan(
         (seed, layers, width, prob) in small_dag_strategy(),
@@ -172,12 +198,7 @@ proptest! {
         procs in 2usize..9,
         extra_prob in 0.0f64..0.6,
     ) {
-        use onesched::heuristics::routed::{best_routed_placement, place_on_routed};
-        use onesched::heuristics::{commit_placement, TentativePlacement};
         use onesched::platform::topology::random_connected;
-        use onesched::platform::RoutingTable;
-        use onesched::sim::{ResourcePool, Schedule, EPS};
-        use onesched::dag::TopoOrder;
 
         let cfg = RandomDagConfig {
             layers,
@@ -188,40 +209,7 @@ proptest! {
         let g = random_layered(&cfg, seed);
         let cts: Vec<f64> = (0..procs).map(|i| [6.0, 10.0, 15.0][i % 3]).collect();
         let p = random_connected(cts, 1.0, extra_prob, topo_seed).unwrap();
-        let routes = RoutingTable::new(&p);
-        prop_assert!(routes.first_unreachable().is_none());
-        let policy = PlacementPolicy::paper();
-        for m in CommModel::ALL {
-            let mut pool = ResourcePool::new(p.num_procs(), m);
-            let mut sched = Schedule::with_tasks(g.num_tasks());
-            for &task in TopoOrder::new(&g).order() {
-                // the exhaustive scan: evaluate every processor in id
-                // order, keep strict EFT improvements only (ties fall to
-                // the lowest processor id by iteration order)
-                let mut want: Option<TentativePlacement> = None;
-                for proc in p.procs() {
-                    let rp = place_on_routed(
-                        &g, &p, &routes, &sched, pool.begin(), task, proc, policy,
-                    );
-                    let better = match &want {
-                        None => true,
-                        Some(b) => rp.finish < b.finish - EPS,
-                    };
-                    if better {
-                        want = Some(rp);
-                    }
-                }
-                let want = want.unwrap();
-                let got = best_routed_placement(&g, &p, &routes, &pool, &sched, task, policy);
-                prop_assert_eq!(got.proc, want.proc,
-                    "task {} under {}: pruned chose {:?}, exhaustive {:?}",
-                    task, m, got.proc, want.proc);
-                prop_assert_eq!(got.finish, want.finish);
-                prop_assert_eq!(got.start, want.start);
-                prop_assert_eq!(got.comms.len(), want.comms.len());
-                commit_placement(&mut pool, &mut sched, got);
-            }
-        }
+        check_pruned_matches_exhaustive(&g, &p);
     }
 
     /// Schedulers are deterministic: same input, same schedule.
