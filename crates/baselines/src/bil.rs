@@ -13,12 +13,14 @@ use std::collections::BinaryHeap;
 ///
 /// ```text
 /// BIL(v, p) = w(v)·t_p + max_{children u} min( BIL(u, p),
-///                                              min_{q ≠ p} BIL(u, q) + data(v,u)·link(p,q) )
+///                                              min_{q ≠ p} BIL(u, q) + data(v,u)·route(p,q) )
 /// ```
 ///
 /// — the length of the best imaginable completion of `v`'s subtree when `v`
 /// runs on `p` (each child either stays on `p` for free or pays one
-/// communication to its own best processor). Tasks are prioritized by their
+/// communication to its own best processor). `route(p, q)` is the static
+/// route's latency ([`Platform::routes`]): the direct link on a fully
+/// connected platform, the relay chain where the link is missing. Tasks are prioritized by their
 /// *best* imaginary level `min_p BIL(v, p)` (larger = more urgent) and placed
 /// by earliest finish time on the one-port timelines.
 ///
@@ -43,29 +45,35 @@ impl Bil {
 
 /// Compute `BIL(v, p)` for all tasks and processors; row-major `[task][proc]`.
 pub fn imaginary_levels(g: &TaskGraph, platform: &Platform) -> Vec<Vec<f64>> {
-    let p = platform.num_procs();
+    let routes = platform.routes();
     let topo = TopoOrder::new(g);
-    let mut bil = vec![vec![0.0f64; p]; g.num_tasks()];
+    let mut bil = vec![Vec::new(); g.num_tasks()];
     for v in topo.reversed() {
-        for pi in 0..p {
-            let proc = onesched_platform::ProcId(pi as u32);
-            let own = platform.exec_time(g.weight(v), proc);
-            let mut worst_child = 0.0f64;
-            for (u, e) in g.successors(v) {
-                let stay = bil[u.index()][pi];
-                let mut best_move = f64::INFINITY;
-                #[allow(clippy::needless_range_loop)] // qi pairs with `pi` symmetrically
-                for qi in 0..p {
-                    if qi == pi {
-                        continue;
+        // children come first in reversed topological order
+        let levels: Vec<f64> = platform
+            .procs()
+            .map(|proc| {
+                let own = platform.exec_time(g.weight(v), proc);
+                let mut worst_child = 0.0f64;
+                for (u, e) in g.successors(v) {
+                    let child = bil.get(u.index()).map_or(&[][..], Vec::as_slice);
+                    let mut stay = f64::INFINITY;
+                    let mut best_move = f64::INFINITY;
+                    for (q, &level) in platform.procs().zip(child) {
+                        if q == proc {
+                            stay = level;
+                        } else {
+                            let cost = level + g.data(e) * routes.route_latency(proc, q);
+                            best_move = best_move.min(cost);
+                        }
                     }
-                    let q = onesched_platform::ProcId(qi as u32);
-                    let cost = bil[u.index()][qi] + platform.comm_time(g.data(e), proc, q);
-                    best_move = best_move.min(cost);
+                    worst_child = worst_child.max(stay.min(best_move));
                 }
-                worst_child = worst_child.max(stay.min(best_move));
-            }
-            bil[v.index()][pi] = own + worst_child;
+                own + worst_child
+            })
+            .collect();
+        if let Some(row) = bil.get_mut(v.index()) {
+            *row = levels;
         }
     }
     bil
@@ -103,7 +111,6 @@ impl Scheduler for Bil {
             .collect();
 
         let mut pool = ResourcePool::new(platform.num_procs(), model);
-        let routes = onesched_platform::RoutingTable::new(platform);
         let mut sched = Schedule::with_tasks(g.num_tasks());
         let mut pending: Vec<u32> = g.tasks().map(|v| g.in_degree(v) as u32).collect();
         let mut ready: BinaryHeap<Entry> = g
@@ -116,7 +123,7 @@ impl Scheduler for Bil {
             .collect();
 
         while let Some(Entry { task, .. }) = ready.pop() {
-            let tp = best_placement(g, platform, &routes, &pool, &sched, task, self.policy);
+            let tp = best_placement(g, platform, &pool, &sched, task, self.policy);
             commit_placement(&mut pool, &mut sched, tp);
             for (succ, _) in g.successors(task) {
                 pending[succ.index()] -= 1;
@@ -160,6 +167,23 @@ mod tests {
         let p = Platform::homogeneous(2);
         let bil = imaginary_levels(&g, &p);
         assert_eq!(bil[a.index()], vec![2.0, 2.0]);
+    }
+
+    #[test]
+    fn bil_prices_a_missing_link_by_its_route() {
+        // line P0 - P1 - P2: a child moved from P0 to P2 pays the two-hop
+        // route (2 per item), not an infinite direct link
+        let mut b = onesched_dag::TaskGraphBuilder::new();
+        let a = b.add_task(1.0);
+        let c = b.add_task(1.0);
+        b.add_edge(a, c, 3.0).unwrap();
+        let g = b.build().unwrap();
+        let p = onesched_platform::topology::line(vec![1.0, 1.0, 0.5], 1.0).unwrap();
+        let bil = imaginary_levels(&g, &p);
+        assert_eq!(bil[c.index()], vec![1.0, 1.0, 0.5]);
+        // on P0: stay (1) beats moving to P1 (1 + 3) or P2 (0.5 + 6)
+        assert_eq!(bil[a.index()][0], 2.0);
+        assert!(bil.iter().flatten().all(|l| l.is_finite()));
     }
 
     #[test]

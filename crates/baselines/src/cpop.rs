@@ -76,7 +76,6 @@ impl Scheduler for Cpop {
         }
 
         let mut pool = ResourcePool::new(platform.num_procs(), model);
-        let routes = onesched_platform::RoutingTable::new(platform);
         let mut sched = Schedule::with_tasks(g.num_tasks());
         let mut pending: Vec<u32> = g.tasks().map(|v| g.in_degree(v) as u32).collect();
         let mut ready: BinaryHeap<Entry> = g
@@ -93,7 +92,6 @@ impl Scheduler for Cpop {
                 onesched_heuristics::place_on(
                     g,
                     platform,
-                    &routes,
                     &sched,
                     pool.begin(),
                     task,
@@ -101,15 +99,7 @@ impl Scheduler for Cpop {
                     self.policy,
                 )
             } else {
-                onesched_heuristics::best_placement(
-                    g,
-                    platform,
-                    &routes,
-                    &pool,
-                    &sched,
-                    task,
-                    self.policy,
-                )
+                onesched_heuristics::best_placement(g, platform, &pool, &sched, task, self.policy)
             };
             onesched_heuristics::commit_placement(&mut pool, &mut sched, tp);
             for (succ, _) in g.successors(task) {

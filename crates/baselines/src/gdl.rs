@@ -52,7 +52,6 @@ impl Scheduler for Gdl {
         let avg_ct = platform.avg_cycle_time();
 
         let mut pool = ResourcePool::new(platform.num_procs(), model);
-        let routes = onesched_platform::RoutingTable::new(platform);
         let mut sched = Schedule::with_tasks(g.num_tasks());
         let mut pending: Vec<u32> = g.tasks().map(|v| g.in_degree(v) as u32).collect();
         let mut ready: Vec<TaskId> = g.tasks().filter(|&v| pending[v.index()] == 0).collect();
@@ -62,16 +61,7 @@ impl Scheduler for Gdl {
             for (ri, &task) in ready.iter().enumerate() {
                 let e_star = g.weight(task) * avg_ct;
                 for proc in platform.procs() {
-                    let tp = place_on(
-                        g,
-                        platform,
-                        &routes,
-                        &sched,
-                        pool.begin(),
-                        task,
-                        proc,
-                        self.policy,
-                    );
+                    let tp = place_on(g, platform, &sched, pool.begin(), task, proc, self.policy);
                     let delta = e_star - platform.exec_time(g.weight(task), proc);
                     let dl = sl[task.index()] - tp.start + delta;
                     let better = match &best {

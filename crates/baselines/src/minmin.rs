@@ -50,7 +50,6 @@ fn batch_schedule(
     pick_max: bool,
 ) -> Schedule {
     let mut pool = ResourcePool::new(platform.num_procs(), model);
-    let routes = onesched_platform::RoutingTable::new(platform);
     let mut sched = Schedule::with_tasks(g.num_tasks());
     let mut pending: Vec<u32> = g.tasks().map(|v| g.in_degree(v) as u32).collect();
     let mut ready: Vec<TaskId> = g
@@ -64,16 +63,7 @@ fn batch_schedule(
             // the task's own best processor
             let mut best: Option<TentativePlacement> = None;
             for proc in platform.procs() {
-                let tp = place_on(
-                    g,
-                    platform,
-                    &routes,
-                    &sched,
-                    pool.begin(),
-                    task,
-                    proc,
-                    policy,
-                );
+                let tp = place_on(g, platform, &sched, pool.begin(), task, proc, policy);
                 if best.as_ref().is_none_or(|b| tp.finish < b.finish - EPS) {
                     best = Some(tp);
                 }

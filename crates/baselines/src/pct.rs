@@ -70,7 +70,6 @@ impl Scheduler for Pct {
 
         let mut pool = ResourcePool::new(platform.num_procs(), model);
 
-        let routes = onesched_platform::RoutingTable::new(platform);
         let mut sched = Schedule::with_tasks(g.num_tasks());
         let mut pending: Vec<u32> = g.tasks().map(|v| g.in_degree(v) as u32).collect();
         let mut ready: BinaryHeap<Entry> = g
@@ -83,7 +82,7 @@ impl Scheduler for Pct {
             .collect();
 
         while let Some(Entry { task, .. }) = ready.pop() {
-            let tp = best_placement(g, platform, &routes, &pool, &sched, task, self.policy);
+            let tp = best_placement(g, platform, &pool, &sched, task, self.policy);
             commit_placement(&mut pool, &mut sched, tp);
             for (succ, _) in g.successors(task) {
                 pending[succ.index()] -= 1;

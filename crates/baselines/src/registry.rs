@@ -6,10 +6,10 @@ use crate::{Bil, Cpop, Gdl, MaxMin, MinMin, Pct, RandomAlloc, RoundRobin, Serial
 use onesched_heuristics::registry::{Catalog, KindInfo, SchedulerSpec};
 use std::sync::OnceLock;
 
-/// The full workspace catalog: `heft`, `ilha`, `routed-heft`,
-/// `routed-ilha` (from `onesched-heuristics`), the nine baseline kinds
-/// registered here, and `portfolio` over all of them. Built once,
-/// deterministic registration order.
+/// The full workspace catalog: `heft` and `ilha` (from
+/// `onesched-heuristics`), the nine baseline kinds registered here, and
+/// `portfolio` over all of them. Every kind runs on every connected
+/// platform. Built once, deterministic registration order.
 pub fn catalog() -> &'static Catalog {
     static CATALOG: OnceLock<Catalog> = OnceLock::new();
     CATALOG.get_or_init(|| {
@@ -18,7 +18,6 @@ pub fn catalog() -> &'static Catalog {
             KindInfo {
                 kind: "cpop",
                 params: "-",
-                routed: false,
                 summary: "Critical-Path-on-a-Processor (Topcuoglu/Hariri/Wu)",
             },
             |_| Ok(Box::new(Cpop::new())),
@@ -27,7 +26,6 @@ pub fn catalog() -> &'static Catalog {
             KindInfo {
                 kind: "gdl",
                 params: "-",
-                routed: false,
                 summary: "Generalized Dynamic Level (Sih & Lee)",
             },
             |_| Ok(Box::new(Gdl::new())),
@@ -36,7 +34,6 @@ pub fn catalog() -> &'static Catalog {
             KindInfo {
                 kind: "bil",
                 params: "-",
-                routed: false,
                 summary: "Best Imaginary Level (Oh & Ha)",
             },
             |_| Ok(Box::new(Bil::new())),
@@ -45,7 +42,6 @@ pub fn catalog() -> &'static Catalog {
             KindInfo {
                 kind: "pct",
                 params: "-",
-                routed: false,
                 summary: "Partial Completion Time (Maheswaran & Siegel)",
             },
             |_| Ok(Box::new(Pct::new())),
@@ -54,7 +50,6 @@ pub fn catalog() -> &'static Catalog {
             KindInfo {
                 kind: "min-min",
                 params: "-",
-                routed: false,
                 summary: "min-min batch allocation",
             },
             |_| Ok(Box::new(MinMin::new())),
@@ -63,7 +58,6 @@ pub fn catalog() -> &'static Catalog {
             KindInfo {
                 kind: "max-min",
                 params: "-",
-                routed: false,
                 summary: "max-min batch allocation",
             },
             |_| Ok(Box::new(MaxMin::new())),
@@ -72,7 +66,6 @@ pub fn catalog() -> &'static Catalog {
             KindInfo {
                 kind: "round-robin",
                 params: "-",
-                routed: false,
                 summary: "cyclic allocation in topological order",
             },
             |_| Ok(Box::new(RoundRobin)),
@@ -81,7 +74,6 @@ pub fn catalog() -> &'static Catalog {
             KindInfo {
                 kind: "random",
                 params: "seed (default 0)",
-                routed: false,
                 summary: "seeded random allocation",
             },
             |spec| Ok(Box::new(RandomAlloc::new(spec.seed.unwrap_or(0)))),
@@ -90,7 +82,6 @@ pub fn catalog() -> &'static Catalog {
             KindInfo {
                 kind: "serial",
                 params: "-",
-                routed: false,
                 summary: "everything on the fastest processor",
             },
             |_| Ok(Box::new(Serial)),
@@ -120,8 +111,6 @@ mod tests {
             vec![
                 "heft",
                 "ilha",
-                "routed-heft",
-                "routed-ilha",
                 "cpop",
                 "gdl",
                 "bil",
@@ -139,25 +128,57 @@ mod tests {
     #[test]
     fn every_kind_builds_and_schedules() {
         let g = onesched_testbeds::toy();
-        let p = Platform::homogeneous(3);
+        let star = onesched_platform::topology::star(vec![1.0, 2.0, 3.0], 1.0).unwrap();
+        for p in [Platform::homogeneous(3), star] {
+            for info in catalog().list() {
+                let spec = SchedulerSpec {
+                    b: Some(2),
+                    ..SchedulerSpec::named(info.kind)
+                };
+                let s = build(&spec).unwrap_or_else(|e| panic!("{}: {e}", info.kind));
+                let sched = s
+                    .try_schedule(&g, &p, CommModel::OnePortBidir)
+                    .unwrap_or_else(|e| panic!("{}: {e}", info.kind));
+                let v = onesched_sim::validate(&g, &p, CommModel::OnePortBidir, &sched);
+                assert!(v.is_empty(), "{}: {v:?}", info.kind);
+            }
+        }
+        // P0 - P1 linked, P2 isolated: every kind refuses with the typed
+        // error instead of panicking mid-route
+        let inf = f64::INFINITY;
+        let link = vec![
+            0.0, 1.0, inf, //
+            1.0, 0.0, inf, //
+            inf, inf, 0.0,
+        ];
+        let p = Platform::new(vec![1.0; 3], link).unwrap();
+        let want = onesched_heuristics::RoutedError::Disconnected {
+            from: onesched_platform::ProcId(0),
+            to: onesched_platform::ProcId(2),
+        };
         for info in catalog().list() {
             let spec = SchedulerSpec {
                 b: Some(2),
                 ..SchedulerSpec::named(info.kind)
             };
-            let s = build(&spec).unwrap_or_else(|e| panic!("{}: {e}", info.kind));
-            let sched = s
+            let err = build(&spec)
+                .unwrap()
                 .try_schedule(&g, &p, CommModel::OnePortBidir)
-                .unwrap_or_else(|e| panic!("{}: {e}", info.kind));
-            let v = onesched_sim::validate(&g, &p, CommModel::OnePortBidir, &sched);
-            assert!(v.is_empty(), "{}: {v:?}", info.kind);
+                .err();
+            assert_eq!(err, Some(want), "{}", info.kind);
         }
     }
 
     #[test]
     fn default_portfolio_members_are_all_non_routed_kinds() {
+        // the name predates the routed aliases' fold into heft/ilha: every
+        // concrete kind now runs on routed platforms, so the default
+        // membership is the whole catalog but `portfolio` itself
         let members = catalog().default_members();
         let kinds: Vec<&str> = members.iter().map(|m| m.kind.as_str()).collect();
+        let mut concrete = catalog().kinds();
+        concrete.retain(|&k| k != "portfolio");
+        assert_eq!(kinds, concrete);
         assert_eq!(
             kinds,
             vec![

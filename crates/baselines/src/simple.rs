@@ -41,14 +41,12 @@ fn schedule_with_alloc(
 ) -> Schedule {
     let topo = TopoOrder::new(g);
     let mut pool = ResourcePool::new(platform.num_procs(), model);
-    let routes = onesched_platform::RoutingTable::new(platform);
     let mut sched = Schedule::with_tasks(g.num_tasks());
     for (pos, &task) in topo.order().iter().enumerate() {
         let proc = alloc(pos, task);
         let tp = place_on(
             g,
             platform,
-            &routes,
             &sched,
             pool.begin(),
             task,

@@ -14,7 +14,7 @@
 
 use onesched_dag::{TaskGraph, TaskId};
 use onesched_heuristics::{commit_placement, place_on, PlacementPolicy};
-use onesched_platform::{Platform, RoutingTable};
+use onesched_platform::Platform;
 use onesched_sim::{CommModel, ResourcePool, Schedule};
 
 /// Result of a branch-and-bound search.
@@ -34,7 +34,6 @@ pub struct BnbResult {
 struct Search<'a> {
     g: &'a TaskGraph,
     platform: &'a Platform,
-    routes: RoutingTable,
     policy: PlacementPolicy,
     best: f64,
     best_sched: Option<Schedule>,
@@ -94,7 +93,6 @@ impl Search<'_> {
                 let tp = place_on(
                     self.g,
                     self.platform,
-                    &self.routes,
                     sched,
                     pool.begin(),
                     task,
@@ -141,7 +139,6 @@ pub fn branch_and_bound(
     let mut s = Search {
         g,
         platform,
-        routes: RoutingTable::new(platform),
         policy: PlacementPolicy::paper(),
         best: f64::INFINITY,
         best_sched: None,

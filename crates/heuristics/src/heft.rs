@@ -15,7 +15,7 @@
 use crate::avg_weights::paper_bottom_levels;
 use crate::placement::{best_placement_with, EftScratch, PlacementPolicy};
 use crate::probe::{NoProbe, Phase, Probe};
-use crate::scheduler::{connected_routes, schedule_or_panic, RoutedError};
+use crate::scheduler::schedule_or_panic;
 use crate::Scheduler;
 use onesched_dag::{TaskGraph, TaskId, TopoOrder};
 use onesched_platform::Platform;
@@ -133,6 +133,10 @@ impl Scheduler for Heft {
         schedule_or_panic(self, g, platform, model, &NoProbe)
     }
 
+    /// The scheduling loop, reporting phases and scan counters to `probe`
+    /// (write-only: every decision is identical to an unprobed run).
+    /// Disconnected platforms are refused before it runs, by the trait's
+    /// [`Scheduler::try_schedule_probed`].
     fn schedule_with_probe(
         &self,
         g: &TaskGraph,
@@ -140,37 +144,14 @@ impl Scheduler for Heft {
         model: CommModel,
         probe: &dyn Probe,
     ) -> Schedule {
-        schedule_or_panic(self, g, platform, model, probe)
-    }
-
-    /// The scheduling loop, reporting phases and scan counters to `probe`
-    /// (write-only: every decision is identical to an unprobed run).
-    /// Rejects disconnected platforms with a typed error instead of
-    /// panicking mid-schedule.
-    fn try_schedule_probed(
-        &self,
-        g: &TaskGraph,
-        platform: &Platform,
-        model: CommModel,
-        probe: &dyn Probe,
-    ) -> Result<Schedule, RoutedError> {
-        let routes = connected_routes(platform)?;
         let mut ready = ReadyList::new(g, platform, probe);
         let mut pool = ResourcePool::new(platform.num_procs(), model);
         let mut sched = Schedule::with_tasks(g.num_tasks());
         let mut scratch = EftScratch::default();
         while let Some(task) = ready.pop() {
             probe.phase_begin(Phase::Scan);
-            let tp = best_placement_with(
-                g,
-                platform,
-                &routes,
-                &pool,
-                &sched,
-                task,
-                self.policy,
-                &mut scratch,
-            );
+            let tp =
+                best_placement_with(g, platform, &pool, &sched, task, self.policy, &mut scratch);
             probe.phase_end(Phase::Scan);
             probe.phase_begin(Phase::Commit);
             scratch.commit(&mut pool, &mut sched, tp);
@@ -179,7 +160,7 @@ impl Scheduler for Heft {
         }
         probe.placement_scan(scratch.scan());
         debug_assert!(sched.is_complete());
-        Ok(sched)
+        sched
     }
 }
 
@@ -348,6 +329,7 @@ mod tests {
 
     #[test]
     fn disconnected_platform_is_a_typed_error() {
+        use crate::RoutedError;
         let inf = f64::INFINITY;
         let p = Platform::new(vec![1.0, 1.0], vec![0.0, inf, inf, 0.0]).unwrap();
         let g = fig1_fork();

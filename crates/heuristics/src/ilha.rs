@@ -26,7 +26,7 @@ use crate::distribution::optimal_distribution;
 use crate::heft::ReadyList;
 use crate::placement::{best_placement_with, stage_on, EftScratch, PlacementPolicy};
 use crate::probe::{NoProbe, Phase, Probe};
-use crate::scheduler::{connected_routes, schedule_or_panic, RoutedError};
+use crate::scheduler::schedule_or_panic;
 use crate::Scheduler;
 use onesched_dag::{TaskGraph, TaskId};
 use onesched_platform::{Platform, ProcId};
@@ -90,6 +90,10 @@ impl Scheduler for Ilha {
         schedule_or_panic(self, g, platform, model, &NoProbe)
     }
 
+    /// The scheduling loop, reporting phases and scan counters to `probe`
+    /// (write-only: every decision is identical to an unprobed run).
+    /// Disconnected platforms are refused before it runs, by the trait's
+    /// [`Scheduler::try_schedule_probed`].
     fn schedule_with_probe(
         &self,
         g: &TaskGraph,
@@ -97,21 +101,6 @@ impl Scheduler for Ilha {
         model: CommModel,
         probe: &dyn Probe,
     ) -> Schedule {
-        schedule_or_panic(self, g, platform, model, probe)
-    }
-
-    /// The scheduling loop, reporting phases and scan counters to `probe`
-    /// (write-only: every decision is identical to an unprobed run).
-    /// Rejects disconnected platforms with a typed error instead of
-    /// panicking mid-schedule.
-    fn try_schedule_probed(
-        &self,
-        g: &TaskGraph,
-        platform: &Platform,
-        model: CommModel,
-        probe: &dyn Probe,
-    ) -> Result<Schedule, RoutedError> {
-        let routes = connected_routes(platform)?;
         let mut ready = ReadyList::new(g, platform, probe);
         let mut pool = ResourcePool::new(platform.num_procs(), model);
         let mut sched = Schedule::with_tasks(g.num_tasks());
@@ -170,7 +159,6 @@ impl Scheduler for Ilha {
                         staged_tasks.push(stage_on(
                             g,
                             platform,
-                            &routes,
                             &sched,
                             &mut txn,
                             task,
@@ -200,7 +188,6 @@ impl Scheduler for Ilha {
                 let tp = best_placement_with(
                     g,
                     platform,
-                    &routes,
                     &pool,
                     &sched,
                     task,
@@ -219,7 +206,7 @@ impl Scheduler for Ilha {
         }
         probe.placement_scan(scratch.scan());
         debug_assert!(sched.is_complete());
-        Ok(sched)
+        sched
     }
 }
 

@@ -31,11 +31,13 @@
 //! and ILHA are the same code with free communication ports.
 //!
 //! One placement engine ([`best_placement`], [`place_on`], [`stage_on`])
-//! serves every heuristic. It walks each message's static route from a
-//! [`onesched_platform::RoutingTable`] hop by hop, so HEFT and ILHA also
-//! run on networks without a direct link between every pair (the §4.3
-//! extension); on a fully connected platform every route is the direct
-//! link. They refuse disconnected platforms with [`RoutedError`].
+//! serves every heuristic. It walks each message's static route hop by
+//! hop, so every scheduler also runs on networks without a direct link
+//! between every pair (the §4.3 extension); on a fully connected platform
+//! every route is the direct link. The platform owns its route table
+//! ([`onesched_platform::Platform::routes`]), so callers never build or
+//! pass one. Every scheduler refuses a disconnected platform with
+//! [`RoutedError`] through [`Scheduler::try_schedule`].
 
 #![warn(missing_docs)]
 // Burn-down: pre-existing unwrap/expect/panic sites are grandfathered

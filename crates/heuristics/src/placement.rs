@@ -8,7 +8,7 @@
 //! fashion", together with its extension to networks where some processor
 //! pairs lack a direct link: "if there is no direct link from P2 to P1, we
 //! redo the previous step for all intermediate messages between adjacent
-//! processors". Every message walks its static route from the schedule's
+//! processors". Every message walks its static route from the platform's
 //! [`RoutingTable`] hop by hop, store-and-forward, each hop as early as
 //! possible on its own send and receive ports. A direct link is a one-hop
 //! route, so on a fully connected platform this is exactly the paper's
@@ -18,9 +18,9 @@
 //! the resource pool enforces).
 //!
 //! HEFT, both steps of ILHA, and every baseline heuristic in
-//! `onesched-baselines` place through this module. Callers build the
-//! routing table once per schedule (`RoutingTable::new`) and pass it to
-//! every call.
+//! `onesched-baselines` place through this module. The platform owns the
+//! routing table ([`Platform::routes`]); each public call reads it once
+//! and hands the reference to the scan's helpers.
 
 use crate::probe::ScanStats;
 use onesched_dag::{EdgeId, TaskGraph, TaskId};
@@ -353,11 +353,9 @@ fn place_on_ordered(
 ///
 /// # Panics
 /// Panics if some predecessor's processor cannot reach `proc`.
-#[allow(clippy::too_many_arguments)]
 pub fn place_on(
     g: &TaskGraph,
     platform: &Platform,
-    routes: &RoutingTable,
     sched: &Schedule,
     txn: Txn<'_>,
     task: TaskId,
@@ -370,7 +368,7 @@ pub fn place_on(
     place_on_ordered(
         g,
         platform,
-        routes,
+        platform.routes(),
         txn,
         Vec::new(),
         task,
@@ -400,7 +398,6 @@ pub fn place_on(
 pub fn stage_on(
     g: &TaskGraph,
     platform: &Platform,
-    routes: &RoutingTable,
     sched: &Schedule,
     txn: &mut Txn<'_>,
     task: TaskId,
@@ -411,6 +408,7 @@ pub fn stage_on(
 ) -> TaskPlacement {
     let incoming = &mut scratch.incoming;
     gather_incoming_into(incoming, g, sched, task, policy.comm_order);
+    let routes = platform.routes();
     let mut ready = 0.0f64;
     for &(src_finish, src_proc, data, edge) in incoming.iter() {
         let arrival = if src_proc == proc || data <= EPS {
@@ -627,7 +625,6 @@ fn commit_into(
 pub fn best_placement(
     g: &TaskGraph,
     platform: &Platform,
-    routes: &RoutingTable,
     pool: &ResourcePool,
     sched: &Schedule,
     task: TaskId,
@@ -636,7 +633,6 @@ pub fn best_placement(
     best_placement_with(
         g,
         platform,
-        routes,
         pool,
         sched,
         task,
@@ -647,11 +643,9 @@ pub fn best_placement(
 
 /// [`best_placement`] with caller-provided scratch buffers (reused across
 /// tasks by the schedulers' main loops).
-#[allow(clippy::too_many_arguments)]
 pub fn best_placement_with(
     g: &TaskGraph,
     platform: &Platform,
-    routes: &RoutingTable,
     pool: &ResourcePool,
     sched: &Schedule,
     task: TaskId,
@@ -667,6 +661,7 @@ pub fn best_placement_with(
     } = scratch;
     gather_incoming_into(incoming, g, sched, task, policy.comm_order);
     let incoming = &*incoming;
+    let routes = platform.routes();
     let weight = g.weight(task);
     let one_port = pool.model().is_one_port();
     order.clear();
@@ -754,7 +749,6 @@ mod tests {
         let tp = place_on(
             &g,
             &p,
-            &RoutingTable::new(&p),
             &sched,
             pool.begin(),
             TaskId(0),
@@ -774,7 +768,6 @@ mod tests {
         let tp = place_on(
             &g,
             &p,
-            &RoutingTable::new(&p),
             &sched,
             pool.begin(),
             TaskId(0),
@@ -786,7 +779,6 @@ mod tests {
         let tp = place_on(
             &g,
             &p,
-            &RoutingTable::new(&p),
             &sched,
             pool.begin(),
             TaskId(1),
@@ -800,7 +792,6 @@ mod tests {
         let tp0 = place_on(
             &g,
             &p,
-            &RoutingTable::new(&p),
             &sched,
             pool.begin(),
             TaskId(1),
@@ -816,15 +807,7 @@ mod tests {
         let (g, p) = fork2();
         let pool = ResourcePool::new(2, CommModel::OnePortBidir);
         let sched = Schedule::with_tasks(3);
-        let tp = best_placement(
-            &g,
-            &p,
-            &RoutingTable::new(&p),
-            &pool,
-            &sched,
-            TaskId(0),
-            PlacementPolicy::paper(),
-        );
+        let tp = best_placement(&g, &p, &pool, &sched, TaskId(0), PlacementPolicy::paper());
         assert_eq!(tp.proc, ProcId(0));
     }
 
@@ -845,7 +828,6 @@ mod tests {
         let tp = place_on(
             &g,
             &p3,
-            &RoutingTable::new(&p3),
             &sched,
             pool.begin(),
             TaskId(0),
@@ -856,7 +838,6 @@ mod tests {
         let tp1 = place_on(
             &g,
             &p3,
-            &RoutingTable::new(&p3),
             &sched,
             pool.begin(),
             TaskId(1),
@@ -867,7 +848,6 @@ mod tests {
         let tp2 = place_on(
             &g,
             &p3,
-            &RoutingTable::new(&p3),
             &sched,
             pool.begin(),
             TaskId(2),
@@ -882,7 +862,6 @@ mod tests {
         let tp = place_on(
             &g,
             &p3,
-            &RoutingTable::new(&p3),
             &msched,
             mpool.begin(),
             TaskId(0),
@@ -893,7 +872,6 @@ mod tests {
         let tp1 = place_on(
             &g,
             &p3,
-            &RoutingTable::new(&p3),
             &msched,
             mpool.begin(),
             TaskId(1),
@@ -904,7 +882,6 @@ mod tests {
         let tp2m = place_on(
             &g,
             &p3,
-            &RoutingTable::new(&p3),
             &msched,
             mpool.begin(),
             TaskId(2),
@@ -933,7 +910,6 @@ mod tests {
             let tp = place_on(
                 &g,
                 &p,
-                &RoutingTable::new(&p),
                 &sched,
                 pool.begin(),
                 t,
@@ -946,16 +922,7 @@ mod tests {
             insertion: true,
             comm_order: CommOrder::ByDataDesc,
         };
-        let tp = place_on(
-            &g,
-            &p,
-            &RoutingTable::new(&p),
-            &sched,
-            pool.begin(),
-            sink,
-            ProcId(2),
-            pol,
-        );
+        let tp = place_on(&g, &p, &sched, pool.begin(), sink, ProcId(2), pol);
         // large message [1,6), small [1,2)?? both receive on P2: recv port
         // serializes: large [1,6), then small [6,7) -> ready 7.
         assert_eq!(tp.comms[0].finish - tp.comms[0].start, 5.0);
@@ -965,16 +932,7 @@ mod tests {
             insertion: true,
             comm_order: CommOrder::ByDataAsc,
         };
-        let tp2 = place_on(
-            &g,
-            &p,
-            &RoutingTable::new(&p),
-            &sched,
-            pool.begin(),
-            sink,
-            ProcId(2),
-            pol,
-        );
+        let tp2 = place_on(&g, &p, &sched, pool.begin(), sink, ProcId(2), pol);
         assert_eq!(tp2.start, 7.0);
         assert_eq!(tp2.comms[0].finish - tp2.comms[0].start, 1.0);
     }
@@ -997,9 +955,8 @@ mod tests {
             start: 0.0,
             finish: 1.0,
         });
-        let routes = RoutingTable::new(&p);
         let policy = PlacementPolicy::paper();
-        let tp = place_on(&g, &p, &routes, &sched, pool.begin(), c, ProcId(2), policy);
+        let tp = place_on(&g, &p, &sched, pool.begin(), c, ProcId(2), policy);
         assert_eq!(tp.comms.len(), 2, "two hops through the hub");
         assert_eq!(tp.comms[0].from, ProcId(1));
         assert_eq!(tp.comms[0].to, ProcId(0));
@@ -1016,7 +973,6 @@ mod tests {
         // proptest in tests/scheduler_properties.rs covers random ones)
         let g = onesched_testbeds::laplace(5, 3.0);
         let p = onesched_platform::topology::star(vec![1.0, 2.0, 1.0, 2.0, 1.0], 1.0).unwrap();
-        let routes = RoutingTable::new(&p);
         let policy = PlacementPolicy::paper();
         for m in CommModel::ALL {
             let mut pool = ResourcePool::new(p.num_procs(), m);
@@ -1024,13 +980,13 @@ mod tests {
             for &task in onesched_dag::TopoOrder::new(&g).order() {
                 let mut want: Option<TentativePlacement> = None;
                 for proc in p.procs() {
-                    let tp = place_on(&g, &p, &routes, &sched, pool.begin(), task, proc, policy);
+                    let tp = place_on(&g, &p, &sched, pool.begin(), task, proc, policy);
                     if want.as_ref().is_none_or(|b| tp.finish < b.finish - EPS) {
                         want = Some(tp);
                     }
                 }
                 let want = want.unwrap();
-                let got = best_placement(&g, &p, &routes, &pool, &sched, task, policy);
+                let got = best_placement(&g, &p, &pool, &sched, task, policy);
                 assert_eq!(got.proc, want.proc, "{m}: task {task}");
                 assert_eq!(got.start, want.start, "{m}: task {task}");
                 assert_eq!(got.finish, want.finish, "{m}: task {task}");

@@ -8,9 +8,8 @@
 //!   used for CSV columns, bench labels, and cache keys.
 //!   [`SchedulerSpec::parse`] inverts it.
 //! * [`Catalog`] — the kind table: metadata ([`KindInfo`]) plus a builder
-//!   per kind. [`Catalog::core`] registers the four kinds this crate
-//!   owns (`heft`, `ilha`, and their aliases `routed-heft`,
-//!   `routed-ilha`); downstream crates extend it with
+//!   per kind. [`Catalog::core`] registers the two kinds this crate owns
+//!   (`heft`, `ilha`); downstream crates extend it with
 //!   [`Catalog::register`] — `onesched-baselines`
 //!   adds its nine comparison schedulers and exposes the composed
 //!   workspace catalog as `onesched_baselines::registry::catalog()`.
@@ -49,7 +48,7 @@ pub struct SchedulerSpec {
     pub b: Option<usize>,
     /// RNG seed (`random` only; default 0).
     pub seed: Option<u64>,
-    /// Portfolio member specs (`portfolio` only; default: every non-routed
+    /// Portfolio member specs (`portfolio` only; default: every concrete
     /// kind in the catalog).
     pub members: Option<Vec<SchedulerSpec>>,
 }
@@ -109,15 +108,16 @@ impl SchedulerSpec {
         }
     }
 
-    /// HEFT addressed for non-fully-connected platforms (an alias of
-    /// [`SchedulerSpec::heft`] that the service accepts there).
+    /// The wire-only alias `routed-heft`: the service's intake rewrites
+    /// it to [`SchedulerSpec::heft`] (every kind routes around missing
+    /// links). The catalog itself does not know the name.
     pub fn routed_heft() -> SchedulerSpec {
         SchedulerSpec::named("routed-heft")
     }
 
-    /// ILHA addressed for non-fully-connected platforms (an alias of
-    /// `ilha`; the chunk size defaults to the platform's perfect-balance
-    /// chunk).
+    /// The wire-only alias `routed-ilha`: the service's intake rewrites it
+    /// to `ilha`, with the chunk size defaulting to the platform's
+    /// perfect-balance chunk.
     pub fn routed_ilha() -> SchedulerSpec {
         SchedulerSpec::named("routed-ilha")
     }
@@ -321,9 +321,6 @@ pub struct KindInfo {
     pub kind: &'static str,
     /// Parameter summary for docs (`"b (chunk size)"`, `"-"`, ...).
     pub params: &'static str,
-    /// Whether the scheduler handles non-fully-connected (routed)
-    /// platforms — only routed-capable kinds are valid there.
-    pub routed: bool,
     /// One-line description.
     pub summary: &'static str,
 }
@@ -345,8 +342,7 @@ pub struct Catalog {
 /// portfolios, recursively over its member kinds).
 pub const PORTFOLIO_INFO: KindInfo = KindInfo {
     kind: "portfolio",
-    params: "members (default: all non-routed kinds)",
-    routed: false,
+    params: "members (default: all concrete kinds)",
     summary: "construct every member, keep the best makespan",
 };
 
@@ -356,19 +352,13 @@ impl Catalog {
         Catalog::default()
     }
 
-    /// The four kinds this crate owns: `heft`, `ilha`, and the aliases
-    /// `routed-heft`, `routed-ilha`, which build the same [`Heft`] and
-    /// [`Ilha`] (every HEFT and ILHA routes around missing links). The
-    /// aliases keep their own canonical strings, cache keys and `routed`
-    /// flag: they are the kinds the service accepts on non-fully-connected
-    /// platforms, and the default portfolio leaves them out.
+    /// The two kinds this crate owns: `heft` and `ilha`.
     pub fn core() -> Catalog {
         let mut c = Catalog::new();
         c.register(
             KindInfo {
                 kind: "heft",
                 params: "-",
-                routed: false,
                 summary: "one-port HEFT (default)",
             },
             |_| Ok(Box::new(Heft::new())),
@@ -377,7 +367,6 @@ impl Catalog {
             KindInfo {
                 kind: "ilha",
                 params: "b (chunk size)",
-                routed: false,
                 summary: "one-port ILHA, chunks of B ready tasks",
             },
             |spec| {
@@ -387,35 +376,6 @@ impl Catalog {
                 if b == 0 {
                     return Err(UnknownScheduler::bad_params(
                         "ilha",
-                        "chunk size b must be at least 1",
-                    ));
-                }
-                Ok(Box::new(Ilha::new(b)))
-            },
-        );
-        c.register(
-            KindInfo {
-                kind: "routed-heft",
-                params: "-",
-                routed: true,
-                summary: "alias of heft, accepted on routed platforms",
-            },
-            |_| Ok(Box::new(Heft::new())),
-        );
-        c.register(
-            KindInfo {
-                kind: "routed-ilha",
-                params: "b (chunk size)",
-                routed: true,
-                summary: "alias of ilha, accepted on routed platforms",
-            },
-            |spec| {
-                let b = spec.b.ok_or_else(|| {
-                    UnknownScheduler::bad_params("routed-ilha", "chunk size b required")
-                })?;
-                if b == 0 {
-                    return Err(UnknownScheduler::bad_params(
-                        "routed-ilha",
                         "chunk size b must be at least 1",
                     ));
                 }
@@ -449,26 +409,11 @@ impl Catalog {
         self.list().iter().map(|info| info.kind).collect()
     }
 
-    /// The kind names valid on non-fully-connected platforms.
-    pub fn routed_kinds(&self) -> Vec<&'static str> {
-        self.entries
-            .iter()
-            .filter(|(info, _)| info.routed)
-            .map(|(info, _)| info.kind)
-            .collect()
-    }
-
-    /// Whether `kind` may run on a non-fully-connected platform.
-    pub fn is_routed_kind(&self, kind: &str) -> bool {
-        self.find(kind).is_some_and(|(info, _)| info.routed)
-    }
-
-    /// The default portfolio membership: every non-routed concrete kind,
-    /// parameters unset (callers normalize `b`/`seed` against the job).
+    /// The default portfolio membership: every concrete kind, parameters
+    /// unset (callers normalize `b`/`seed` against the job).
     pub fn default_members(&self) -> Vec<SchedulerSpec> {
         self.entries
             .iter()
-            .filter(|(info, _)| !info.routed)
             .map(|(info, _)| SchedulerSpec::named(info.kind))
             .collect()
     }
@@ -512,7 +457,7 @@ impl Catalog {
     }
 }
 
-/// Build a spec against the **core** catalog (the four heuristics kinds
+/// Build a spec against the **core** catalog (the two heuristics kinds
 /// plus `portfolio` over them). The composed workspace catalog — baseline
 /// kinds included — is `onesched_baselines::registry::catalog()`.
 pub fn build(spec: &SchedulerSpec) -> Result<Box<dyn Scheduler>, UnknownScheduler> {
@@ -726,11 +671,13 @@ mod tests {
     #[test]
     fn core_catalog_builds_and_lists() {
         let c = Catalog::core();
-        assert_eq!(
-            c.kinds(),
-            vec!["heft", "ilha", "routed-heft", "routed-ilha", "portfolio"]
-        );
-        assert_eq!(c.routed_kinds(), vec!["routed-heft", "routed-ilha"]);
+        assert_eq!(c.kinds(), vec!["heft", "ilha", "portfolio"]);
+        // the routed aliases are wire-only: the service folds them into
+        // heft/ilha at intake, so the catalog refuses them by name
+        for alias in [SchedulerSpec::routed_heft(), SchedulerSpec::routed_ilha()] {
+            let err = c.build(&alias).err().unwrap();
+            assert!(err.to_string().contains("expected one of"), "{err}");
+        }
         assert_eq!(c.build(&SchedulerSpec::heft()).unwrap().name(), "HEFT");
         assert_eq!(
             c.build(&SchedulerSpec::ilha(4)).unwrap().name(),
@@ -738,7 +685,7 @@ mod tests {
         );
         let err = c.build(&SchedulerSpec::named("nope")).err().unwrap();
         assert!(err.to_string().contains("expected one of"), "{err}");
-        assert!(err.valid.contains(&"routed-ilha"), "{err}");
+        assert!(err.valid.contains(&"ilha"), "{err}");
         let err = c.build(&SchedulerSpec::ilha(0)).err().unwrap();
         assert!(err.to_string().contains("at least 1"), "{err}");
     }
@@ -788,7 +735,7 @@ mod tests {
         let inf = f64::INFINITY;
         let p = Platform::new(vec![1.0, 1.0], vec![0.0, inf, inf, 0.0]).unwrap();
         let g = onesched_testbeds::toy();
-        let spec = SchedulerSpec::parse("portfolio[routed-heft,routed-ilha(b=2)]").unwrap();
+        let spec = SchedulerSpec::parse("portfolio[heft,ilha(b=2)]").unwrap();
         let portfolio = Catalog::core().build(&spec).unwrap();
         let err = portfolio
             .try_schedule(&g, &p, CommModel::OnePortBidir)
@@ -803,10 +750,10 @@ mod tests {
     }
 
     #[test]
-    fn routed_aliases_keep_direct_links_that_a_detour_would_undercut() {
+    fn heft_keeps_direct_links_that_a_detour_would_undercut() {
         // fully connected, but the direct 0 <-> 2 link (10 per item) costs
         // more than the detour through P1 (1 + 1): every message still
-        // takes its direct link, so the alias schedules exactly like HEFT
+        // takes its direct link, as the paper's one-port model places it
         let link = vec![
             0.0, 1.0, 10.0, //
             1.0, 0.0, 1.0, //
@@ -821,22 +768,13 @@ mod tests {
         }
         let g = b.build().unwrap();
         let m = CommModel::OnePortBidir;
-        let c = Catalog::core();
-        let heft = c.build(&SchedulerSpec::heft()).unwrap().schedule(&g, &p, m);
-        let routed = c
-            .build(&SchedulerSpec::routed_heft())
-            .unwrap()
-            .schedule(&g, &p, m);
-        assert_eq!(
-            onesched_sim::placement_fingerprint(&routed),
-            onesched_sim::placement_fingerprint(&heft)
-        );
-        assert!(routed.comms().iter().any(|c| c.to.index() == 2), "uses P2");
-        for comm in routed.comms() {
+        let heft = build(&SchedulerSpec::heft()).unwrap().schedule(&g, &p, m);
+        assert!(heft.comms().iter().any(|c| c.to.index() == 2), "uses P2");
+        for comm in heft.comms() {
             let edge = g.edge(comm.edge);
-            assert_eq!(Some(comm.from), routed.alloc(edge.src), "relayed hop");
-            assert_eq!(Some(comm.to), routed.alloc(edge.dst), "relayed hop");
+            assert_eq!(Some(comm.from), heft.alloc(edge.src), "relayed hop");
+            assert_eq!(Some(comm.to), heft.alloc(edge.dst), "relayed hop");
         }
-        assert!(onesched_sim::validate(&g, &p, m, &routed).is_empty());
+        assert!(onesched_sim::validate(&g, &p, m, &heft).is_empty());
     }
 }

@@ -14,7 +14,7 @@ use crate::heft::ReadyList;
 use crate::placement::{commit_placement, place_on, PlacementPolicy};
 use crate::{NoProbe, Scheduler};
 use onesched_dag::TaskGraph;
-use onesched_platform::{Platform, ProcId, RoutingTable};
+use onesched_platform::{Platform, ProcId};
 use onesched_sim::{CommModel, ResourcePool, Schedule};
 
 /// Rebuild a schedule keeping a fixed task-to-processor allocation:
@@ -32,22 +32,12 @@ pub fn reschedule_with_allocation(
         g.num_tasks(),
         "one processor per task required"
     );
-    let routes = RoutingTable::new(platform);
     let mut ready = ReadyList::new(g, platform, &NoProbe);
     let mut pool = ResourcePool::new(platform.num_procs(), model);
     let mut sched = Schedule::with_tasks(g.num_tasks());
     while let Some(task) = ready.pop() {
         if let Some(&proc) = alloc.get(task.index()) {
-            let tp = place_on(
-                g,
-                platform,
-                &routes,
-                &sched,
-                pool.begin(),
-                task,
-                proc,
-                policy,
-            );
+            let tp = place_on(g, platform, &sched, pool.begin(), task, proc, policy);
             commit_placement(&mut pool, &mut sched, tp);
         }
         ready.release(g, task);

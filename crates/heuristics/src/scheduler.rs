@@ -2,7 +2,7 @@
 
 use crate::probe::{NoProbe, Probe};
 use onesched_dag::TaskGraph;
-use onesched_platform::{Platform, ProcId, RoutingTable};
+use onesched_platform::{Platform, ProcId};
 use onesched_sim::{CommModel, Schedule};
 
 /// Why a scheduler refused a platform.
@@ -24,7 +24,7 @@ impl std::fmt::Display for RoutedError {
             RoutedError::Disconnected { from, to } => write!(
                 f,
                 "platform is disconnected: no route from {from} to {to} \
-                 (routed schedulers need a connected topology)"
+                 (every scheduler needs a connected topology)"
             ),
         }
     }
@@ -32,13 +32,14 @@ impl std::fmt::Display for RoutedError {
 
 impl std::error::Error for RoutedError {}
 
-/// The routing table of `platform`, or the first processor pair it cannot
-/// route.
-pub(crate) fn connected_routes(platform: &Platform) -> Result<RoutingTable, RoutedError> {
-    let routes = RoutingTable::new(platform);
-    match routes.first_unreachable() {
-        Some((from, to)) => Err(RoutedError::Disconnected { from, to }),
-        None => Ok(routes),
+impl RoutedError {
+    /// `Ok` when every ordered processor pair of `platform` has a route
+    /// ([`Platform::first_unreachable`]), else the first pair without one.
+    pub(crate) fn check(platform: &Platform) -> Result<(), RoutedError> {
+        match platform.first_unreachable() {
+            Some((from, to)) => Err(RoutedError::Disconnected { from, to }),
+            None => Ok(()),
+        }
     }
 }
 
@@ -92,12 +93,9 @@ pub trait Scheduler: Send + Sync {
         self.schedule(g, platform, model)
     }
 
-    /// Fallible [`Scheduler::schedule`]: reject the platform with a typed
-    /// error instead of panicking mid-schedule. The default wraps the
-    /// infallible path — only schedulers with a real rejection case (HEFT
-    /// and ILHA, which refuse disconnected platforms) override it.
-    /// This is the one call shape the registry and the service use for
-    /// every scheduler, routed or not.
+    /// Fallible [`Scheduler::schedule`]: reject a disconnected platform
+    /// with a typed error instead of panicking mid-route. This is the one
+    /// call shape the registry and the service use for every scheduler.
     fn try_schedule(
         &self,
         g: &TaskGraph,
@@ -117,6 +115,7 @@ pub trait Scheduler: Send + Sync {
         model: CommModel,
         probe: &dyn Probe,
     ) -> Result<Schedule, RoutedError> {
+        RoutedError::check(platform)?;
         Ok(self.schedule_with_probe(g, platform, model, probe))
     }
 }

@@ -18,7 +18,8 @@
 //! * static shortest-path routing for non-fully-connected topologies
 //!   (paper §4.3 extension: "if there is no direct link from P2 to P1, we
 //!   redo the previous step for all intermediate messages between adjacent
-//!   processors") in [`routing`].
+//!   processors") in [`routing`]; each platform builds its table once, on
+//!   first use ([`Platform::routes`]).
 
 #![warn(missing_docs)]
 // Burn-down: pre-existing unwrap/expect/panic sites are grandfathered

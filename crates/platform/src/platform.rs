@@ -1,8 +1,9 @@
 //! The platform type: cycle-times plus a link matrix.
 
-use crate::ProcId;
-use serde::{Deserialize, Serialize};
+use crate::{ProcId, RoutingTable};
+use serde::{Deserialize, Error, Serialize, Value};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Errors raised while constructing a [`Platform`].
 #[derive(Debug, Clone, PartialEq)]
@@ -68,11 +69,27 @@ impl std::error::Error for PlatformError {}
 /// * `link` is a row-major `p × p` matrix; `link(q, r)` is the time to move
 ///   one data item from `P_q` to `P_r`. The diagonal is zero (local memory
 ///   accesses are neglected). An entry of `+∞` means there is no direct link
-///   and messages must be routed (see [`crate::routing`]).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///   and messages must be routed (see [`Platform::routes`]).
+#[derive(Debug, Clone, Serialize)]
 pub struct Platform {
     cycle_times: Vec<f64>,
     link: Vec<f64>,
+    /// The static route table, built on the first [`Platform::routes`]
+    /// call: construction stays `O(p²)` even where routing needs
+    /// Floyd–Warshall.
+    #[serde(skip)]
+    routes: OnceLock<RoutingTable>,
+}
+
+// Deserialization goes through `Platform::new`, so a parsed platform is
+// validated like a constructed one (a short link matrix would otherwise
+// index out of bounds on the first `link` call).
+impl Deserialize for Platform {
+    fn from_value(v: &Value) -> Result<Platform, Error> {
+        let cycle_times = Vec::<f64>::from_value(v.get_field("cycle_times")?)?;
+        let link = Vec::<f64>::from_value(v.get_field("link")?)?;
+        Platform::new(cycle_times, link).map_err(|e| Error(e.to_string()))
+    }
 }
 
 impl Platform {
@@ -96,9 +113,8 @@ impl Platform {
                 });
             }
         }
-        for q in 0..p {
-            for r in 0..p {
-                let v = link[q * p + r];
+        for (q, row) in link.chunks(p).enumerate() {
+            for (r, &v) in row.iter().enumerate() {
                 if q == r {
                     if v != 0.0 {
                         return Err(PlatformError::NonZeroDiagonal(ProcId(q as u32)));
@@ -112,7 +128,11 @@ impl Platform {
                 }
             }
         }
-        Ok(Platform { cycle_times, link })
+        Ok(Platform {
+            cycle_times,
+            link,
+            routes: OnceLock::new(),
+        })
     }
 
     /// Fully homogeneous platform: `p` processors with `t_i = 1` and a
@@ -127,8 +147,8 @@ impl Platform {
     pub fn uniform_links(cycle_times: Vec<f64>, link_time: f64) -> Result<Platform, PlatformError> {
         let p = cycle_times.len();
         let mut link = vec![link_time; p * p];
-        for q in 0..p {
-            link[q * p + q] = 0.0;
+        for diagonal in link.iter_mut().step_by(p + 1) {
+            *diagonal = 0.0;
         }
         Platform::new(cycle_times, link)
     }
@@ -231,10 +251,9 @@ impl Platform {
         let p = self.num_procs();
         let mut inv_sum = 0.0;
         let mut count = 0usize;
-        for q in 0..p {
-            for r in 0..p {
+        for (q, row) in self.link.chunks(p).enumerate() {
+            for (r, &l) in row.iter().enumerate() {
                 if q != r {
-                    let l = self.link[q * p + r];
                     if l.is_finite() && l > 0.0 {
                         inv_sum += 1.0 / l;
                         count += 1;
@@ -255,12 +274,55 @@ impl Platform {
     /// Whether all off-diagonal links are finite (complete network).
     pub fn is_fully_connected(&self) -> bool {
         let p = self.num_procs();
-        (0..p).all(|q| (0..p).all(|r| q == r || self.link[q * p + r].is_finite()))
+        self.link
+            .chunks(p)
+            .enumerate()
+            .all(|(q, row)| row.iter().enumerate().all(|(r, l)| q == r || l.is_finite()))
+    }
+
+    /// The static routes every message follows (paper §4.3: "if there is
+    /// no direct link from P2 to P1, we redo the previous step for all
+    /// intermediate messages between adjacent processors"). Built once
+    /// per platform value, on first use, and shared by every scheduler
+    /// that borrows it.
+    pub fn routes(&self) -> &RoutingTable {
+        self.routes.get_or_init(|| RoutingTable::new(self))
+    }
+
+    /// The first ordered pair `(q, r)` with no route from `q` to `r`, or
+    /// `None` when the platform is strongly connected. `O(p²)` and
+    /// allocation-light, so it never builds the route table: every
+    /// processor must reach `P0` and be reachable from it (a forward and
+    /// a reverse search over the finite links), which on a directed graph
+    /// is exactly strong connectivity.
+    pub fn first_unreachable(&self) -> Option<(ProcId, ProcId)> {
+        let p = self.num_procs();
+        let reach = |reverse: bool| -> Option<usize> {
+            let mut seen = vec![false; p];
+            let mut stack = vec![0usize];
+            if let Some(origin) = seen.first_mut() {
+                *origin = true;
+            }
+            while let Some(q) = stack.pop() {
+                for (r, seen_r) in seen.iter_mut().enumerate() {
+                    let (from, to) = if reverse { (r, q) } else { (q, r) };
+                    if !*seen_r && self.link.get(from * p + to).is_some_and(|l| l.is_finite()) {
+                        *seen_r = true;
+                        stack.push(r);
+                    }
+                }
+            }
+            seen.iter().position(|&ok| !ok)
+        };
+        if let Some(r) = reach(false) {
+            return Some((ProcId(0), ProcId(r as u32)));
+        }
+        reach(true).map(|r| (ProcId(r as u32), ProcId(0)))
     }
 
     /// Whether all processors have the same cycle-time.
     pub fn is_homogeneous(&self) -> bool {
-        self.cycle_times.windows(2).all(|w| w[0] == w[1])
+        self.cycle_times.windows(2).all(|w| w.first() == w.last())
     }
 }
 
@@ -356,6 +418,35 @@ mod tests {
         let link = vec![0.0, f64::INFINITY, 1.0, 0.0];
         let p = Platform::new(vec![1.0, 1.0], link).unwrap();
         assert!(!p.is_fully_connected());
+    }
+
+    #[test]
+    fn first_unreachable_finds_a_cut_in_either_direction() {
+        let inf = f64::INFINITY;
+        // nothing leaves P0
+        let p = Platform::new(vec![1.0; 2], vec![0.0, inf, 1.0, 0.0]).unwrap();
+        assert_eq!(p.first_unreachable(), Some((ProcId(0), ProcId(1))));
+        // P0 reaches everyone, but P2 cannot answer
+        let link = vec![
+            0.0, 1.0, 1.0, //
+            1.0, 0.0, inf, //
+            inf, inf, 0.0,
+        ];
+        let p = Platform::new(vec![1.0; 3], link).unwrap();
+        assert_eq!(p.first_unreachable(), Some((ProcId(2), ProcId(0))));
+        assert_eq!(Platform::paper().first_unreachable(), None);
+        let line = crate::topology::line(vec![1.0; 4], 1.0).unwrap();
+        assert_eq!(line.first_unreachable(), None);
+    }
+
+    #[test]
+    fn deserialization_validates_like_new() {
+        // a 2-processor platform with a 1-entry link matrix used to parse
+        // and then index out of bounds on `link(P1, P0)`
+        let short = r#"{"cycle_times":[1.0,1.0],"link":[0.0]}"#;
+        assert!(serde_json::from_str::<Platform>(short).is_err());
+        let bad_diagonal = r#"{"cycle_times":[1.0],"link":[2.0]}"#;
+        assert!(serde_json::from_str::<Platform>(bad_diagonal).is_err());
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! "if there is no direct link from P2 to P1, we redo the previous step for
 //! all intermediate messages between adjacent processors". This module
 //! provides the static routing table the placement engine walks, one hop at
-//! a time. On a fully connected platform every route is its direct link
+//! a time. A platform owns its table ([`Platform::routes`]), built once on
+//! first use. On a fully connected platform every route is its direct link
 //! (one hop), even where a detour would be cheaper: the paper places every
 //! message on its direct link. Only a platform with missing links gets
 //! shortest-path routes (Floyd–Warshall over link latencies, as in the
@@ -32,8 +33,9 @@ pub struct RoutingTable {
 impl RoutingTable {
     /// Build the routing table for `platform`: the direct links in
     /// `O(p²)` when the platform is fully connected, Floyd–Warshall in
-    /// `O(p³)` otherwise (platforms are small).
-    pub fn new(platform: &Platform) -> RoutingTable {
+    /// `O(p³)` otherwise. [`Platform::routes`] calls this once per
+    /// platform value.
+    pub(crate) fn new(platform: &Platform) -> RoutingTable {
         let p = platform.num_procs();
         let mut dist = Vec::with_capacity(p * p);
         let mut next = Vec::with_capacity(p * p);
@@ -53,17 +55,23 @@ impl RoutingTable {
                 max_hops: 1,
             };
         }
+        // Floyd–Warshall. Row `k` and column `k` never change during
+        // round `k` (latencies are non-negative), so a copy of row `k` and
+        // each row's `(q, k)` entries read before its inner loop are exact.
         for k in 0..p {
-            for q in 0..p {
-                let dqk = dist[q * p + k];
+            let via: Vec<f64> = dist.iter().skip(k * p).take(p).copied().collect();
+            for (dist_q, next_q) in dist.chunks_mut(p).zip(next.chunks_mut(p)) {
+                let (Some(&dqk), Some(&hop)) = (dist_q.get(k), next_q.get(k)) else {
+                    continue;
+                };
                 if !dqk.is_finite() {
                     continue;
                 }
-                for r in 0..p {
-                    let alt = dqk + dist[k * p + r];
-                    if alt < dist[q * p + r] {
-                        dist[q * p + r] = alt;
-                        next[q * p + r] = next[q * p + k];
+                for ((d, n), &dkr) in dist_q.iter_mut().zip(next_q.iter_mut()).zip(&via) {
+                    let alt = dqk + dkr;
+                    if alt < *d {
+                        *d = alt;
+                        *n = hop;
                     }
                 }
             }
@@ -141,18 +149,6 @@ impl RoutingTable {
             .map(|&next| ProcId(next))
     }
 
-    /// The first ordered pair `(q, r)` with no route from `q` to `r`, or
-    /// `None` when the platform is strongly connected. Routed schedulers
-    /// check this upfront so disconnection surfaces as a typed error
-    /// instead of a mid-schedule panic.
-    pub fn first_unreachable(&self) -> Option<(ProcId, ProcId)> {
-        let procs = (0..self.p as u32).map(ProcId);
-        procs
-            .clone()
-            .flat_map(|q| procs.clone().map(move |r| (q, r)))
-            .find(|&(q, r)| !self.reachable(q, r))
-    }
-
     /// The sequence of hops `(from, to)` of the static route from `q` to `r`.
     /// Empty when `q == r`; `None` when disconnected.
     pub fn path(&self, q: ProcId, r: ProcId) -> Option<Vec<(ProcId, ProcId)>> {
@@ -223,14 +219,18 @@ mod tests {
         let rt = RoutingTable::new(&p);
         assert!(!rt.reachable(ProcId(0), ProcId(1)));
         assert_eq!(rt.path(ProcId(0), ProcId(1)), None);
-        assert_eq!(rt.first_unreachable(), Some((ProcId(0), ProcId(1))));
+        assert_eq!(p.first_unreachable(), Some((ProcId(0), ProcId(1))));
         assert_eq!(rt.first_hop(ProcId(0), ProcId(1)), None);
     }
 
     #[test]
     fn connected_platforms_have_no_unreachable_pair() {
-        let rt = RoutingTable::new(&line3());
-        assert_eq!(rt.first_unreachable(), None);
+        let p = line3();
+        assert_eq!(p.first_unreachable(), None);
+        // the O(p²) search agrees with the route table
+        assert!(p
+            .procs()
+            .all(|q| p.procs().all(|r| p.routes().reachable(q, r))));
     }
 
     #[test]

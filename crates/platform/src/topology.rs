@@ -105,14 +105,14 @@ pub fn random_connected(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ProcId, RoutingTable};
+    use crate::ProcId;
 
     #[test]
     fn star_routes_via_hub() {
         let p = star(vec![1.0; 4], 2.0).unwrap();
         assert_eq!(p.link(ProcId(1), ProcId(0)), 2.0);
         assert!(!p.link(ProcId(1), ProcId(2)).is_finite());
-        let rt = RoutingTable::new(&p);
+        let rt = p.routes();
         assert_eq!(rt.route_latency(ProcId(1), ProcId(2)), 4.0);
         assert_eq!(
             rt.path(ProcId(1), ProcId(2)).unwrap(),
@@ -126,7 +126,7 @@ mod tests {
         assert_eq!(p.link(ProcId(0), ProcId(4)), 1.0);
         assert_eq!(p.link(ProcId(4), ProcId(0)), 1.0);
         assert!(!p.link(ProcId(0), ProcId(2)).is_finite());
-        let rt = RoutingTable::new(&p);
+        let rt = p.routes();
         assert_eq!(rt.route_latency(ProcId(0), ProcId(2)), 2.0);
     }
 
@@ -134,7 +134,7 @@ mod tests {
     fn line_is_open() {
         let p = line(vec![1.0; 4], 1.0).unwrap();
         assert!(!p.link(ProcId(0), ProcId(3)).is_finite());
-        let rt = RoutingTable::new(&p);
+        let rt = p.routes();
         assert_eq!(rt.route_latency(ProcId(0), ProcId(3)), 3.0);
     }
 
@@ -158,8 +158,7 @@ mod tests {
     fn random_connected_is_connected_and_deterministic() {
         for seed in 0..20u64 {
             let p = random_connected(vec![1.0; 7], 1.0, 0.2, seed).unwrap();
-            let rt = RoutingTable::new(&p);
-            assert_eq!(rt.first_unreachable(), None, "seed {seed}");
+            assert_eq!(p.first_unreachable(), None, "seed {seed}");
             // symmetric links
             for q in p.procs() {
                 for r in p.procs() {

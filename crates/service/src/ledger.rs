@@ -33,9 +33,14 @@ use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-/// Ledger schema tag, recorded in every `submitted` record so a future
-/// format change can detect and migrate old logs.
-pub const LEDGER_SCHEMA: &str = "onesched-ledger/v1";
+/// Ledger schema tag, recorded in every `submitted` record. Recovery
+/// rehydrates recorded outcomes only from submissions that carry this
+/// tag; older acknowledged jobs are recomputed when resubmitted.
+///
+/// v2: the `routed-heft`/`routed-ilha` aliases canonicalise to `heft`/
+/// `ilha`, so a v1 alias outcome (which could take detours a plain `heft`
+/// never takes) must not answer the folded key.
+pub const LEDGER_SCHEMA: &str = "onesched-ledger/v2";
 
 /// FNV-1a 64-bit hash of a canonical spec key, as 16 hex digits. The
 /// ledger stores this digest instead of the full canonical key (which can

@@ -425,7 +425,7 @@ pub use onesched_heuristics::registry::{SchedulerSpec, UnknownScheduler};
 /// A rejected job spec: human-readable message plus, where a client can
 /// act on it programmatically, a machine-readable `kind` mirrored into
 /// [`ErrorResponse::kind`] (e.g. `"unknown-scheduler"`,
-/// `"scheduler-platform-mismatch"`).
+/// `"platform-disconnected"`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResolveError {
     /// What was wrong, for humans.
@@ -793,7 +793,7 @@ impl JobSpec {
         if s.kind == "portfolio" {
             let mut members = match s.members.take() {
                 Some(m) => m,
-                // default membership: every non-routed kind in the catalog
+                // default membership: every concrete kind in the catalog
                 None => catalog.default_members(),
             };
             if members.is_empty() {
@@ -818,33 +818,19 @@ impl JobSpec {
         catalog
             .build(&s)
             .map_err(|e| ResolveError::kinded("unknown-scheduler", e.to_string()))?;
-        let routed_platform = !platform.is_fully_connected();
-        if routed_platform {
-            if !catalog.is_routed_kind(&s.kind) {
-                return Err(ResolveError::kinded(
-                    "scheduler-platform-mismatch",
-                    format!(
-                        "platform kind {:?} is not fully connected; scheduler kind {:?} \
-                         cannot route around missing links (schedulers valid on this \
-                         platform: {})",
-                        p.kind,
-                        s.kind,
-                        catalog.routed_kinds().join(", ")
-                    ),
-                ));
-            }
-            // Reject disconnected topologies here, at intake, so a worker
-            // never panics on one: HEFT and ILHA need every ordered pair
-            // routable (`heuristics::RoutedError`). Two O(p²)
-            // reachability sweeps, not the worker's O(p³) Floyd–Warshall —
-            // intake is single-threaded and specs may name MAX_PROCS.
-            if let Some((from, to)) = first_unroutable_pair(&platform) {
-                return Err(format!(
-                    "platform is disconnected: no route from {from} to {to} \
-                     (routed schedulers need a connected topology)"
-                )
-                .into());
-            }
+        // Every kind routes around missing links, but none can deliver
+        // between processors with no route at all. The check is O(p²) and
+        // never builds the route table: intake is single-threaded and
+        // specs may name MAX_PROCS, where Floyd–Warshall is O(p³).
+        if let Some((from, to)) = platform.first_unreachable() {
+            return Err(ResolveError::kinded(
+                "platform-disconnected",
+                format!(
+                    "platform kind {:?} is disconnected: no route from {from} to {to} \
+                     (every scheduler needs a connected topology)",
+                    p.kind
+                ),
+            ));
         }
 
         // -- model ------------------------------------------------------
@@ -879,6 +865,18 @@ fn normalize_member(
     platform: &Platform,
 ) -> Result<(), ResolveError> {
     s.members = None;
+    // The routed aliases are wire-only: every kind routes, so they fold
+    // into the kind that runs and the cache key names it.
+    match s.kind.as_str() {
+        "routed-heft" => s.kind = "heft".into(),
+        "routed-ilha" => {
+            // routed platforms have no paper-tuned B; the platform's
+            // perfect-balance chunk is the alias's deterministic default
+            s.kind = "ilha".into();
+            s.b = Some(s.b.unwrap_or_else(|| Ilha::auto(platform).b));
+        }
+        _ => {}
+    }
     match s.kind.as_str() {
         "ilha" => {
             let b = match (s.b, dag) {
@@ -894,16 +892,6 @@ fn normalize_member(
             s.b = Some(b);
             s.seed = None;
         }
-        "routed-ilha" => {
-            // routed platforms have no paper-tuned B; the platform's
-            // perfect-balance chunk is the deterministic default
-            let b = s.b.unwrap_or_else(|| Ilha::auto(platform).b);
-            if b == 0 {
-                return Err("routed-ilha chunk size b must be at least 1".into());
-            }
-            s.b = Some(b);
-            s.seed = None;
-        }
         "random" => {
             s.b = None;
             s.seed = Some(s.seed.unwrap_or(0));
@@ -914,49 +902,6 @@ fn normalize_member(
         }
     }
     Ok(())
-}
-
-/// The first ordered pair with no route between them, or `None` when the
-/// platform is strongly connected. Equivalent to
-/// `RoutingTable::new(p).first_unreachable()` but O(p²): every processor
-/// must reach P0 and be reachable from P0 (forward + reverse DFS over the
-/// finite-link adjacency), which on a directed graph is exactly strong
-/// connectivity.
-fn first_unroutable_pair(
-    platform: &Platform,
-) -> Option<(onesched_platform::ProcId, onesched_platform::ProcId)> {
-    use onesched_platform::ProcId;
-    let p = platform.num_procs();
-    let reach = |reverse: bool| -> Vec<bool> {
-        let mut seen = vec![false; p];
-        let mut stack = vec![0usize];
-        if let Some(origin) = seen.first_mut() {
-            *origin = true;
-        }
-        while let Some(q) = stack.pop() {
-            for (r, seen_r) in seen.iter_mut().enumerate() {
-                let link = if reverse {
-                    platform.link(ProcId(r as u32), ProcId(q as u32))
-                } else {
-                    platform.link(ProcId(q as u32), ProcId(r as u32))
-                };
-                if !*seen_r && link.is_finite() {
-                    *seen_r = true;
-                    stack.push(r);
-                }
-            }
-        }
-        seen
-    };
-    let forward = reach(false);
-    if let Some(r) = forward.iter().position(|&ok| !ok) {
-        return Some((ProcId(0), ProcId(r as u32)));
-    }
-    let backward = reach(true);
-    backward
-        .iter()
-        .position(|&ok| !ok)
-        .map(|r| (ProcId(r as u32), ProcId(0)))
 }
 
 impl ResolvedJob {
@@ -1013,7 +958,7 @@ impl ResolvedJob {
     /// Re-resolve this job with a different scheduler: the portfolio path
     /// uses this to cache each member's schedule under the member's own
     /// canonical job key. Fails only if `scheduler` itself is invalid for
-    /// the job (e.g. a non-routed member on a routed platform).
+    /// the job (e.g. an `ilha` member with `b = 0`).
     pub fn with_scheduler(&self, scheduler: &SchedulerSpec) -> Result<ResolvedJob, ResolveError> {
         let mut spec = self.spec.clone();
         spec.scheduler = Some(scheduler.clone());
@@ -1335,6 +1280,9 @@ mod tests {
 
     #[test]
     fn routed_platform_requires_routed_scheduler() {
+        // The name predates the fold: a routed platform no longer requires
+        // a routed alias. Every kind resolves there, and the aliases
+        // canonicalise to the kind that runs.
         let job = JobSpec {
             dag: DagSpec::testbed(Testbed::Lu, 10),
             platform: Some(PlatformSpec::routed("star", 6, 1.0)),
@@ -1342,29 +1290,40 @@ mod tests {
             model: None,
             validate: false,
         };
-        let err = job.resolve().unwrap_err();
-        assert!(err.message.contains("routed-heft"), "{err}");
-        assert!(err.message.contains("routed-ilha"), "{err}");
-        assert_eq!(err.kind, Some("scheduler-platform-mismatch"));
-        let job = JobSpec {
+        let heft = job.resolve().unwrap();
+        assert_eq!(heft.build_platform().num_procs(), 6);
+        assert!(!heft.build_platform().is_fully_connected());
+        let alias = JobSpec {
             scheduler: Some(SchedulerSpec::routed_heft()),
-            ..job
+            ..job.clone()
         };
-        let r = job.resolve().unwrap();
-        assert_eq!(r.build_platform().num_procs(), 6);
-        assert!(!r.build_platform().is_fully_connected());
-        // routed ILHA resolves too, with the platform's chunk filled in
-        let job = JobSpec {
-            dag: DagSpec::testbed(Testbed::Lu, 10),
-            platform: Some(PlatformSpec::routed("star", 6, 1.0)),
+        let alias = alias.resolve().unwrap();
+        assert_eq!(alias.scheduler_spec(), &SchedulerSpec::heft());
+        assert_eq!(alias.key, heft.key);
+        // routed ILHA becomes ilha with the platform's chunk filled in
+        // (not the testbed's paper-best B, which plain `ilha` would take)
+        let alias = JobSpec {
             scheduler: Some(SchedulerSpec::routed_ilha()),
-            model: None,
-            validate: false,
+            ..job.clone()
         };
-        let r = job.resolve().unwrap();
-        let b = r.spec.scheduler.as_ref().unwrap().b.expect("b filled");
+        let r = alias.resolve().unwrap();
+        let b = r.scheduler_spec().b.expect("b filled");
         assert!(b >= 6, "chunk at least the processor count, got {b}");
+        assert_eq!(r.scheduler_spec(), &SchedulerSpec::ilha(b));
         assert_eq!(r.build_scheduler().name(), format!("ILHA(B={b})"));
+        let explicit = JobSpec {
+            scheduler: Some(SchedulerSpec::ilha(b)),
+            ..job.clone()
+        };
+        assert_eq!(r.key, explicit.resolve().unwrap().key);
+        // baselines and the default portfolio resolve there too
+        for kind in ["cpop", "bil", "min-min", "serial", "portfolio"] {
+            let other = JobSpec {
+                scheduler: Some(SchedulerSpec::named(kind)),
+                ..job.clone()
+            };
+            assert!(other.resolve().is_ok(), "{kind}");
+        }
     }
 
     #[test]
@@ -1385,9 +1344,7 @@ mod tests {
                 assert_eq!(p1.link(q, s), p2.link(q, s));
             }
         }
-        assert!(onesched_platform::RoutingTable::new(&p1)
-            .first_unreachable()
-            .is_none());
+        assert!(p1.first_unreachable().is_none());
     }
 
     #[test]
@@ -1438,20 +1395,24 @@ mod tests {
 
     #[test]
     fn disconnected_custom_platform_is_rejected_at_intake() {
-        // two components: {0, 1} linked, {2} isolated
-        let job = JobSpec {
-            dag: DagSpec::toy(),
-            platform: Some(PlatformSpec::custom(
-                vec![1.0; 3],
-                vec![vec![0.0, 1.0, 1.0], vec![1.0, 0.0, 1.0]],
-            )),
-            scheduler: Some(SchedulerSpec::routed_heft()),
-            model: None,
-            validate: false,
-        };
-        let err = job.resolve().unwrap_err();
-        assert!(err.message.contains("disconnected"), "{err}");
-        assert!(err.message.contains("no route"), "{err}");
+        // two components: {0, 1} linked, {2} isolated; every kind gets the
+        // same machine-readable refusal
+        for scheduler in [SchedulerSpec::routed_heft(), SchedulerSpec::named("cpop")] {
+            let job = JobSpec {
+                dag: DagSpec::toy(),
+                platform: Some(PlatformSpec::custom(
+                    vec![1.0; 3],
+                    vec![vec![0.0, 1.0, 1.0], vec![1.0, 0.0, 1.0]],
+                )),
+                scheduler: Some(scheduler.clone()),
+                model: None,
+                validate: false,
+            };
+            let err = job.resolve().unwrap_err();
+            assert_eq!(err.kind, Some("platform-disconnected"), "{scheduler:?}");
+            assert!(err.message.contains("disconnected"), "{err}");
+            assert!(err.message.contains("no route"), "{err}");
+        }
     }
 
     #[test]

@@ -43,7 +43,9 @@ use crate::cache::{
     run_job_probed, run_portfolio_members, run_sim_job_probed, ConstructProbe, JobOutcome,
     Registry, ServiceStats, SimOutcome, SimRunError, StatsGauges, PHASES,
 };
-use crate::ledger::{key_hash, Ledger, LedgerError, LedgerOutcome, LedgerRecord, Replay};
+use crate::ledger::{
+    key_hash, Ledger, LedgerError, LedgerOutcome, LedgerRecord, Replay, LEDGER_SCHEMA,
+};
 use crate::protocol::{
     AckResponse, ErrorResponse, MetricsResponse, ReadyResponse, Request, ResolvedJob, ResolvedSim,
     ResultResponse, SimResultResponse, PROTOCOL_VERSION,
@@ -212,6 +214,9 @@ struct PendingSub {
     sim: Option<crate::protocol::SimSpec>,
     starts: u32,
     resolved: bool,
+    /// Whether the submission carries the current [`LEDGER_SCHEMA`]: only
+    /// then may its recorded outcome answer the re-resolved key.
+    current: bool,
     outcome: Option<LedgerOutcome>,
 }
 
@@ -353,6 +358,7 @@ impl Service {
                                 sim: rec.sim.clone(),
                                 starts: 0,
                                 resolved: false,
+                                current: rec.schema.as_deref() == Some(LEDGER_SCHEMA),
                                 outcome: None,
                             },
                         );
@@ -366,7 +372,7 @@ impl Service {
                 "done" | "failed" => {
                     if let Some(s) = subs.get_mut(&rec.seq) {
                         s.resolved = true;
-                        if s.outcome.is_none() {
+                        if s.outcome.is_none() && s.current {
                             s.outcome.clone_from(&rec.outcome);
                         }
                     }
@@ -406,6 +412,8 @@ impl Service {
             if sub.resolved {
                 // Acknowledged: rehydrate the recorded outcome so repeat
                 // submissions are cache hits, bit-identical to pre-crash.
+                // An older schema's outcome is dropped instead: its spec
+                // may resolve to a key that now names different work.
                 if let Some(out_rec) = &sub.outcome {
                     match &resolved_sim {
                         Some(sim) => {
@@ -2353,6 +2361,51 @@ mod tests {
             format!("{:016x}", direct.fingerprint),
             "recovered result is bit-identical to a direct run"
         );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn older_schema_outcomes_are_recomputed_not_served() {
+        // A v1 daemon acknowledged a `routed-heft` job on a star. v2 folds
+        // the alias into `heft`, so that outcome would answer every
+        // `heft` request on the star: recovery must not rehydrate it. The
+        // recorded fingerprint is bogus so that serving it would show.
+        let path = temp_ledger("schema");
+        let routed = JobSpec {
+            platform: Some(crate::protocol::PlatformSpec::routed("star", 5, 1.0)),
+            scheduler: Some(SchedulerSpec::routed_heft()),
+            ..lu_spec(8)
+        };
+        let resolved = routed.resolve().unwrap();
+        let truth = crate::cache::run_job(&resolved);
+        let key = key_hash(&resolved.key);
+        {
+            let (mut ledger, _) = Ledger::open(&path).unwrap();
+            let mut submitted = LedgerRecord::submitted(0, "old", &key, 0, routed.clone(), None);
+            submitted.schema = Some("onesched-ledger/v1".into());
+            let mut outcome = LedgerOutcome::from_job(&truth);
+            outcome.fingerprint = "deadbeefdeadbeef".into();
+            ledger.append(&submitted).unwrap();
+            ledger
+                .append(&LedgerRecord::started(0, "old", &key))
+                .unwrap();
+            ledger
+                .append(&LedgerRecord::done(0, "old", &key, Some(outcome), None))
+                .unwrap();
+            ledger.sync().unwrap();
+        }
+        let cfg = ServiceConfig {
+            workers: 1,
+            cache_capacity: 8,
+            ..ServiceConfig::default()
+        };
+        let (svc, report) = Service::with_ledger(cfg, &path).unwrap();
+        assert_eq!(report.results_rehydrated, 0, "v1 outcome dropped");
+        assert_eq!(report.jobs_requeued, 0, "acknowledged jobs stay answered");
+        let lines = drive_svc(&svc, &[submit("again", 0, routed)], 1);
+        let r: ResultResponse = serde_json::from_str(&lines[0]).unwrap();
+        assert_eq!(r.fingerprint, format!("{:016x}", truth.fingerprint));
+        assert!(!r.cache_hit, "recomputed, not served from the old ledger");
         let _ = std::fs::remove_file(&path);
     }
 

@@ -91,13 +91,25 @@ pub fn simulate_requests(tb: Testbed, n: usize, seed: u64) -> Vec<Request> {
 /// The routed topology kinds the service understands.
 pub const ROUTED_KINDS: [&str; 3] = ["star", "ring", "line"];
 
-/// A batch of routed submissions: every topology kind × every testbed at
-/// size `n`, scheduled by both routed HEFT and routed ILHA over `procs`
-/// heterogeneous processors. Exercises the §4.3 store-and-forward
-/// extension at scale.
+/// A batch of routed submissions over `procs` heterogeneous processors:
+/// every topology kind × every testbed at size `n`, scheduled by both
+/// routed HEFT and routed ILHA, plus one default-membership portfolio per
+/// topology (LU at size `n`), which runs every catalog kind there.
+/// Exercises the §4.3 store-and-forward extension at scale.
 pub fn routed_requests(procs: usize, n: usize, priority: i64) -> Vec<Request> {
     let mut reqs = Vec::new();
     for kind in ROUTED_KINDS {
+        reqs.push(Request::submit(
+            Some(format!("routed-{kind}-portfolio-LU-{n}")),
+            priority,
+            JobSpec {
+                dag: DagSpec::testbed(Testbed::Lu, n),
+                platform: Some(PlatformSpec::routed(kind, procs, 1.0)),
+                scheduler: Some(SchedulerSpec::named("portfolio")),
+                model: None,
+                validate: true,
+            },
+        ));
         for tb in Testbed::ALL {
             for (tag, sched) in [
                 ("heft", SchedulerSpec::routed_heft()),
@@ -312,7 +324,20 @@ mod tests {
 
     #[test]
     fn routed_and_smoke_batches_resolve() {
-        for r in routed_requests(8, 8, 2).into_iter().chain(smoke_requests()) {
+        let routed = routed_requests(8, 8, 2);
+        let portfolios = routed
+            .iter()
+            .filter(|r| {
+                r.job
+                    .as_ref()
+                    .and_then(|j| j.scheduler.as_ref())
+                    .unwrap()
+                    .kind
+                    == "portfolio"
+            })
+            .count();
+        assert_eq!(portfolios, ROUTED_KINDS.len(), "one portfolio per topology");
+        for r in routed.into_iter().chain(smoke_requests()) {
             if r.op == "submit" {
                 r.job
                     .expect("submit has a job")

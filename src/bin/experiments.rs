@@ -17,7 +17,8 @@
 //!   baselines      every scheduler on every testbed at one size
 //!   routed [--procs P]
 //!                  HEFT + ILHA on star/ring/line topologies (§4.3
-//!                  routing extension), every schedule validated
+//!                  routing extension), plus a full-catalog portfolio per
+//!                  topology, every schedule validated
 //!   routed-figs [--procs P] [--seed S]
 //!                  the routed sweeps: HEFT and ILHA over
 //!                  star/ring/line/random-connected topologies × every
@@ -733,7 +734,7 @@ fn routed_sweep(opts: &Opts) {
     use onesched::service::{cache, workloads};
     let n = (*opts.sizes.iter().min().unwrap_or(&100)).min(24);
     println!(
-        "== routed: HEFT/ILHA on star/ring/line ({} heterogeneous procs, n = {n}) ==",
+        "== routed: HEFT/ILHA and the full portfolio on star/ring/line ({} heterogeneous procs, n = {n}) ==",
         opts.procs
     );
     let mut csv =
@@ -1024,9 +1025,8 @@ fn perturb_sweep(opts: &Opts) {
     write_csv(opts, "perturb.csv", &csv);
 }
 
-/// The robustness league: every registry scheduler valid on the paper
-/// platform — all non-routed kinds plus the routed pair, which degenerate
-/// to direct links on a complete network — on every testbed × every
+/// The robustness league: every registry scheduler on the paper platform,
+/// on every testbed × every
 /// communication model, each schedule executed through the `onesched-exec`
 /// engine under the same perturbation seeds, ranked by how little the
 /// executed makespan degrades from the static prediction. Schedulers are
@@ -1067,7 +1067,7 @@ fn league(opts: &Opts) {
     let spec_for = |kind: &'static str, tb: Testbed| -> SchedulerSpec {
         let mut s = SchedulerSpec::named(kind);
         match kind {
-            "ilha" | "routed-ilha" => s.b = Some(tb.paper_best_b()),
+            "ilha" => s.b = Some(tb.paper_best_b()),
             "random" => s.seed = Some(opts.seed),
             _ => {}
         }

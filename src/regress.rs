@@ -177,12 +177,7 @@ mod tests {
             let p = baseline_platform(t);
             assert_eq!(p.num_procs(), ROUTED_BASELINE_PROCS);
             assert!(!p.is_fully_connected(), "{t} must need routing");
-            assert!(
-                onesched_platform::RoutingTable::new(&p)
-                    .first_unreachable()
-                    .is_none(),
-                "{t} must be connected"
-            );
+            assert!(p.first_unreachable().is_none(), "{t} must be connected");
         }
         assert_eq!(baseline_platform("paper").num_procs(), 10);
         assert_eq!(

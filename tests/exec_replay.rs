@@ -79,10 +79,11 @@ fn small_dag(layers: usize, width: usize, edge_prob: f64, seed: u64) -> onesched
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Routed schedules on random connected topologies replay cleanly at
-    /// zero noise, and the executed trace never uses a link absent from
-    /// the routing table: every executed hop rides a finite direct link of
-    /// the platform (relays never teleport), under every model.
+    /// Routed schedules of every catalog kind on random connected
+    /// topologies replay cleanly at zero noise, and the executed trace
+    /// never uses a link absent from the routing table: every executed hop
+    /// rides a finite direct link of the platform (relays never teleport),
+    /// under every model.
     #[test]
     fn routed_replays_use_only_existing_links(
         layers in 2usize..6,
@@ -93,42 +94,45 @@ proptest! {
         procs in 3usize..8,
         extra_prob in 0.0f64..0.5,
         model_ix in 0usize..4,
-        use_ilha in 0u8..2,
     ) {
         use onesched::platform::topology::random_connected;
+        use onesched::registry::{build, list, SchedulerSpec};
 
         let g = small_dag(layers, width, edge_prob, seed);
         let cts: Vec<f64> = (0..procs).map(|i| [1.0, 2.0, 3.0][i % 3]).collect();
         let p = random_connected(cts, 1.0, extra_prob, topo_seed).unwrap();
         let model = CommModel::ALL[model_ix];
-        let sched = if use_ilha == 1 {
-            Ilha::new(4).try_schedule(&g, &p, model).unwrap()
-        } else {
-            Heft::new().try_schedule(&g, &p, model).unwrap()
-        };
-        prop_assert!(validate(&g, &p, model, &sched).is_empty());
-        let tol = onesched_sim::EPS * (g.num_tasks() + sched.comms().len()) as f64;
-        let v = check_replay(&g, &p, model, &sched, tol);
-        prop_assert!(v.is_empty(), "unexpected runtime violations: {v:?}");
-        let rep = execute(&g, &p, model, &sched, &ExecConfig::replay()).unwrap();
-        prop_assert!(rep.trace.is_complete());
-        for hop in rep.trace.comms() {
-            prop_assert!(
-                hop.from == hop.to || p.link(hop.from, hop.to).is_finite(),
-                "executed hop {:?} -> {:?} uses a link absent from the \
-                 routing table", hop.from, hop.to
-            );
-        }
-        // ... and under perturbation too: noise shifts hops in time but
-        // must never reroute them onto non-existent links
-        let cfg = ExecConfig {
-            policy: DispatchPolicy::StaticOrder,
-            perturb: Perturbation { task_sigma: 0.3, bw_degradation: 0.3, outage_prob: 0.3, outage_frac: 0.1 },
-            seed: topo_seed ^ seed,
-        };
-        let noisy = execute(&g, &p, model, &sched, &cfg).unwrap();
-        for hop in noisy.trace.comms() {
-            prop_assert!(hop.from == hop.to || p.link(hop.from, hop.to).is_finite());
+        for info in list() {
+            let spec = SchedulerSpec {
+                b: Some(4),
+                seed: Some(seed),
+                ..SchedulerSpec::named(info.kind)
+            };
+            let sched = build(&spec).unwrap().try_schedule(&g, &p, model).unwrap();
+            prop_assert!(validate(&g, &p, model, &sched).is_empty(), "{}", info.kind);
+            let tol = onesched_sim::EPS * (g.num_tasks() + sched.comms().len()) as f64;
+            let v = check_replay(&g, &p, model, &sched, tol);
+            prop_assert!(v.is_empty(), "unexpected runtime violations: {v:?}");
+            let rep = execute(&g, &p, model, &sched, &ExecConfig::replay()).unwrap();
+            prop_assert!(rep.trace.is_complete());
+            for hop in rep.trace.comms() {
+                prop_assert!(
+                    hop.from == hop.to || p.link(hop.from, hop.to).is_finite(),
+                    "executed hop {:?} -> {:?} uses a link absent from the \
+                     routing table", hop.from, hop.to
+                );
+            }
+            // ... and under perturbation too: noise shifts hops in time but
+            // must never reroute them onto non-existent links
+            let cfg = ExecConfig {
+                policy: DispatchPolicy::StaticOrder,
+                perturb: Perturbation { task_sigma: 0.3, bw_degradation: 0.3, outage_prob: 0.3, outage_frac: 0.1 },
+                seed: topo_seed ^ seed,
+            };
+            let noisy = execute(&g, &p, model, &sched, &cfg).unwrap();
+            for hop in noisy.trace.comms() {
+                prop_assert!(hop.from == hop.to || p.link(hop.from, hop.to).is_finite());
+            }
         }
     }
 

@@ -71,7 +71,7 @@ fn default_full_catalog_portfolio_never_loses_to_heft_or_ilha() {
     let model = CommModel::OnePortBidir;
     let platform = Platform::paper();
     // One representative instance per testbed: the default portfolio
-    // (every non-routed catalog member, chunk size inherited from the
+    // (every concrete catalog member, chunk size inherited from the
     // outer spec) is best-of-all, so it can never lose to either paper
     // heuristic alone.
     for tb in Testbed::ALL {

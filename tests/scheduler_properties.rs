@@ -24,6 +24,20 @@ fn schedulers(platform: &Platform) -> Vec<Box<dyn Scheduler>> {
     v
 }
 
+/// The platform a property runs on: the paper platform (`topology` 0),
+/// or a `procs`-processor star (1), ring (2) or seeded random connected
+/// topology (3) over the paper's three processor speeds.
+fn test_platform(topology: usize, procs: usize, topo_seed: u64) -> Platform {
+    use onesched::platform::topology::{random_connected, ring, star};
+    let cts: Vec<f64> = (0..procs).map(|i| [6.0, 10.0, 15.0][i % 3]).collect();
+    match topology {
+        0 => Platform::paper(),
+        1 => star(cts, 1.0).unwrap(),
+        2 => ring(cts, 1.0).unwrap(),
+        _ => random_connected(cts, 1.0, 0.3, topo_seed).unwrap(),
+    }
+}
+
 /// Builds a schedule of `g` on `p` task by task in topological order, under
 /// every communication model and every message order, and checks at each
 /// step that the pruned `best_placement` picks what the exhaustive scan
@@ -34,11 +48,9 @@ fn check_pruned_matches_exhaustive(g: &TaskGraph, p: &Platform) {
     use onesched::heuristics::{
         best_placement, commit_placement, place_on, CommOrder, TentativePlacement,
     };
-    use onesched::platform::RoutingTable;
     use onesched::sim::{ResourcePool, Schedule, EPS};
 
-    let routes = RoutingTable::new(p);
-    prop_assert!(routes.first_unreachable().is_none());
+    prop_assert!(p.first_unreachable().is_none());
     for comm_order in [
         CommOrder::ByParentFinish,
         CommOrder::ByDataDesc,
@@ -55,7 +67,7 @@ fn check_pruned_matches_exhaustive(g: &TaskGraph, p: &Platform) {
             for &task in TopoOrder::new(g).order() {
                 let mut want: Option<TentativePlacement> = None;
                 for proc in p.procs() {
-                    let tp = place_on(g, p, &routes, &sched, pool.begin(), task, proc, policy);
+                    let tp = place_on(g, p, &sched, pool.begin(), task, proc, policy);
                     let better = match &want {
                         None => true,
                         Some(b) => tp.finish < b.finish - EPS,
@@ -65,7 +77,7 @@ fn check_pruned_matches_exhaustive(g: &TaskGraph, p: &Platform) {
                     }
                 }
                 let want = want.unwrap();
-                let got = best_placement(g, p, &routes, &pool, &sched, task, policy);
+                let got = best_placement(g, p, &pool, &sched, task, policy);
                 prop_assert_eq!(
                     got.proc,
                     want.proc,
@@ -89,11 +101,19 @@ fn check_pruned_matches_exhaustive(g: &TaskGraph, p: &Platform) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Validity of every scheduler, every model, on random layered DAGs.
+    /// Validity of every scheduler (every catalog kind, the default
+    /// portfolio included), every model, on random layered DAGs over the
+    /// paper platform and random star, ring and connected topologies,
+    /// where messages relay hop by hop.
     #[test]
     fn all_schedulers_valid_on_random_dags(
-        (seed, layers, width, prob) in small_dag_strategy()
+        (seed, layers, width, prob) in small_dag_strategy(),
+        topology in 0usize..4,
+        procs in 2usize..9,
+        topo_seed in 0u64..1_000,
     ) {
+        use onesched::registry::{build, SchedulerSpec};
+
         let cfg = RandomDagConfig {
             layers,
             max_width: width,
@@ -101,8 +121,14 @@ proptest! {
             ..Default::default()
         };
         let g = random_layered(&cfg, seed);
-        let p = Platform::paper();
-        for s in schedulers(&p) {
+        let p = test_platform(topology, procs, topo_seed);
+        let mut all = schedulers(&p);
+        let portfolio = SchedulerSpec {
+            b: Some(4),
+            ..SchedulerSpec::named("portfolio")
+        };
+        all.push(build(&portfolio).unwrap());
+        for s in all {
             for m in CommModel::ALL {
                 let sched = s.schedule(&g, &p, m);
                 let v = validate(&g, &p, m, &sched);

@@ -349,11 +349,11 @@ fn queue_cap_rejections_reach_the_client() {
     }
 }
 
-/// Every kind the registry advertises constructs through the daemon —
-/// non-routed kinds on the paper platform, routed kinds on a star
-/// topology — then a default-membership portfolio races every non-routed
-/// member (each one already cached by its individual submission) and its
-/// repeat is answered from the cache in a single hit.
+/// Every kind the registry advertises constructs through the daemon, on
+/// the paper platform and on a star topology (every kind routes around
+/// missing links) — then a default-membership portfolio on the paper
+/// platform races every member (each one already cached by its individual
+/// submission) and its repeat is answered from the cache in a single hit.
 #[test]
 fn every_registry_kind_constructs_and_portfolio_repeat_is_cached() {
     let (mut child, addr) = spawn_daemon(4);
@@ -363,12 +363,13 @@ fn every_registry_kind_constructs_and_portfolio_repeat_is_cached() {
         .unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
 
-    // One submission per concrete catalog kind, parameters pinned exactly
-    // as the default portfolio below will pin them for its members, so the
-    // portfolio's member cache keys collide with these jobs.
-    let job_for = |scheduler: SchedulerSpec, routed: bool| JobSpec {
+    // One submission per concrete catalog kind and platform, parameters
+    // pinned exactly as the default portfolio below will pin them for its
+    // members, so the portfolio's member cache keys collide with the
+    // paper-platform jobs.
+    let job_for = |scheduler: SchedulerSpec, star: bool| JobSpec {
         dag: DagSpec::testbed(Testbed::Lu, 24),
-        platform: routed.then(|| PlatformSpec::routed("star", 5, 1.0)),
+        platform: star.then(|| PlatformSpec::routed("star", 5, 1.0)),
         scheduler: Some(scheduler),
         model: None,
         validate: true,
@@ -377,22 +378,29 @@ fn every_registry_kind_constructs_and_portfolio_repeat_is_cached() {
         .into_iter()
         .filter(|info| info.kind != "portfolio")
         .collect();
-    assert!(kinds.len() >= 13, "full catalog advertised: {kinds:?}");
-    for info in &kinds {
-        let mut spec = SchedulerSpec::named(info.kind);
-        if info.kind == "ilha" || info.kind == "routed-ilha" {
-            spec.b = Some(4);
+    assert!(kinds.len() >= 11, "full catalog advertised: {kinds:?}");
+    for star in [false, true] {
+        for info in &kinds {
+            let mut spec = SchedulerSpec::named(info.kind);
+            if info.kind == "ilha" {
+                spec.b = Some(4);
+            }
+            if info.kind == "random" {
+                spec.seed = Some(7);
+            }
+            let id = if star {
+                format!("{}-star", info.kind)
+            } else {
+                info.kind.to_string()
+            };
+            send(
+                &mut stream,
+                &Request::submit(Some(id), 0, job_for(spec, star)),
+            );
         }
-        if info.kind == "random" {
-            spec.seed = Some(7);
-        }
-        send(
-            &mut stream,
-            &Request::submit(Some(info.kind.to_string()), 0, job_for(spec, info.routed)),
-        );
     }
     let mut results: HashMap<String, ResultResponse> = HashMap::new();
-    for _ in &kinds {
+    for _ in 0..2 * kinds.len() {
         let line = read_response(&mut reader);
         let r: ResultResponse = serde_json::from_str(&line)
             .unwrap_or_else(|e| panic!("malformed result line {line:?}: {e}"));
@@ -420,12 +428,8 @@ fn every_registry_kind_constructs_and_portfolio_repeat_is_cached() {
     let race: ResultResponse = serde_json::from_str(&read_response(&mut reader)).unwrap();
     assert!(!race.cache_hit, "first portfolio run constructs");
     assert_eq!(race.violations, 0);
-    let non_routed: Vec<&ResultResponse> = kinds
-        .iter()
-        .filter(|info| !info.routed)
-        .map(|info| &results[info.kind])
-        .collect();
-    let best = non_routed
+    let members: Vec<&ResultResponse> = kinds.iter().map(|info| &results[info.kind]).collect();
+    let best = members
         .iter()
         .map(|r| r.makespan)
         .fold(f64::INFINITY, f64::min);
@@ -435,7 +439,7 @@ fn every_registry_kind_constructs_and_portfolio_repeat_is_cached() {
         race.makespan
     );
     assert!(
-        non_routed
+        members
             .iter()
             .any(|r| r.fingerprint == race.fingerprint && r.makespan == race.makespan),
         "portfolio result is bit-identical to one of its members"
@@ -452,15 +456,15 @@ fn every_registry_kind_constructs_and_portfolio_repeat_is_cached() {
 
     send(&mut stream, &Request::stats());
     let stats: StatsResponse = serde_json::from_str(&read_response(&mut reader)).unwrap();
-    assert_eq!(stats.jobs_done, kinds.len() as u64 + 2);
+    assert_eq!(stats.jobs_done, 2 * kinds.len() as u64 + 2);
     assert_eq!(
         stats.cache_hits, 1,
         "only the portfolio repeat hits: every member was already cached"
     );
     assert_eq!(
         stats.cache_size,
-        kinds.len() + 1,
-        "one entry per kind plus the portfolio's own key"
+        2 * kinds.len() + 1,
+        "one entry per kind and platform plus the portfolio's own key"
     );
     assert_eq!(stats.errors, 0);
     assert_eq!(stats.portfolio.len(), 1, "one race, one winner");
