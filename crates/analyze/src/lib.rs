@@ -4,7 +4,7 @@
 //! perturbation replays, cache-served repeats — rest on invariants no
 //! compiler checks: construction/execution code must be deterministic and
 //! library crates must not panic on user-supplied specs. This crate makes
-//! those invariants machine-checked: a hand-rolled lexer ([`lexer`]), ten
+//! those invariants machine-checked: a hand-rolled lexer ([`lexer`]), eleven
 //! token-level lints in three families ([`lints`], [`scan`]), and a
 //! committed burn-down baseline ([`baseline`]) that ratchets existing
 //! violations downward while blocking new ones.

@@ -1,9 +1,9 @@
-//! The lint table: three families, ten lints.
+//! The lint table: three families, eleven lints.
 //!
 //! - **D-lints** guard determinism: the reproduction promises bit-identical
 //!   schedules and same-seed replays, so construction/execution code must
-//!   not iterate hashed collections, read wall clocks, or seed RNGs from
-//!   the environment.
+//!   not iterate hashed collections, read wall clocks, seed RNGs from
+//!   the environment, or fan work out over hand-rolled thread pools.
 //! - **P-lints** guard panic-safety: library crates must return errors on
 //!   malformed input instead of killing the caller (the service daemon's
 //!   worker pool in particular).
@@ -72,6 +72,13 @@ pub const LINTS: &[Lint] = &[
                   (the sole sanctioned site is WallClock in crates/trace/src/clock.rs)",
     },
     Lint {
+        id: "D105",
+        family: Family::Determinism,
+        summary: "a std::thread scope or spawn in crates/*/src outside par_map and the \
+                  service worker pool: fan out through onesched_heuristics::par_map, which \
+                  returns results in input order whatever the thread count",
+    },
+    Lint {
         id: "P201",
         family: Family::PanicSafety,
         summary: ".unwrap() in library code outside tests",
@@ -124,6 +131,14 @@ pub const D101_CRATES: &[&str] = &["sim", "heuristics", "exec", "service"];
 /// directly, because it *implements* the `Clock` abstraction everything
 /// else is required to use.
 pub const D104_EXEMPT_FILES: &[&str] = &["crates/trace/src/clock.rs"];
+
+/// Files exempt from D105: the one fan-out (`par_map`) and the daemon,
+/// whose long-lived worker pool and per-connection intake threads are not
+/// fan-outs over a fixed item list.
+pub const D105_EXEMPT_FILES: &[&str] = &[
+    "crates/heuristics/src/par.rs",
+    "crates/service/src/service.rs",
+];
 
 /// Crates whose non-test code is scanned for D102 (wall-clock reads in pure
 /// construction code). The service and exec-engine crates legitimately

@@ -8,7 +8,7 @@
 //! the heuristics get wrong is suppressible inline with a reason.
 
 use crate::lexer::{self, TokKind, Token};
-use crate::lints::{lint_by_id, D101_CRATES, D102_CRATES, D104_EXEMPT_FILES};
+use crate::lints::{lint_by_id, D101_CRATES, D102_CRATES, D104_EXEMPT_FILES, D105_EXEMPT_FILES};
 
 /// One lint violation at a source location.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -237,6 +237,18 @@ fn check_tokens(rel: &str, krate: &str, toks: &[Token], mask: &[bool]) -> Vec<Fi
             && !D104_EXEMPT_FILES.contains(&rel)
         {
             push("D104", line);
+        }
+        // D105: `thread::scope` / `thread::spawn` in a member crate's
+        // sources. Parallel work goes through `par_map`, the one ordered
+        // fan-out; the daemon's worker pool is the other sanctioned site.
+        if ident_text(toks, i) == Some("thread")
+            && is_punct(toks, i + 1, ":")
+            && is_punct(toks, i + 2, ":")
+            && matches!(ident_text(toks, i + 3), Some("scope" | "spawn"))
+            && rel.starts_with("crates/")
+            && !D105_EXEMPT_FILES.contains(&rel)
+        {
+            push("D105", line);
         }
         // P205: `[` preceded by an expression (identifier that is not a
         // keyword, `self`, a closing `)`/`]`). Macro brackets (`vec![`)

@@ -100,6 +100,34 @@ fn unseeded_rng_fires_everywhere() {
 }
 
 #[test]
+fn hand_rolled_fan_outs_are_d105_outside_par_map_and_the_daemon() {
+    let src = "fn f(items: &[u32]) {\n\
+               std::thread::scope(|s| {\n\
+               s.spawn(|| items.len());\n\
+               });\n\
+               let h = thread::spawn(|| 1);\n\
+               }\n";
+    let at = |rel: &str| -> Vec<(&'static str, u32)> {
+        scan_source(rel, "x", src)
+            .findings
+            .iter()
+            .map(|f| (f.lint, f.line))
+            .collect()
+    };
+    // a scoped pool and a bare spawn in a member crate both fire; the
+    // scope's own `s.spawn` is part of the flagged pool, not a second site
+    assert_eq!(
+        at("crates/service/src/cache.rs"),
+        vec![("D105", 2), ("D105", 5)]
+    );
+    // the one fan-out and the daemon's worker pool are the sanctioned sites
+    assert!(at("crates/heuristics/src/par.rs").is_empty());
+    assert!(at("crates/service/src/service.rs").is_empty());
+    // binaries and the facade are outside the lint's scope
+    assert!(at("src/regress.rs").is_empty());
+}
+
+#[test]
 fn test_code_is_exempt() {
     let src = "#[cfg(test)]\n\
                mod tests {\n\

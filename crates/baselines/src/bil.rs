@@ -1,7 +1,7 @@
 //! BIL — Best Imaginary Level (Oh & Ha).
 
 use onesched_dag::{TaskGraph, TopoOrder};
-use onesched_heuristics::{best_placement, commit_placement, PlacementPolicy, Scheduler};
+use onesched_heuristics::{best_placement, commit_placement, PlacementPolicy, Probe, Scheduler};
 use onesched_platform::Platform;
 use onesched_sim::{CommModel, ResourcePool, Schedule};
 use std::cmp::Ordering;
@@ -103,7 +103,13 @@ impl Scheduler for Bil {
         "BIL".into()
     }
 
-    fn schedule(&self, g: &TaskGraph, platform: &Platform, model: CommModel) -> Schedule {
+    fn schedule_with_probe(
+        &self,
+        g: &TaskGraph,
+        platform: &Platform,
+        model: CommModel,
+        _probe: &dyn Probe,
+    ) -> Schedule {
         let bil = imaginary_levels(g, platform);
         let prio: Vec<f64> = bil
             .iter()

@@ -2,7 +2,7 @@
 
 use onesched_dag::{TaskGraph, TopoOrder};
 use onesched_heuristics::avg_weights::{paper_bottom_levels, paper_top_levels};
-use onesched_heuristics::{PlacementPolicy, Scheduler};
+use onesched_heuristics::{PlacementPolicy, Probe, Scheduler};
 use onesched_platform::{Platform, ProcId};
 use onesched_sim::{CommModel, ResourcePool, Schedule, EPS};
 use std::cmp::Ordering;
@@ -54,7 +54,13 @@ impl Scheduler for Cpop {
         "CPOP".into()
     }
 
-    fn schedule(&self, g: &TaskGraph, platform: &Platform, model: CommModel) -> Schedule {
+    fn schedule_with_probe(
+        &self,
+        g: &TaskGraph,
+        platform: &Platform,
+        model: CommModel,
+        _probe: &dyn Probe,
+    ) -> Schedule {
         let topo = TopoOrder::new(g);
         let bl = paper_bottom_levels(g, &topo, platform);
         let tl = paper_top_levels(g, &topo, platform);

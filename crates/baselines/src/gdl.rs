@@ -3,7 +3,7 @@
 use onesched_dag::{TaskGraph, TaskId, TopoOrder};
 use onesched_heuristics::avg_weights::paper_bottom_levels;
 use onesched_heuristics::{
-    commit_placement, place_on, PlacementPolicy, Scheduler, TentativePlacement,
+    commit_placement, place_on, PlacementPolicy, Probe, Scheduler, TentativePlacement,
 };
 use onesched_platform::Platform;
 use onesched_sim::{CommModel, ResourcePool, Schedule, EPS};
@@ -46,7 +46,13 @@ impl Scheduler for Gdl {
         "GDL".into()
     }
 
-    fn schedule(&self, g: &TaskGraph, platform: &Platform, model: CommModel) -> Schedule {
+    fn schedule_with_probe(
+        &self,
+        g: &TaskGraph,
+        platform: &Platform,
+        model: CommModel,
+        _probe: &dyn Probe,
+    ) -> Schedule {
         let topo = TopoOrder::new(g);
         let sl = paper_bottom_levels(g, &topo, platform);
         let avg_ct = platform.avg_cycle_time();

@@ -2,7 +2,7 @@
 
 use onesched_dag::{TaskGraph, TaskId};
 use onesched_heuristics::{
-    commit_placement, place_on, PlacementPolicy, Scheduler, TentativePlacement,
+    commit_placement, place_on, PlacementPolicy, Probe, Scheduler, TentativePlacement,
 };
 use onesched_platform::Platform;
 use onesched_sim::{CommModel, ResourcePool, Schedule, EPS};
@@ -107,7 +107,13 @@ impl Scheduler for MinMin {
     fn name(&self) -> String {
         "min-min".into()
     }
-    fn schedule(&self, g: &TaskGraph, platform: &Platform, model: CommModel) -> Schedule {
+    fn schedule_with_probe(
+        &self,
+        g: &TaskGraph,
+        platform: &Platform,
+        model: CommModel,
+        _probe: &dyn Probe,
+    ) -> Schedule {
         batch_schedule(g, platform, model, self.policy, false)
     }
 }
@@ -116,7 +122,13 @@ impl Scheduler for MaxMin {
     fn name(&self) -> String {
         "max-min".into()
     }
-    fn schedule(&self, g: &TaskGraph, platform: &Platform, model: CommModel) -> Schedule {
+    fn schedule_with_probe(
+        &self,
+        g: &TaskGraph,
+        platform: &Platform,
+        model: CommModel,
+        _probe: &dyn Probe,
+    ) -> Schedule {
         batch_schedule(g, platform, model, self.policy, true)
     }
 }

@@ -3,7 +3,7 @@
 
 use onesched_dag::{TaskGraph, TopoOrder};
 use onesched_heuristics::avg_weights::{paper_rank_weights, paper_top_levels};
-use onesched_heuristics::{best_placement, commit_placement, PlacementPolicy, Scheduler};
+use onesched_heuristics::{best_placement, commit_placement, PlacementPolicy, Probe, Scheduler};
 use onesched_platform::Platform;
 use onesched_sim::{CommModel, ResourcePool, Schedule};
 use std::cmp::Ordering;
@@ -59,7 +59,13 @@ impl Scheduler for Pct {
         "PCT".into()
     }
 
-    fn schedule(&self, g: &TaskGraph, platform: &Platform, model: CommModel) -> Schedule {
+    fn schedule_with_probe(
+        &self,
+        g: &TaskGraph,
+        platform: &Platform,
+        model: CommModel,
+        _probe: &dyn Probe,
+    ) -> Schedule {
         let topo = TopoOrder::new(g);
         let tl = paper_top_levels(g, &topo, platform);
         let unit = paper_rank_weights(platform).unit_comp;

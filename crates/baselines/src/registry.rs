@@ -170,6 +170,44 @@ mod tests {
     }
 
     #[test]
+    fn every_kind_schedule_panics_with_the_typed_refusal() {
+        // P0 - P1 linked, P2 isolated: the infallible `schedule` of every
+        // kind panics with the same typed refusal `try_schedule` returns,
+        // never mid-placement and never with a schedule
+        let inf = f64::INFINITY;
+        let link = vec![
+            0.0, 1.0, inf, //
+            1.0, 0.0, inf, //
+            inf, inf, 0.0,
+        ];
+        let p = Platform::new(vec![1.0; 3], link).unwrap();
+        let g = onesched_testbeds::toy();
+        let want = onesched_heuristics::RoutedError::Disconnected {
+            from: onesched_platform::ProcId(0),
+            to: onesched_platform::ProcId(2),
+        }
+        .to_string();
+        for info in catalog().list() {
+            let spec = SchedulerSpec {
+                b: Some(2),
+                ..SchedulerSpec::named(info.kind)
+            };
+            let s = build(&spec).unwrap();
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                s.schedule(&g, &p, CommModel::OnePortBidir)
+            }))
+            .err()
+            .unwrap_or_else(|| panic!("{}: scheduled a disconnected platform", info.kind));
+            let msg = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert!(msg.contains(&want), "{}: {msg}", info.kind);
+        }
+    }
+
+    #[test]
     fn default_portfolio_members_are_all_non_routed_kinds() {
         // the name predates the routed aliases' fold into heft/ilha: every
         // concrete kind now runs on routed platforms, so the default

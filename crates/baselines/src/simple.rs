@@ -1,7 +1,7 @@
 //! Trivial baselines: serial, round-robin, random allocation.
 
 use onesched_dag::{TaskGraph, TopoOrder};
-use onesched_heuristics::{commit_placement, place_on, PlacementPolicy, Scheduler};
+use onesched_heuristics::{commit_placement, place_on, PlacementPolicy, Probe, Scheduler};
 use onesched_platform::{Platform, ProcId};
 use onesched_sim::{CommModel, ResourcePool, Schedule};
 use rand::rngs::StdRng;
@@ -62,7 +62,13 @@ impl Scheduler for Serial {
     fn name(&self) -> String {
         "serial".into()
     }
-    fn schedule(&self, g: &TaskGraph, platform: &Platform, model: CommModel) -> Schedule {
+    fn schedule_with_probe(
+        &self,
+        g: &TaskGraph,
+        platform: &Platform,
+        model: CommModel,
+        _probe: &dyn Probe,
+    ) -> Schedule {
         let fastest = platform.fastest_proc();
         schedule_with_alloc(g, platform, model, |_, _| fastest)
     }
@@ -72,7 +78,13 @@ impl Scheduler for RoundRobin {
     fn name(&self) -> String {
         "round-robin".into()
     }
-    fn schedule(&self, g: &TaskGraph, platform: &Platform, model: CommModel) -> Schedule {
+    fn schedule_with_probe(
+        &self,
+        g: &TaskGraph,
+        platform: &Platform,
+        model: CommModel,
+        _probe: &dyn Probe,
+    ) -> Schedule {
         let p = platform.num_procs() as u32;
         schedule_with_alloc(g, platform, model, |pos, _| ProcId(pos as u32 % p))
     }
@@ -82,7 +94,13 @@ impl Scheduler for RandomAlloc {
     fn name(&self) -> String {
         "random".into()
     }
-    fn schedule(&self, g: &TaskGraph, platform: &Platform, model: CommModel) -> Schedule {
+    fn schedule_with_probe(
+        &self,
+        g: &TaskGraph,
+        platform: &Platform,
+        model: CommModel,
+        _probe: &dyn Probe,
+    ) -> Schedule {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let p = platform.num_procs() as u32;
         schedule_with_alloc(g, platform, model, |_, _| ProcId(rng.gen_range(0..p)))

@@ -14,8 +14,7 @@
 
 use crate::avg_weights::paper_bottom_levels;
 use crate::placement::{best_placement_with, EftScratch, PlacementPolicy};
-use crate::probe::{NoProbe, Phase, Probe};
-use crate::scheduler::schedule_or_panic;
+use crate::probe::{Phase, Probe};
 use crate::Scheduler;
 use onesched_dag::{TaskGraph, TaskId, TopoOrder};
 use onesched_platform::Platform;
@@ -129,14 +128,8 @@ impl Scheduler for Heft {
         n
     }
 
-    fn schedule(&self, g: &TaskGraph, platform: &Platform, model: CommModel) -> Schedule {
-        schedule_or_panic(self, g, platform, model, &NoProbe)
-    }
-
     /// The scheduling loop, reporting phases and scan counters to `probe`
     /// (write-only: every decision is identical to an unprobed run).
-    /// Disconnected platforms are refused before it runs, by the trait's
-    /// [`Scheduler::try_schedule_probed`].
     fn schedule_with_probe(
         &self,
         g: &TaskGraph,

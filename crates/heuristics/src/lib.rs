@@ -25,6 +25,8 @@
 //! * [`registry`] — the scheduler registry: canonical
 //!   [`registry::SchedulerSpec`] addressing for every scheduler in the
 //!   workspace, plus the best-of-all-members [`registry::Portfolio`].
+//! * [`par_map`] — the one ordered, bounded, panic-tolerant fan-out that
+//!   portfolios, sweeps and the experiment tables share.
 //!
 //! Every scheduler works under all four [`CommModel`]s through the same
 //! transactional resource machinery — the macro-dataflow variants of HEFT
@@ -52,6 +54,7 @@ pub mod bsweep;
 pub mod distribution;
 mod heft;
 mod ilha;
+mod par;
 mod placement;
 pub mod probe;
 pub mod registry;
@@ -60,6 +63,7 @@ mod scheduler;
 
 pub use heft::Heft;
 pub use ilha::{Ilha, ScanDepth};
+pub use par::{default_threads, par_map};
 pub use placement::{
     best_placement, best_placement_with, commit_placement, place_on, stage_on, CommOrder,
     EftScratch, PlacementPolicy, TentativePlacement,

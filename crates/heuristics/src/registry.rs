@@ -14,17 +14,17 @@
 //!   adds its nine comparison schedulers and exposes the composed
 //!   workspace catalog as `onesched_baselines::registry::catalog()`.
 //! * [`Portfolio`] — the `portfolio` meta-kind, handled by the catalog
-//!   itself: construct every member's schedule (fanned over scoped
-//!   threads) and keep the best makespan, tie-breaking deterministically
+//!   itself: construct every member's schedule (fanned out by
+//!   [`par_map`]) and keep the best makespan, tie-breaking deterministically
 //!   on the canonical member string.
 //!
 //! The module-level [`build`]/[`list`] helpers operate on the core
 //! catalog; services that want baseline kinds too go through the composed
 //! catalog.
 
+use crate::par::{default_threads, par_map};
 use crate::probe::{NoProbe, Probe};
-use crate::scheduler::schedule_or_panic;
-use crate::{Heft, Ilha, RoutedError, Scheduler};
+use crate::{Heft, Ilha, Scheduler};
 use onesched_dag::TaskGraph;
 use onesched_platform::Platform;
 use onesched_sim::{CommModel, Schedule, EPS};
@@ -489,8 +489,8 @@ pub fn select_best(candidates: &[(&str, f64)]) -> Option<usize> {
 }
 
 /// The `portfolio` meta-scheduler: construct every member's schedule and
-/// return the one with the smallest makespan. Members fan out over scoped
-/// threads; ties (within [`EPS`]) break deterministically on the smaller
+/// return the one with the smallest makespan. Members fan out over
+/// [`par_map`]; ties (within [`EPS`]) break deterministically on the smaller
 /// canonical member string, so the winner never depends on thread timing.
 pub struct Portfolio {
     members: Vec<(String, Box<dyn Scheduler>)>,
@@ -507,66 +507,33 @@ impl Portfolio {
         }
     }
 
-    /// The member labels, in member order.
-    pub fn member_labels(&self) -> Vec<&str> {
-        self.members
-            .iter()
-            .map(|(label, _)| label.as_str())
-            .collect()
-    }
-
-    /// Construct every member's schedule in parallel and return them in
-    /// member order (an error for each member that rejected the platform).
-    /// The service's portfolio path uses this to cache each member's
-    /// schedule individually; [`Portfolio::schedule`] is the plain
-    /// best-of wrapper on top.
+    /// Construct every member's schedule over [`par_map`] (bounded by
+    /// [`default_threads`]) and return them in member order. The caller has
+    /// checked that `platform` is connected — [`Scheduler`]'s wrappers do,
+    /// once for the whole portfolio — so no member can refuse it.
     pub fn schedule_members(
         &self,
         g: &TaskGraph,
         platform: &Platform,
         model: CommModel,
-    ) -> Vec<Result<Schedule, RoutedError>> {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .members
-                .iter()
-                .map(|(_, member)| scope.spawn(move || member.try_schedule(g, platform, model)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| {
-                    // a panicking member re-panics here, as it would have
-                    // when the scope joined it
-                    handle
-                        .join()
-                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-                })
-                .collect()
+    ) -> Vec<Schedule> {
+        par_map(&self.members, default_threads(), |(_, member)| {
+            member.schedule_with_probe(g, platform, model, &NoProbe)
         })
     }
 
-    /// Pick the winner among member schedules: smallest makespan, ties
-    /// within [`EPS`] broken by the smaller canonical member string.
-    /// Returns `(member index, schedule)`.
-    pub fn select<'a>(
-        &self,
-        schedules: &'a [Result<Schedule, RoutedError>],
-    ) -> Option<(usize, &'a Schedule)> {
-        let present: Vec<(usize, &str, &Schedule)> = schedules
+    /// Pick the winner among member schedules (in member order): smallest
+    /// makespan, ties within [`EPS`] broken by the smaller canonical member
+    /// string. Returns `(member index, schedule)`.
+    pub fn select<'a>(&self, schedules: &'a [Schedule]) -> Option<(usize, &'a Schedule)> {
+        let candidates: Vec<(&str, f64)> = self
+            .members
             .iter()
-            .enumerate()
-            .filter_map(|(i, sched)| {
-                let sched = sched.as_ref().ok()?;
-                let label = self.members.get(i).map_or("", |(l, _)| l.as_str());
-                Some((i, label, sched))
-            })
-            .collect();
-        let candidates: Vec<(&str, f64)> = present
-            .iter()
-            .map(|&(_, label, sched)| (label, sched.makespan()))
+            .zip(schedules)
+            .map(|((label, _), sched)| (label.as_str(), sched.makespan()))
             .collect();
         let winner = select_best(&candidates)?;
-        present.get(winner).map(|&(i, _, sched)| (i, sched))
+        schedules.get(winner).map(|sched| (winner, sched))
     }
 }
 
@@ -575,23 +542,18 @@ impl Scheduler for Portfolio {
         format!("portfolio({})", self.members.len())
     }
 
-    fn schedule(&self, g: &TaskGraph, platform: &Platform, model: CommModel) -> Schedule {
-        schedule_or_panic(self, g, platform, model, &NoProbe)
-    }
-
     /// Members run with their own (silent) probes — a shared probe would
     /// interleave phases from concurrent constructions meaninglessly. The
     /// service's portfolio path emits real per-member spans instead.
-    fn try_schedule_probed(
+    fn schedule_with_probe(
         &self,
         g: &TaskGraph,
         platform: &Platform,
         model: CommModel,
         _probe: &dyn Probe,
-    ) -> Result<Schedule, RoutedError> {
+    ) -> Schedule {
         let mut schedules = self.schedule_members(g, platform, model);
-        // without a winner every member refused the platform: report the
-        // first member's refusal (a portfolio has at least one member)
+        // a portfolio has at least one member, so there is always a winner
         let winner = self.select(&schedules).map_or(0, |(winner, _)| winner);
         schedules.swap_remove(winner)
     }
@@ -600,6 +562,7 @@ impl Scheduler for Portfolio {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RoutedError;
 
     #[test]
     fn canonical_round_trips() {
@@ -730,8 +693,8 @@ mod tests {
 
     #[test]
     fn portfolio_reports_its_first_members_refusal() {
-        // two processors with no link at all: every member refuses, and
-        // the error names the real unroutable pair
+        // two processors with no link at all: the portfolio refuses once,
+        // before any member runs, naming the real unroutable pair
         let inf = f64::INFINITY;
         let p = Platform::new(vec![1.0, 1.0], vec![0.0, inf, inf, 0.0]).unwrap();
         let g = onesched_testbeds::toy();

@@ -12,7 +12,7 @@
 
 use crate::heft::ReadyList;
 use crate::placement::{commit_placement, place_on, PlacementPolicy};
-use crate::{NoProbe, Scheduler};
+use crate::{NoProbe, Probe, Scheduler};
 use onesched_dag::TaskGraph;
 use onesched_platform::{Platform, ProcId};
 use onesched_sim::{CommModel, ResourcePool, Schedule};
@@ -81,8 +81,14 @@ impl<S: Scheduler> Scheduler for WithResched<S> {
         format!("{}+resched", self.inner.name())
     }
 
-    fn schedule(&self, g: &TaskGraph, platform: &Platform, model: CommModel) -> Schedule {
-        let first = self.inner.schedule(g, platform, model);
+    fn schedule_with_probe(
+        &self,
+        g: &TaskGraph,
+        platform: &Platform,
+        model: CommModel,
+        probe: &dyn Probe,
+    ) -> Schedule {
+        let first = self.inner.schedule_with_probe(g, platform, model, probe);
         let alloc = allocation_of(&first);
         let second = reschedule_with_allocation(g, platform, model, &alloc, self.policy);
         if second.makespan() < first.makespan() {

@@ -43,25 +43,29 @@ impl RoutedError {
     }
 }
 
-/// [`Scheduler::try_schedule_probed`] for the infallible entry points of a
-/// scheduler that can refuse a platform: they have no error path, so a
-/// refusal panics with the typed error.
-pub(crate) fn schedule_or_panic<S: Scheduler + ?Sized>(
-    scheduler: &S,
-    g: &TaskGraph,
-    platform: &Platform,
-    model: CommModel,
-    probe: &dyn Probe,
-) -> Schedule {
-    scheduler
-        .try_schedule_probed(g, platform, model, probe)
-        // analyze:allow(P203): infallible-by-contract mirror of `try_schedule`
-        .unwrap_or_else(|e| panic!("{}: {e}", scheduler.name()))
-}
-
 /// A static task-graph scheduler: maps every task to a processor and a start
 /// time, emitting explicit communication placements, under a given
 /// communication model.
+///
+/// # Implementing a scheduler
+///
+/// Implement two methods: [`Scheduler::name`] and the construction itself,
+/// [`Scheduler::schedule_with_probe`]. The construction may assume a
+/// connected platform — the wrappers below check connectivity before it
+/// runs, and direct callers (portfolio members, the service's timed
+/// construction) pass platforms already checked — and must return a
+/// schedule that passes
+/// [`onesched_sim::validate()`] for the same `(g, platform, model)`.
+/// Schedulers with phases worth reporting tell the [`Probe`] about them;
+/// the rest ignore it. The probe is write-only: a probed construction
+/// takes decisions identical to an unprobed one (fingerprint-pinned by the
+/// service's trace tests).
+///
+/// [`Scheduler::schedule`], [`Scheduler::try_schedule`] and
+/// [`Scheduler::try_schedule_probed`] are provided wrappers over that one
+/// method and are final: no implementation overrides them, so every
+/// scheduler refuses a disconnected platform the same way, with
+/// [`RoutedError::Disconnected`].
 ///
 /// Schedulers are immutable configuration (`Send + Sync`): one instance may
 /// construct schedules from several threads at once — the portfolio fan-out
@@ -70,32 +74,28 @@ pub trait Scheduler: Send + Sync {
     /// Stable display name (used in experiment CSVs and bench labels).
     fn name(&self) -> String;
 
-    /// Produce a complete schedule of `g` on `platform` under `model`.
-    ///
-    /// Implementations must return schedules that pass
-    /// [`onesched_sim::validate()`] for the same `(g, platform, model)`.
-    fn schedule(&self, g: &TaskGraph, platform: &Platform, model: CommModel) -> Schedule;
-
-    /// [`Scheduler::schedule`] with an observability [`Probe`] receiving
-    /// phase boundaries and placement-scan counters. The probe is
-    /// write-only: instrumented construction MUST return the same
-    /// schedule as [`Scheduler::schedule`] (fingerprint-pinned by the
-    /// service's trace tests). The default ignores the probe — only
-    /// schedulers with phases worth reporting override it.
+    /// Construct a complete schedule of `g` on the connected `platform`
+    /// under `model`, reporting phases and placement-scan counters to
+    /// `probe`. The one required construction method; callers that have
+    /// not checked the platform go through the wrappers below.
     fn schedule_with_probe(
         &self,
         g: &TaskGraph,
         platform: &Platform,
         model: CommModel,
         probe: &dyn Probe,
-    ) -> Schedule {
-        let _ = probe;
-        self.schedule(g, platform, model)
+    ) -> Schedule;
+
+    /// [`Scheduler::try_schedule`] for callers without an error path: a
+    /// disconnected platform panics with the typed [`RoutedError`].
+    fn schedule(&self, g: &TaskGraph, platform: &Platform, model: CommModel) -> Schedule {
+        self.try_schedule(g, platform, model)
+            // analyze:allow(P203): infallible-by-contract mirror of `try_schedule`
+            .unwrap_or_else(|e| panic!("{}: {e}", self.name()))
     }
 
-    /// Fallible [`Scheduler::schedule`]: reject a disconnected platform
-    /// with a typed error instead of panicking mid-route. This is the one
-    /// call shape the registry and the service use for every scheduler.
+    /// Construct a schedule, or reject a disconnected platform with a typed
+    /// error instead of panicking mid-route.
     fn try_schedule(
         &self,
         g: &TaskGraph,
@@ -106,8 +106,7 @@ pub trait Scheduler: Send + Sync {
     }
 
     /// [`Scheduler::try_schedule`] reporting phases and scan counters to
-    /// `probe`. Same write-only probe contract as
-    /// [`Scheduler::schedule_with_probe`].
+    /// `probe`: the one connectivity check, then the construction.
     fn try_schedule_probed(
         &self,
         g: &TaskGraph,
@@ -120,47 +119,32 @@ pub trait Scheduler: Send + Sync {
     }
 }
 
-macro_rules! forward_scheduler {
-    () => {
-        fn name(&self) -> String {
-            (**self).name()
-        }
-        fn schedule(&self, g: &TaskGraph, platform: &Platform, model: CommModel) -> Schedule {
-            (**self).schedule(g, platform, model)
-        }
-        fn schedule_with_probe(
-            &self,
-            g: &TaskGraph,
-            platform: &Platform,
-            model: CommModel,
-            probe: &dyn Probe,
-        ) -> Schedule {
-            (**self).schedule_with_probe(g, platform, model, probe)
-        }
-        fn try_schedule(
-            &self,
-            g: &TaskGraph,
-            platform: &Platform,
-            model: CommModel,
-        ) -> Result<Schedule, RoutedError> {
-            (**self).try_schedule(g, platform, model)
-        }
-        fn try_schedule_probed(
-            &self,
-            g: &TaskGraph,
-            platform: &Platform,
-            model: CommModel,
-            probe: &dyn Probe,
-        ) -> Result<Schedule, RoutedError> {
-            (**self).try_schedule_probed(g, platform, model, probe)
-        }
-    };
-}
-
 impl<S: Scheduler + ?Sized> Scheduler for &S {
-    forward_scheduler!();
+    fn name(&self) -> String {
+        (**self).name()
+    }
+    fn schedule_with_probe(
+        &self,
+        g: &TaskGraph,
+        platform: &Platform,
+        model: CommModel,
+        probe: &dyn Probe,
+    ) -> Schedule {
+        (**self).schedule_with_probe(g, platform, model, probe)
+    }
 }
 
 impl<S: Scheduler + ?Sized> Scheduler for Box<S> {
-    forward_scheduler!();
+    fn name(&self) -> String {
+        (**self).name()
+    }
+    fn schedule_with_probe(
+        &self,
+        g: &TaskGraph,
+        platform: &Platform,
+        model: CommModel,
+        probe: &dyn Probe,
+    ) -> Schedule {
+        (**self).schedule_with_probe(g, platform, model, probe)
+    }
 }

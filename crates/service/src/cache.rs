@@ -11,12 +11,16 @@
 //! outcome is a few hundred bytes regardless of task count.
 
 use crate::protocol::{LatencyEntry, PortfolioWinEntry, ResolvedJob, ResolvedSim, StatsResponse};
-use crate::runner::schedule_timed_probed;
-use onesched_heuristics::{NoProbe, Phase, Probe, ScanStats};
+use crate::runner::schedule_timed;
+use onesched_dag::TaskGraph;
+use onesched_heuristics::{default_threads, par_map, NoProbe, Phase, Probe, ScanStats};
+use onesched_platform::Platform;
 use onesched_prof::AllocSnapshot;
+use onesched_sim::Schedule;
 use onesched_trace::Clock;
 use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::OnceLock;
 use std::time::Duration;
 
 /// A write-only [`Probe`] that accumulates per-phase wall time,
@@ -146,25 +150,20 @@ pub struct JobOutcome {
     pub violations: usize,
 }
 
-/// The construction step shared by [`run_job`] and [`run_sim_job`]: the
-/// outcome plus the materialized problem, which the simulate path feeds to
-/// the execution engine.
+/// The construction step shared by [`run_job`], [`run_sim_job`] and
+/// [`run_portfolio_members`]: schedule the already-built problem with the
+/// job's scheduler and record the outcome next to the schedule, which the
+/// simulate path feeds to the execution engine.
 fn construct(
     job: &ResolvedJob,
+    g: &TaskGraph,
+    platform: &Platform,
     probe: &dyn Probe,
-) -> (
-    JobOutcome,
-    onesched_dag::TaskGraph,
-    onesched_platform::Platform,
-    onesched_sim::Schedule,
-) {
-    let g = job.build_graph();
-    let platform = job.build_platform();
+) -> (JobOutcome, Schedule) {
     let scheduler = job.build_scheduler();
-    let (sched, construct) =
-        schedule_timed_probed(&g, &platform, scheduler.as_ref(), job.model(), probe);
+    let (sched, construct) = schedule_timed(g, platform, scheduler.as_ref(), job.model(), probe);
     let violations = if job.spec.validate {
-        onesched_sim::validate(&g, &platform, job.model(), &sched).len()
+        onesched_sim::validate(g, platform, job.model(), &sched).len()
     } else {
         0
     };
@@ -172,27 +171,25 @@ fn construct(
         scheduler: scheduler.name(),
         tasks: g.num_tasks(),
         makespan: sched.makespan(),
-        speedup: sched.speedup(&g, &platform),
+        speedup: sched.speedup(g, platform),
         effective_comms: sched.num_effective_comms(),
         fingerprint: onesched_sim::placement_fingerprint(&sched),
         construct,
         violations,
     };
-    (outcome, g, platform, sched)
+    (outcome, sched)
 }
 
 /// Execute a resolved job: generate the graph and platform, run the
 /// scheduler (through the runner's shared timing step), and record the
-/// outcome. Deterministic: equal [`ResolvedJob::key`]s produce equal
-/// outcomes up to the `construct` timing.
-pub fn run_job(job: &ResolvedJob) -> JobOutcome {
-    run_job_probed(job, &NoProbe)
-}
-
-/// [`run_job`] with an observer: `probe` sees phase boundaries and
-/// placement-scan counters but cannot influence the outcome.
-pub fn run_job_probed(job: &ResolvedJob, probe: &dyn Probe) -> JobOutcome {
-    construct(job, probe).0
+/// outcome. `probe` sees phase boundaries and placement-scan counters but
+/// cannot influence the outcome ([`NoProbe`] when nobody listens).
+/// Deterministic: equal [`ResolvedJob::key`]s produce equal outcomes up to
+/// the `construct` timing.
+///
+/// [`NoProbe`]: onesched_heuristics::NoProbe
+pub fn run_job(job: &ResolvedJob, probe: &dyn Probe) -> JobOutcome {
+    construct(job, &job.build_graph(), &job.build_platform(), probe).0
 }
 
 /// One member's slot in a portfolio fan-out: the member's canonical spec
@@ -210,10 +207,12 @@ pub struct PortfolioMember {
     pub cached: bool,
 }
 
-/// Construct the not-yet-cached members of a portfolio in parallel over
-/// scoped threads and return every member's outcome in member order.
-/// Input is `(canonical label, resolved member job, cached outcome)`;
-/// members arriving with an outcome are passed through untouched.
+/// Construct the not-yet-cached members of a portfolio over [`par_map`]
+/// (at most [`default_threads`] at once) and return every member's outcome
+/// in member order. Input is `(canonical label, resolved member job, cached
+/// outcome)`; members arriving with an outcome are passed through
+/// untouched. The members differ only in their scheduler, so the graph
+/// and the platform are built once, by the first member that needs them.
 ///
 /// Deterministic: each member's construction is the same pure computation
 /// [`run_job`] performs, and the caller picks the winner with the
@@ -221,39 +220,21 @@ pub struct PortfolioMember {
 pub fn run_portfolio_members(
     members: Vec<(String, ResolvedJob, Option<JobOutcome>)>,
 ) -> Vec<PortfolioMember> {
-    let mut slots: Vec<Option<JobOutcome>> = Vec::new();
-    slots.resize_with(members.len(), || None);
-    let slot_refs: Vec<std::sync::Mutex<&mut Option<JobOutcome>>> =
-        slots.iter_mut().map(std::sync::Mutex::new).collect();
-    std::thread::scope(|scope| {
-        for ((_, job, cached), slot) in members.iter().zip(&slot_refs) {
-            if cached.is_some() {
-                continue;
-            }
-            scope.spawn(move || {
-                let outcome = run_job(job);
-                if let Ok(mut guard) = slot.lock() {
-                    **guard = Some(outcome);
-                }
-            });
-        }
+    let problem = OnceLock::new();
+    let outcomes = par_map(&members, default_threads(), |(_, job, cached)| {
+        cached.clone().unwrap_or_else(|| {
+            let (g, platform) = problem.get_or_init(|| (job.build_graph(), job.build_platform()));
+            construct(job, g, platform, &NoProbe).0
+        })
     });
-    drop(slot_refs);
     members
         .into_iter()
-        .zip(slots)
-        .map(|((label, job, cached), constructed)| {
-            let was_cached = cached.is_some();
-            // The fallback re-run only fires if a slot mutex was poisoned,
-            // which a pure construction cannot do; it keeps this path
-            // panic-free either way.
-            let outcome = cached.or(constructed).unwrap_or_else(|| run_job(&job));
-            PortfolioMember {
-                label,
-                key: job.key,
-                outcome,
-                cached: was_cached,
-            }
+        .zip(outcomes)
+        .map(|((label, job, cached), outcome)| PortfolioMember {
+            label,
+            key: job.key,
+            outcome,
+            cached: cached.is_some(),
         })
         .collect()
 }
@@ -303,9 +284,10 @@ impl std::fmt::Display for SimRunError {
 }
 
 /// Execute a resolved simulate job: construct the schedule exactly as
-/// [`run_job`] would, then replay it through the `onesched-exec` engine
-/// under the resolved perturbation. Deterministic: equal
-/// `(job key, sim key)` pairs produce equal outcomes up to the timings.
+/// [`run_job`] would (`probe` observes the construction half), then replay
+/// it through the `onesched-exec` engine under the resolved perturbation.
+/// Deterministic: equal `(job key, sim key)` pairs produce equal outcomes
+/// up to the timings.
 ///
 /// Construction from a resolved job cannot fail, but two things can stop
 /// the simulation half: the caller's `deadline_us` (a [`Clock`] timestamp
@@ -317,20 +299,11 @@ pub fn run_sim_job(
     sim: &ResolvedSim,
     deadline_us: Option<u64>,
     clock: &dyn Clock,
-) -> Result<SimOutcome, SimRunError> {
-    run_sim_job_probed(job, sim, deadline_us, clock, &NoProbe)
-}
-
-/// [`run_sim_job`] with an observer: `probe` sees the construction half's
-/// phase boundaries and scan counters but cannot influence the outcome.
-pub fn run_sim_job_probed(
-    job: &ResolvedJob,
-    sim: &ResolvedSim,
-    deadline_us: Option<u64>,
-    clock: &dyn Clock,
     probe: &dyn Probe,
 ) -> Result<SimOutcome, SimRunError> {
-    let (outcome, g, platform, sched) = construct(job, probe);
+    let g = job.build_graph();
+    let platform = job.build_platform();
+    let (outcome, sched) = construct(job, &g, &platform, probe);
     if deadline_us.is_some_and(|d| clock.now_micros() > d) {
         return Err(SimRunError::DeadlineExceeded(Box::new(outcome)));
     }
@@ -608,8 +581,8 @@ mod tests {
     #[test]
     fn run_job_is_deterministic_and_valid() {
         let job = lu_job();
-        let a = run_job(&job);
-        let b = run_job(&job);
+        let a = run_job(&job, &NoProbe);
+        let b = run_job(&job, &NoProbe);
         assert_eq!(a.fingerprint, b.fingerprint);
         assert_eq!(a.makespan, b.makespan);
         assert_eq!(a.violations, 0, "validator must accept the schedule");
@@ -622,7 +595,7 @@ mod tests {
         let mut reg = Registry::new(16);
         // miss: run and record
         assert!(reg.get(&job.key).is_none());
-        let outcome = run_job(&job);
+        let outcome = run_job(&job, &NoProbe);
         reg.insert(job.key.clone(), outcome.clone());
         assert_eq!(reg.executions, 1);
         // hit: the stored outcome answers without another run
@@ -634,7 +607,7 @@ mod tests {
     #[test]
     fn registry_evicts_fifo_at_capacity() {
         let mut reg = Registry::new(2);
-        let out = run_job(&lu_job());
+        let out = run_job(&lu_job(), &NoProbe);
         reg.insert("a".into(), out.clone());
         reg.insert("b".into(), out.clone());
         assert_eq!(reg.evictions, 0);
@@ -650,20 +623,20 @@ mod tests {
         let job = lu_job();
         let clock = onesched_trace::WallClock::new();
         let sim = crate::protocol::SimSpec::default().resolve().unwrap();
-        let a = run_sim_job(&job, &sim, None, &clock).expect("executes");
+        let a = run_sim_job(&job, &sim, None, &clock, &NoProbe).expect("executes");
         assert_eq!(a.degradation, 1.0, "zero noise replays exactly");
         assert_eq!(a.executed_makespan, a.job.makespan);
         assert_eq!(a.job.violations, 0);
         // deterministic, including the executed trace
-        let b = run_sim_job(&job, &sim, None, &clock).expect("executes");
+        let b = run_sim_job(&job, &sim, None, &clock, &NoProbe).expect("executes");
         assert_eq!(a.trace_fingerprint, b.trace_fingerprint);
         assert_eq!(a.job.fingerprint, b.job.fingerprint);
         // noise moves the executed makespan but stays seed-deterministic
         let noisy = crate::protocol::SimSpec::noise("list-dynamic", 0.3, 9)
             .resolve()
             .unwrap();
-        let x = run_sim_job(&job, &noisy, None, &clock).expect("executes");
-        let y = run_sim_job(&job, &noisy, None, &clock).expect("executes");
+        let x = run_sim_job(&job, &noisy, None, &clock, &NoProbe).expect("executes");
+        let y = run_sim_job(&job, &noisy, None, &clock, &NoProbe).expect("executes");
         assert_eq!(x.trace_fingerprint, y.trace_fingerprint);
         assert_ne!(x.trace_fingerprint, a.trace_fingerprint);
         assert_eq!(
@@ -679,15 +652,15 @@ mod tests {
         // a manual clock past the deadline: expired before the engine runs
         let clock = onesched_trace::ManualClock::new();
         clock.set(10);
-        match run_sim_job(&job, &sim, Some(5), &clock) {
+        match run_sim_job(&job, &sim, Some(5), &clock, &NoProbe) {
             Err(SimRunError::DeadlineExceeded(outcome)) => {
                 // the construction half completed and is cacheable
-                assert_eq!(outcome.fingerprint, run_job(&job).fingerprint);
+                assert_eq!(outcome.fingerprint, run_job(&job, &NoProbe).fingerprint);
             }
             other => panic!("expected deadline error, got {other:?}"),
         }
         // a generous deadline lets the run finish
-        let ok = run_sim_job(&job, &sim, Some(u64::MAX), &clock);
+        let ok = run_sim_job(&job, &sim, Some(u64::MAX), &clock, &NoProbe);
         assert!(ok.is_ok());
     }
 

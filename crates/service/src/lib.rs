@@ -15,14 +15,17 @@
 //!   with a torn-tail-tolerant reader) that makes the daemon
 //!   crash-recoverable: restarts replay unacknowledged jobs and rehydrate
 //!   the caches from acknowledged outcomes;
-//! * [`service`] — the daemon core: a `std::thread::scope` worker pool
-//!   over stdio or TCP intake, streaming one JSON result line per job;
+//! * [`service`] — the daemon core: a worker pool of scoped threads
+//!   pulling from the priority queue over stdio or TCP intake, streaming
+//!   one JSON result line per job (the only threads in the workspace
+//!   besides `onesched_heuristics::par_map`, the one fan-out);
 //! * [`workloads`] — generators for service-scale scenarios: random
 //!   layered DAGs targeted at 100k+ tasks and routed workloads on
 //!   non-fully-connected topologies;
-//! * [`runner`] — the thread-pool sweep runner behind `experiments figs`
-//!   and the machine-readable perf baseline (`BENCH_2.json`); the service
-//!   worker pool follows its job-isolation discipline.
+//! * [`runner`] — the sweep runner behind `experiments figs` and the
+//!   machine-readable perf baseline (`BENCH_2.json`), fanned out by
+//!   `par_map`; the service worker pool follows its job-isolation
+//!   discipline.
 //!
 //! Schedulers stay pure (`onesched-heuristics`); this crate owns jobs,
 //! queues, caches, and results — the scheduler/runner separation the dslab
@@ -32,6 +35,7 @@
 //!
 //! ```
 //! use onesched_service::protocol::{DagSpec, JobSpec, Request};
+//! use onesched_heuristics::NoProbe;
 //! use onesched_service::cache::run_job;
 //! use onesched_service::Testbed;
 //!
@@ -53,7 +57,7 @@
 //! .resolve()
 //! .unwrap();
 //! assert_eq!(job.key, same.key);
-//! assert_eq!(run_job(&job).fingerprint, run_job(&same).fingerprint);
+//! assert_eq!(run_job(&job, &NoProbe).fingerprint, run_job(&same, &NoProbe).fingerprint);
 //! ```
 
 #![warn(missing_docs)]

@@ -422,42 +422,33 @@ impl PlatformSpec {
 // ledger records resolve unchanged.
 pub use onesched_heuristics::registry::{SchedulerSpec, UnknownScheduler};
 
-/// A rejected job spec: human-readable message plus, where a client can
-/// act on it programmatically, a machine-readable `kind` mirrored into
-/// [`ErrorResponse::kind`] (e.g. `"unknown-scheduler"`,
-/// `"platform-disconnected"`).
+/// A rejected job spec: human-readable message plus a machine-readable
+/// `kind` mirrored into [`ErrorResponse::kind`]: `"unknown-scheduler"`,
+/// `"platform-disconnected"`, or `"invalid-spec"` for every other
+/// validation failure (the kind plain-string errors convert to).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResolveError {
     /// What was wrong, for humans.
     pub message: String,
-    /// Machine-readable category, where one exists.
-    pub kind: Option<&'static str>,
+    /// Machine-readable category.
+    pub kind: &'static str,
 }
 
 impl ResolveError {
     fn kinded(kind: &'static str, message: String) -> ResolveError {
-        ResolveError {
-            message,
-            kind: Some(kind),
-        }
+        ResolveError { message, kind }
     }
 }
 
 impl From<String> for ResolveError {
     fn from(message: String) -> ResolveError {
-        ResolveError {
-            message,
-            kind: None,
-        }
+        ResolveError::kinded("invalid-spec", message)
     }
 }
 
 impl From<&str> for ResolveError {
     fn from(message: &str) -> ResolveError {
-        ResolveError {
-            message: message.to_string(),
-            kind: None,
-        }
+        ResolveError::from(message.to_string())
     }
 }
 
@@ -1150,9 +1141,13 @@ pub struct ErrorResponse {
     pub id: Option<String>,
     /// Human-readable reason.
     pub message: String,
-    /// Machine-readable error class for clients that branch on failures:
-    /// `"queue-full"`, `"overloaded"`, `"timeout"`, `"shutting-down"`,
-    /// `"poisoned"`, or absent for plain request errors.
+    /// Machine-readable error class for clients that branch on failures.
+    /// The daemon sets it on every error: `"bad-request"` (unparseable
+    /// line), `"unknown-op"`, `"missing-job"`, `"invalid-spec"`,
+    /// `"unknown-scheduler"`, `"platform-disconnected"`, `"queue-full"`,
+    /// `"overloaded"`, `"timeout"`, `"shutting-down"`, `"poisoned"`, or
+    /// `"internal"` (a failure inside an accepted job). Optional on the
+    /// wire so older answers still parse.
     #[serde(default)]
     pub kind: Option<String>,
     /// For `"overloaded"`/`"queue-full"`: a backoff hint in milliseconds,
@@ -1389,7 +1384,7 @@ mod tests {
         };
         assert_eq!(r.key, again.resolve().unwrap().key);
         // the job actually runs and validates
-        let out = crate::cache::run_job(&r);
+        let out = crate::cache::run_job(&r, &onesched_heuristics::NoProbe);
         assert_eq!(out.violations, 0);
     }
 
@@ -1409,7 +1404,7 @@ mod tests {
                 validate: false,
             };
             let err = job.resolve().unwrap_err();
-            assert_eq!(err.kind, Some("platform-disconnected"), "{scheduler:?}");
+            assert_eq!(err.kind, "platform-disconnected", "{scheduler:?}");
             assert!(err.message.contains("disconnected"), "{err}");
             assert!(err.message.contains("no route"), "{err}");
         }

@@ -1,50 +1,44 @@
-//! Thread-pool sweep runner: the experiment harness is embarrassingly
-//! parallel over `(testbed, size, scheduler)`, so full-size figure
-//! regeneration fans out over a `std::thread::scope` worker pool (no
-//! external dependencies).
+//! The sweep runner: the experiment harness is embarrassingly parallel
+//! over `(testbed, size, scheduler)`, so full-size figure regeneration
+//! fans out over [`onesched_heuristics::par_map`], the workspace's one
+//! ordered, bounded fan-out (no external dependencies).
 //!
 //! Each job regenerates its task graph, builds one schedule, and reports the
 //! quality numbers plus the *schedule-construction time* — the quantity the
 //! perf baseline (`BENCH_2.json`) tracks. Results come back in job order
-//! regardless of which worker ran them, so CSV output is deterministic.
+//! whatever the thread count, so CSV output is deterministic; one thread
+//! runs the jobs inline on the caller's thread, one at a time.
 //!
 //! The long-running scheduling service ([`crate::Service`]) builds on the
 //! same job-isolation discipline: one job = one graph + one scheduler + one
-//! `schedule()` call, timed alone, with nothing shared between jobs but the
-//! immutable platform.
+//! timed construction ([`schedule_timed`]), with nothing shared between
+//! jobs but the immutable platform.
 
 use onesched_dag::TaskGraph;
-use onesched_heuristics::{Heft, Ilha, Scheduler};
+use onesched_heuristics::{par_map, Heft, Ilha, NoProbe, Probe, Scheduler};
 use onesched_platform::Platform;
 use onesched_sim::{CommModel, Schedule};
 use onesched_testbeds::{Testbed, PAPER_C};
 use onesched_trace::{Clock, WallClock};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
-/// Build one schedule, timing the `schedule()` call alone (graph generation
+/// Build one schedule, timing the construction alone (graph generation
 /// and statistics excluded). The shared execution step of the sweep runner
 /// and the scheduling service: both isolate a job to exactly this call.
+/// The probe sees phase boundaries and placement-scan counters but cannot
+/// influence the schedule, so timing and fingerprints match an unprobed
+/// call ([`onesched_heuristics::NoProbe`]).
+///
+/// `platform` must be connected — the service's intake and the sweeps'
+/// fixed topologies guarantee it — so the construction runs without the
+/// trait wrappers' connectivity check.
 pub fn schedule_timed(
     g: &TaskGraph,
     platform: &Platform,
     scheduler: &dyn Scheduler,
     model: CommModel,
-) -> (Schedule, Duration) {
-    schedule_timed_probed(g, platform, scheduler, model, &onesched_heuristics::NoProbe)
-}
-
-/// [`schedule_timed`] with an observer: the probe sees phase boundaries
-/// and placement-scan counters but cannot influence the schedule, so
-/// timing and fingerprints match the bare call.
-pub fn schedule_timed_probed(
-    g: &TaskGraph,
-    platform: &Platform,
-    scheduler: &dyn Scheduler,
-    model: CommModel,
-    probe: &dyn onesched_heuristics::Probe,
+    probe: &dyn Probe,
 ) -> (Schedule, Duration) {
     // Wall time through the trace crate's Clock (the D104 discipline:
     // no direct Instant reads outside WallClock). Microsecond
@@ -135,21 +129,12 @@ pub fn paper_jobs(testbeds: &[Testbed], sizes: &[usize]) -> Vec<SweepJob> {
     jobs
 }
 
-/// Default worker count: the machine's available parallelism.
-pub fn default_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Run every job on a scoped worker pool of `threads` workers and return the
-/// results in job order. `threads == 1` degenerates to a serial run (useful
-/// for clean construction-time measurements).
-pub fn run_sweep(jobs: &[SweepJob], threads: usize, model: CommModel) -> Vec<SweepResult> {
-    run_sweep_repeated(jobs, threads, model, 1)
-}
-
-/// [`run_sweep`] measuring each job's construction time as the minimum over
-/// `repeats` runs — the robust estimator for perf gating on noisy (shared)
-/// hardware. Schedules are deterministic, so quality numbers are unaffected.
+/// Run every job over [`par_map`] with at most `threads` workers and
+/// return the results in job order, each job's construction time the
+/// minimum over `repeats` runs — the robust estimator for perf gating on
+/// noisy (shared) hardware. Schedules are deterministic, so quality numbers
+/// are unaffected. `threads == 1` runs the jobs serially on the caller's
+/// thread (clean construction-time and allocation measurements).
 pub fn run_sweep_repeated(
     jobs: &[SweepJob],
     threads: usize,
@@ -157,37 +142,9 @@ pub fn run_sweep_repeated(
     repeats: usize,
 ) -> Vec<SweepResult> {
     let platform = Platform::paper();
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<SweepResult>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
-    let workers = threads.clamp(1, jobs.len().max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                // the atomic counter can exceed jobs.len(); .get() is both
-                // the bounds check and the loop exit
-                let Some((job, slot)) = jobs.get(i).zip(slots.get(i)) else {
-                    break;
-                };
-                let r = run_job(job, &platform, model, repeats.max(1));
-                let mut slot = slot.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-                *slot = Some(r);
-            });
-        }
-    });
-    // Every index was claimed by exactly one worker (the atomic counter hands
-    // each out once and the scope joins before we get here), but a worker
-    // that panicked mid-job leaves its slot empty — recompute such a job
-    // serially rather than panicking the sweep.
-    slots
-        .into_iter()
-        .zip(jobs)
-        .map(|(m, job)| {
-            m.into_inner()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .unwrap_or_else(|| run_job(job, &platform, model, repeats.max(1)))
-        })
-        .collect()
+    par_map(jobs, threads, |job| {
+        run_job(job, &platform, model, repeats.max(1))
+    })
 }
 
 /// A minimal write-only probe for sweeps: placement-scan counters only
@@ -195,7 +152,7 @@ pub fn run_sweep_repeated(
 #[derive(Default)]
 struct ScanProbe(std::cell::Cell<onesched_heuristics::ScanStats>);
 
-impl onesched_heuristics::Probe for ScanProbe {
+impl Probe for ScanProbe {
     fn placement_scan(&self, scan: &onesched_heuristics::ScanStats) {
         let mut acc = self.0.get();
         acc.add(scan);
@@ -208,14 +165,13 @@ fn run_job(job: &SweepJob, platform: &Platform, model: CommModel, repeats: usize
     let scheduler = job.sched.build();
     let probe = ScanProbe::default();
     let a0 = onesched_prof::snapshot();
-    let (sched, mut construct) =
-        schedule_timed_probed(&g, platform, scheduler.as_ref(), model, &probe);
+    let (sched, mut construct) = schedule_timed(&g, platform, scheduler.as_ref(), model, &probe);
     let alloc = onesched_prof::snapshot().delta_since(a0);
     // alloc and scan counters come from the first run only: repeats are
     // bit-identical, so accumulating them would just multiply the totals
     let scan = probe.0.get();
     for _ in 1..repeats {
-        let (again, t) = schedule_timed(&g, platform, scheduler.as_ref(), model);
+        let (again, t) = schedule_timed(&g, platform, scheduler.as_ref(), model, &NoProbe);
         construct = construct.min(t);
         debug_assert!(again.makespan() == sched.makespan());
     }
@@ -456,8 +412,8 @@ mod tests {
     fn sweep_results_deterministic_and_in_job_order() {
         let jobs = paper_jobs(&[Testbed::Lu, Testbed::ForkJoin], &[10, 20]);
         assert_eq!(jobs.len(), 8);
-        let serial = run_sweep(&jobs, 1, CommModel::OnePortBidir);
-        let parallel = run_sweep(&jobs, 4, CommModel::OnePortBidir);
+        let serial = run_sweep_repeated(&jobs, 1, CommModel::OnePortBidir, 1);
+        let parallel = run_sweep_repeated(&jobs, 4, CommModel::OnePortBidir, 1);
         assert_eq!(serial.len(), parallel.len());
         for (s, p) in serial.iter().zip(&parallel) {
             assert_eq!(s.job.testbed, p.job.testbed);
@@ -474,7 +430,7 @@ mod tests {
     #[test]
     fn bench_file_roundtrip_and_compare() {
         let jobs = paper_jobs(&[Testbed::ForkJoin], &[10]);
-        let results = run_sweep(&jobs, 2, CommModel::OnePortBidir);
+        let results = run_sweep_repeated(&jobs, 2, CommModel::OnePortBidir, 1);
         let file = BenchFile::from_results(&results, 2, None);
         let json = serde_json::to_string(&file).unwrap();
         let back: BenchFile = serde_json::from_str(&json).unwrap();
@@ -498,7 +454,11 @@ mod tests {
     #[test]
     fn bench_history_validation_catches_malformed_files() {
         let jobs = paper_jobs(&[Testbed::ForkJoin], &[10]);
-        let bench = BenchFile::from_results(&run_sweep(&jobs, 1, CommModel::OnePortBidir), 1, None);
+        let bench = BenchFile::from_results(
+            &run_sweep_repeated(&jobs, 1, CommModel::OnePortBidir, 1),
+            1,
+            None,
+        );
         let mut hist = BenchHistory::new();
         assert!(hist.validate().is_empty(), "empty history is valid");
         hist.entries.push(BenchHistoryEntry {
@@ -553,7 +513,7 @@ mod tests {
     #[test]
     fn baseline_times_carry_over() {
         let jobs = paper_jobs(&[Testbed::ForkJoin], &[10]);
-        let results = run_sweep(&jobs, 1, CommModel::OnePortBidir);
+        let results = run_sweep_repeated(&jobs, 1, CommModel::OnePortBidir, 1);
         let mut seed = BenchFile::from_results(&results, 1, None);
         for e in &mut seed.entries {
             e.construct_ms = 42.0;

@@ -6,9 +6,10 @@
 //! service): schedulers stay pure functions of `(graph, platform, model)`;
 //! this module owns everything stateful — connections, the job queue, the
 //! schedule cache, statistics. Workers are `std::thread::scope` threads
-//! sharing the service by reference (no `Arc` of the service itself), the
-//! same pool discipline as [`crate::runner`], with a condition variable
-//! instead of a job-index counter because the queue is dynamic.
+//! sharing the service by reference (no `Arc` of the service itself),
+//! blocking on a condition variable because the queue is dynamic — a
+//! long-lived pool, not a fan-out over a fixed item list, so it does not
+//! go through `onesched_heuristics::par_map`.
 //!
 //! Each submission carries a handle to its connection's writer; whichever
 //! worker finishes a job serializes the result and writes it under the
@@ -40,8 +41,8 @@
 //! before the job is poisoned.
 
 use crate::cache::{
-    run_job_probed, run_portfolio_members, run_sim_job_probed, ConstructProbe, JobOutcome,
-    Registry, ServiceStats, SimOutcome, SimRunError, StatsGauges, PHASES,
+    run_job, run_portfolio_members, run_sim_job, ConstructProbe, JobOutcome, Registry,
+    ServiceStats, SimOutcome, SimRunError, StatsGauges, PHASES,
 };
 use crate::ledger::{
     key_hash, Ledger, LedgerError, LedgerOutcome, LedgerRecord, Replay, LEDGER_SCHEMA,
@@ -134,7 +135,7 @@ pub struct ServiceConfig {
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
-            workers: crate::runner::default_threads(),
+            workers: onesched_heuristics::default_threads(),
             cache_capacity: 1024,
             queue_cap: DEFAULT_QUEUE_CAP,
             max_retries: DEFAULT_MAX_RETRIES,
@@ -539,11 +540,11 @@ impl Service {
                 Some("shutting-down".into()),
             ));
             lock(&self.stats).jobs_shed += 1;
-            self.respond_error_kind(
+            self.respond_error(
                 &t.out,
                 Some(t.id),
                 "shutting down: job accepted but not run".into(),
-                Some("shutting-down"),
+                "shutting-down",
                 None,
             );
         }
@@ -703,7 +704,8 @@ impl Service {
         let req: Request = match serde_json::from_str(line) {
             Ok(r) => r,
             Err(e) => {
-                self.respond_error(out, None, format!("unparseable request: {e}"));
+                let msg = format!("unparseable request: {e}");
+                self.respond_error(out, None, msg, "bad-request", None);
                 return;
             }
         };
@@ -730,7 +732,8 @@ impl Service {
                 self.begin_shutdown();
             }
             other => {
-                self.respond_error(out, req.id, format!("unknown op {other:?}"));
+                let msg = format!("unknown op {other:?}");
+                self.respond_error(out, req.id, msg, "unknown-op", None);
             }
         }
     }
@@ -741,13 +744,14 @@ impl Service {
     fn handle_submission(&self, req: Request, out: &SharedWriter) {
         let op = req.op.as_str();
         let Some(spec) = req.job else {
-            self.respond_error(out, req.id, format!("{op} requires a `job`"));
+            let msg = format!("{op} requires a `job`");
+            self.respond_error(out, req.id, msg, "missing-job", None);
             return;
         };
         let job = match spec.resolve() {
             Ok(j) => j,
             Err(e) => {
-                self.respond_error_kind(out, req.id, e.message, e.kind, None);
+                self.respond_error(out, req.id, e.message, e.kind, None);
                 return;
             }
         };
@@ -755,7 +759,7 @@ impl Service {
             match req.sim.unwrap_or_default().resolve() {
                 Ok(sim) => Work::Sim(job, sim),
                 Err(e) => {
-                    self.respond_error(out, req.id, e);
+                    self.respond_error(out, req.id, e, "invalid-spec", None);
                     return;
                 }
             }
@@ -767,11 +771,11 @@ impl Service {
             .unwrap_or_else(|| format!("job-{}", self.next_job.fetch_add(1, Ordering::Relaxed)));
         let hash = work.hash();
         if lock(&self.poisoned).contains(&hash) {
-            self.respond_error_kind(
+            self.respond_error(
                 out,
                 Some(id),
                 "job is poisoned: repeated attempts crashed without completing".into(),
-                Some("poisoned"),
+                "poisoned",
                 None,
             );
             return;
@@ -800,11 +804,11 @@ impl Service {
             let mut q = lock(&self.queue);
             if self.is_shutdown() {
                 drop(q);
-                self.respond_error_kind(
+                self.respond_error(
                     out,
                     Some(ticket.id),
                     "shutting down: no longer accepting jobs".into(),
-                    Some("shutting-down"),
+                    "shutting-down",
                     None,
                 );
                 return;
@@ -813,14 +817,14 @@ impl Service {
             if depth >= self.cfg.queue_cap {
                 drop(q);
                 let hint = self.retry_after_ms(depth);
-                self.respond_error_kind(
+                self.respond_error(
                     out,
                     Some(ticket.id),
                     format!(
                         "queue full ({depth} jobs queued, cap {})",
                         self.cfg.queue_cap
                     ),
-                    Some("queue-full"),
+                    "queue-full",
                     Some(hint),
                 );
                 return;
@@ -833,7 +837,7 @@ impl Service {
                     // (lowest priority, newest): reject it directly.
                     drop(q);
                     let hint = self.retry_after_ms(depth);
-                    self.respond_error_kind(
+                    self.respond_error(
                         out,
                         Some(ticket.id),
                         format!(
@@ -842,7 +846,7 @@ impl Service {
                             self.high_water(),
                             ticket.priority
                         ),
-                        Some("overloaded"),
+                        "overloaded",
                         Some(hint),
                     );
                     return;
@@ -879,11 +883,11 @@ impl Service {
                 Some("overloaded: shed by higher-priority work".into()),
             ));
             lock(&self.stats).jobs_shed += 1;
-            self.respond_error_kind(
+            self.respond_error(
                 &victim.out,
                 Some(victim.id),
                 "overloaded: shed by higher-priority work".into(),
-                Some("overloaded"),
+                "overloaded",
                 Some(hint),
             );
         }
@@ -998,16 +1002,14 @@ impl Service {
         }
     }
 
-    fn respond_error(&self, out: &SharedWriter, id: Option<String>, message: String) {
-        self.respond_error_kind(out, id, message, None, None);
-    }
-
-    fn respond_error_kind(
+    /// Answer with an `error` line. Every error carries a machine-readable
+    /// `kind` (see [`ErrorResponse::kind`]).
+    fn respond_error(
         &self,
         out: &SharedWriter,
         id: Option<String>,
         message: String,
-        kind: Option<&str>,
+        kind: &str,
         retry_after_ms: Option<f64>,
     ) {
         lock(&self.stats).errors += 1;
@@ -1015,7 +1017,7 @@ impl Service {
             op: "error".into(),
             id,
             message,
-            kind: kind.map(str::to_string),
+            kind: Some(kind.to_string()),
             retry_after_ms,
         };
         write_line(out, &to_line(&resp));
@@ -1110,15 +1112,24 @@ impl Service {
         // exhausted the retries — guard it too, or the failure path for a
         // broken client takes the worker down with it.
         let _ = catch_unwind(AssertUnwindSafe(|| {
-            self.respond_error_kind(
+            self.respond_error(
                 &ticket.out,
                 Some(ticket.id.clone()),
                 format!("job failed: {attempts} attempts panicked; poisoned"),
-                Some("poisoned"),
+                "poisoned",
                 None,
             );
         }));
         self.trace_abort(&ticket, worker, dequeued_us, true);
+    }
+
+    /// Answer an accepted job that failed inside the daemon (kind
+    /// `internal`): journal the failure, answer, close the job's trace.
+    fn answer_internal(&self, ticket: &Ticket, worker: u64, dequeued_us: u64, msg: String) {
+        let failed = LedgerRecord::failed(ticket.seq, &ticket.id, &ticket.key, msg.clone());
+        self.ledger_append(&failed);
+        self.respond_error(&ticket.out, Some(ticket.id.clone()), msg, "internal", None);
+        self.trace_abort(ticket, worker, dequeued_us, true);
     }
 
     /// Answer a job whose wall-clock deadline passed.
@@ -1135,11 +1146,11 @@ impl Service {
             .timeout
             .map(|t| t.as_secs_f64() * 1e3)
             .unwrap_or(0.0);
-        self.respond_error_kind(
+        self.respond_error(
             &ticket.out,
             Some(ticket.id.clone()),
             format!("timeout: job exceeded its {budget_ms} ms deadline"),
-            Some("timeout"),
+            "timeout",
             None,
         );
     }
@@ -1163,21 +1174,14 @@ impl Service {
                 match self.construct_portfolio(job) {
                     Ok((outcome, detail)) => (outcome, false, None, Some(detail)),
                     Err(msg) => {
-                        self.ledger_append(&LedgerRecord::failed(
-                            ticket.seq,
-                            &ticket.id,
-                            &ticket.key,
-                            msg.clone(),
-                        ));
-                        self.respond_error(&ticket.out, Some(ticket.id.clone()), msg);
-                        self.trace_abort(ticket, worker, dequeued_us, true);
+                        self.answer_internal(ticket, worker, dequeued_us, msg);
                         return;
                     }
                 }
             }
             None => {
                 // run WITHOUT holding any lock: construction is the slow part
-                let outcome = run_job_probed(job, &probe);
+                let outcome = run_job(job, &probe);
                 let detail = self.finish_construct(&outcome.construct, &probe);
                 lock(&self.registry).insert(job.key.clone(), outcome.clone());
                 (outcome, false, Some(detail), None)
@@ -1354,7 +1358,7 @@ impl Service {
         let (outcome, cache_hit, construct_trace) = match cached {
             Some(outcome) => (outcome, true, None),
             None => {
-                match run_sim_job_probed(job, sim, ticket.deadline, self.clock.as_ref(), &probe) {
+                match run_sim_job(job, sim, ticket.deadline, self.clock.as_ref(), &probe) {
                     Ok(outcome) => {
                         let detail = self.finish_construct(&outcome.job.construct, &probe);
                         self.metrics
@@ -1376,14 +1380,7 @@ impl Service {
                     // cached (the job stays retryable after a fix).
                     Err(SimRunError::Exec(e)) => {
                         let msg = format!("execution failed: {e}");
-                        self.ledger_append(&LedgerRecord::failed(
-                            ticket.seq,
-                            &ticket.id,
-                            &ticket.key,
-                            msg.clone(),
-                        ));
-                        self.respond_error(&ticket.out, Some(ticket.id.clone()), msg);
-                        self.trace_abort(ticket, worker, dequeued_us, true);
+                        self.answer_internal(ticket, worker, dequeued_us, msg);
                         return;
                     }
                 }
@@ -1973,6 +1970,40 @@ mod tests {
     }
 
     #[test]
+    fn every_error_answer_carries_a_kind() {
+        let svc = Service::new(ServiceConfig::default());
+        let sink = MemWriter::default();
+        let out: SharedWriter = Arc::new(Mutex::new(Box::new(sink.clone())));
+        let cases = [
+            ("not json at all", "bad-request"),
+            (r#"{"op":"dance","id":"a"}"#, "unknown-op"),
+            (r#"{"op":"submit","id":"b"}"#, "missing-job"),
+            (
+                r#"{"op":"submit","id":"c","job":{"dag":{"kind":"nope"}}}"#,
+                "invalid-spec",
+            ),
+            (
+                r#"{"op":"simulate","id":"d","job":{"dag":{"kind":"toy"}},"sim":{"outage_prob":2}}"#,
+                "invalid-spec",
+            ),
+            (
+                r#"{"op":"submit","id":"e","job":{"dag":{"kind":"toy"},"scheduler":{"kind":"nope"}}}"#,
+                "unknown-scheduler",
+            ),
+        ];
+        // every case is refused at intake, so no worker is needed
+        for (line, _) in &cases {
+            svc.handle_line(line, &out);
+        }
+        let lines = sink.lines();
+        assert_eq!(lines.len(), cases.len());
+        for (answer, (line, want)) in lines.iter().zip(&cases) {
+            let e: ErrorResponse = serde_json::from_str(answer).expect("error response");
+            assert_eq!(e.kind.as_deref(), Some(*want), "{line} -> {answer}");
+        }
+    }
+
+    #[test]
     fn service_results_match_direct_runner_path() {
         // the acceptance criterion in miniature: schedule through the
         // service machinery, compare bit-exact against a direct run
@@ -2355,7 +2386,8 @@ mod tests {
         let lines = drive_svc(&svc, &[submit("a-again", 0, spec_a.clone())], 1);
         let r: ResultResponse = serde_json::from_str(&lines[0]).unwrap();
         assert!(r.cache_hit, "rehydrated cache answers the resubmission");
-        let direct = crate::cache::run_job(&spec_a.resolve().unwrap());
+        let direct =
+            crate::cache::run_job(&spec_a.resolve().unwrap(), &onesched_heuristics::NoProbe);
         assert_eq!(
             r.fingerprint,
             format!("{:016x}", direct.fingerprint),
@@ -2377,7 +2409,7 @@ mod tests {
             ..lu_spec(8)
         };
         let resolved = routed.resolve().unwrap();
-        let truth = crate::cache::run_job(&resolved);
+        let truth = crate::cache::run_job(&resolved, &onesched_heuristics::NoProbe);
         let key = key_hash(&resolved.key);
         {
             let (mut ledger, _) = Ledger::open(&path).unwrap();

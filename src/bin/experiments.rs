@@ -57,15 +57,18 @@
 //!   all            everything above
 //! ```
 //!
-//! The figure sweeps fan out over a `std::thread::scope` worker pool
-//! (`--threads`, default: all cores). `--bench-json` additionally writes the
-//! per-(testbed, size, scheduler) schedule-construction times as JSON —
-//! the machine-readable perf trajectory committed as `BENCH_2.json`;
+//! The figure sweeps, `routed-figs` and `league` fan out over the
+//! workspace's one ordered fan-out, `heuristics::par_map` (`--threads`,
+//! default: all cores); output never depends on the thread count.
+//! `--bench-json` additionally writes the per-(testbed, size, scheduler)
+//! schedule-construction times as JSON — the machine-readable perf
+//! trajectory committed as `BENCH_2.json`;
 //! `--bench-baseline` carries the matching times of a previous bench file
 //! into the `seed_construct_ms` fields for before/after comparisons.
 //!
 //! Run in release mode: `cargo run --release --bin experiments -- all`.
 
+use onesched::heuristics::{default_threads, par_map, NoProbe};
 use onesched::prelude::*;
 use onesched::runner::{self, BenchFile, SweepResult};
 use onesched_heuristics::bsweep;
@@ -103,7 +106,7 @@ impl Default for Opts {
         Opts {
             sizes: vec![100, 200, 300, 400, 500],
             out: "results".into(),
-            threads: runner::default_threads(),
+            threads: default_threads(),
             bench_json: None,
             bench_baseline: None,
             bench_repeats: 1,
@@ -744,7 +747,7 @@ fn routed_sweep(opts: &Opts) {
         let job = spec.resolve().expect("generated routed specs are valid");
         let topology = job.spec.platform.as_ref().unwrap().kind.clone();
         let testbed = job.spec.dag.testbed.clone().unwrap();
-        let r = cache::run_job(&job);
+        let r = cache::run_job(&job, &NoProbe);
         assert_eq!(r.violations, 0, "{topology}/{testbed}: invalid schedule");
         let _ = writeln!(
             csv,
@@ -763,16 +766,14 @@ fn routed_sweep(opts: &Opts) {
 /// non-fully-connected topology (star, ring, line, and a seeded
 /// random-connected graph) × every testbed × `--sizes` (capped at 24 —
 /// routed placement pays per-hop evaluation, and the §4.3 story needs
-/// relays, not scale). Jobs fan out over a `std::thread::scope` worker
-/// pool exactly like `figs`; results are emitted in job order, so two
-/// same-seed runs produce byte-identical CSVs — the CI routed determinism
+/// relays, not scale). Jobs fan out over `par_map` exactly like `figs`;
+/// results are emitted in job order, so two same-seed runs produce
+/// byte-identical CSVs at any `--threads` — the CI routed determinism
 /// gate. Every schedule passes the independent validator, and the CSV
 /// records each schedule's placement fingerprint.
 fn routed_figs(opts: &Opts) {
     use onesched::platform::topology;
     use onesched_sim::placement_fingerprint;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
 
     let mut sizes: Vec<usize> = opts.sizes.iter().map(|&n| n.min(24)).collect();
     sizes.sort_unstable();
@@ -818,74 +819,52 @@ fn routed_figs(opts: &Opts) {
         })
         .collect();
 
-    struct Row {
-        line: String,
-        summary: String,
-    }
-    let slots: Vec<Mutex<Option<Row>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
     let m = CommModel::OnePortBidir;
-    let workers = opts.threads.clamp(1, jobs.len());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs.len() {
-                    break;
-                }
-                let j = &jobs[i];
-                let g = j.tb.generate(j.n, PAPER_C);
-                let sched: Box<dyn Scheduler> = if j.ilha {
-                    Box::new(Ilha::auto(j.platform))
-                } else {
-                    Box::new(Heft::new())
-                };
-                let (s, construct) = runner::schedule_timed(&g, j.platform, sched.as_ref(), m);
-                let v = validate(&g, j.platform, m, &s);
-                assert!(
-                    v.is_empty(),
-                    "{}/{} n={} {}: invalid schedule: {v:?}",
-                    j.topology,
-                    j.tb,
-                    j.n,
-                    sched.name()
-                );
-                let row = Row {
-                    line: format!(
-                        "{},{},{},{},{},{},{},{:016x}\n",
-                        j.topology,
-                        j.tb,
-                        j.n,
-                        sched.name(),
-                        g.num_tasks(),
-                        s.makespan(),
-                        s.speedup(&g, j.platform),
-                        placement_fingerprint(&s)
-                    ),
-                    summary: format!(
-                        "{:>16} {:>10} n={:<3} {:<16} speedup {:>7.3}  comms {:>5}  ({:.1?})",
-                        j.topology,
-                        j.tb,
-                        j.n,
-                        sched.name(),
-                        s.speedup(&g, j.platform),
-                        s.num_effective_comms(),
-                        construct
-                    ),
-                };
-                *slots[i].lock().expect("slot poisoned") = Some(row);
-            });
-        }
+    let rows: Vec<(String, String)> = par_map(&jobs, opts.threads, |j| {
+        let g = j.tb.generate(j.n, PAPER_C);
+        let sched: Box<dyn Scheduler> = if j.ilha {
+            Box::new(Ilha::auto(j.platform))
+        } else {
+            Box::new(Heft::new())
+        };
+        let (s, construct) = runner::schedule_timed(&g, j.platform, sched.as_ref(), m, &NoProbe);
+        let v = validate(&g, j.platform, m, &s);
+        assert!(
+            v.is_empty(),
+            "{}/{} n={} {}: invalid schedule: {v:?}",
+            j.topology,
+            j.tb,
+            j.n,
+            sched.name()
+        );
+        let line = format!(
+            "{},{},{},{},{},{},{},{:016x}\n",
+            j.topology,
+            j.tb,
+            j.n,
+            sched.name(),
+            g.num_tasks(),
+            s.makespan(),
+            s.speedup(&g, j.platform),
+            placement_fingerprint(&s)
+        );
+        let summary = format!(
+            "{:>16} {:>10} n={:<3} {:<16} speedup {:>7.3}  comms {:>5}  ({:.1?})",
+            j.topology,
+            j.tb,
+            j.n,
+            sched.name(),
+            s.speedup(&g, j.platform),
+            s.num_effective_comms(),
+            construct
+        );
+        (line, summary)
     });
 
     let mut csv = String::from("topology,testbed,n,scheduler,tasks,makespan,speedup,fingerprint\n");
-    for slot in slots {
-        let row = slot
-            .into_inner()
-            .expect("slot poisoned")
-            .expect("every job ran");
-        csv.push_str(&row.line);
-        println!("{}", row.summary);
+    for (line, summary) in &rows {
+        csv.push_str(line);
+        println!("{summary}");
     }
     write_csv(opts, "routed_figs.csv", &csv);
 }
@@ -916,7 +895,7 @@ fn stress_sweep(opts: &Opts) {
         &Heft::new() as &dyn Scheduler,
         &Ilha::auto(&p) as &dyn Scheduler,
     ] {
-        let (sched, construct) = runner::schedule_timed(&g, &p, s, m);
+        let (sched, construct) = runner::schedule_timed(&g, &p, s, m, &NoProbe);
         assert!(sched.is_complete());
         let speedup = sched.speedup(&g, &p);
         let _ = writeln!(
@@ -1031,15 +1010,13 @@ fn perturb_sweep(opts: &Opts) {
 /// engine under the same perturbation seeds, ranked by how little the
 /// executed makespan degrades from the static prediction. Schedulers are
 /// labeled by canonical registry spec string (the same syntax the daemon's
-/// cache keys use). Cells fan out over a `std::thread::scope` worker pool
-/// exactly like `figs`; rows are emitted in job order, so two same-seed
-/// runs produce byte-identical CSVs — the CI league determinism gate.
+/// cache keys use). Cells fan out over `par_map` exactly like `figs`; rows
+/// are emitted in job order, so two same-seed runs produce byte-identical
+/// CSVs at any `--threads` — the CI league determinism gate.
 fn league(opts: &Opts) {
     use onesched::exec::{execute, DispatchPolicy, ExecConfig, Perturbation};
     use onesched::registry::{catalog, SchedulerSpec};
     use std::collections::BTreeMap;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
 
     /// Perturbation seeds per league cell (mean/p95 population).
     const SEEDS: u64 = 8;
@@ -1098,71 +1075,50 @@ fn league(opts: &Opts) {
         p95: f64,
         line: String,
     }
-    let slots: Vec<Mutex<Option<Row>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let workers = opts.threads.clamp(1, jobs.len());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs.len() {
-                    break;
-                }
-                let j = &jobs[i];
-                let g = j.tb.generate(n, PAPER_C);
-                let sched = onesched::registry::build(&j.spec)
-                    .unwrap_or_else(|e| panic!("league spec must build: {e}"));
-                let s = sched.schedule(&g, &p, j.model);
-                let v = validate(&g, &p, j.model, &s);
-                assert!(
-                    v.is_empty(),
-                    "{}/{}/{}: invalid schedule: {v:?}",
-                    j.tb,
-                    j.model.name(),
-                    j.spec.canonical()
-                );
-                let mut degradations: Vec<f64> = (0..SEEDS)
-                    .map(|k| {
-                        let cfg = ExecConfig {
-                            policy: DispatchPolicy::ListDynamic,
-                            perturb: Perturbation::noise(SIGMA),
-                            seed: opts.seed.wrapping_add(k),
-                        };
-                        execute(&g, &p, j.model, &s, &cfg)
-                            .expect("constructed schedules are executable")
-                            .degradation()
-                    })
-                    .collect();
-                let mean = degradations.iter().sum::<f64>() / degradations.len() as f64;
-                degradations.sort_by(f64::total_cmp);
-                let rank = ((0.95 * degradations.len() as f64).ceil() as usize)
-                    .clamp(1, degradations.len());
-                let p95 = degradations.get(rank - 1).copied().unwrap_or(mean);
-                let label = j.spec.canonical();
-                let line = format!(
-                    "{},{n},{},{label},{SIGMA},{SEEDS},{},{mean:.6},{p95:.6}\n",
-                    j.tb,
-                    j.model.name(),
-                    s.makespan(),
-                );
-                *slots[i].lock().expect("slot poisoned") = Some(Row {
-                    label,
-                    mean,
-                    p95,
-                    line,
-                });
-            });
+    let rows: Vec<Row> = par_map(&jobs, opts.threads, |j| {
+        let g = j.tb.generate(n, PAPER_C);
+        let sched = onesched::registry::build(&j.spec)
+            .unwrap_or_else(|e| panic!("league spec must build: {e}"));
+        let s = sched.schedule(&g, &p, j.model);
+        let v = validate(&g, &p, j.model, &s);
+        assert!(
+            v.is_empty(),
+            "{}/{}/{}: invalid schedule: {v:?}",
+            j.tb,
+            j.model.name(),
+            j.spec.canonical()
+        );
+        let mut degradations: Vec<f64> = (0..SEEDS)
+            .map(|k| {
+                let cfg = ExecConfig {
+                    policy: DispatchPolicy::ListDynamic,
+                    perturb: Perturbation::noise(SIGMA),
+                    seed: opts.seed.wrapping_add(k),
+                };
+                execute(&g, &p, j.model, &s, &cfg)
+                    .expect("constructed schedules are executable")
+                    .degradation()
+            })
+            .collect();
+        let mean = degradations.iter().sum::<f64>() / degradations.len() as f64;
+        degradations.sort_by(f64::total_cmp);
+        let rank =
+            ((0.95 * degradations.len() as f64).ceil() as usize).clamp(1, degradations.len());
+        let p95 = degradations.get(rank - 1).copied().unwrap_or(mean);
+        let label = j.spec.canonical();
+        let line = format!(
+            "{},{n},{},{label},{SIGMA},{SEEDS},{},{mean:.6},{p95:.6}\n",
+            j.tb,
+            j.model.name(),
+            s.makespan(),
+        );
+        Row {
+            label,
+            mean,
+            p95,
+            line,
         }
     });
-
-    let rows: Vec<Row> = slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("slot poisoned")
-                .expect("every cell ran")
-        })
-        .collect();
     let mut csv = String::from(
         "testbed,n,model,scheduler,sigma,seeds,static_makespan,mean_degradation,p95_degradation\n",
     );

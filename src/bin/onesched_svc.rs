@@ -117,7 +117,7 @@ fn serve(args: &[String]) -> i32 {
     let tcp = take_flag(&mut args, "--tcp");
     let workers = take_flag(&mut args, "--workers")
         .map(|v| parse_or_die::<usize>("--workers", &v))
-        .unwrap_or_else(onesched::runner::default_threads);
+        .unwrap_or_else(onesched::heuristics::default_threads);
     let cache = take_flag(&mut args, "--cache")
         .map(|v| parse_or_die::<usize>("--cache", &v))
         .unwrap_or(1024);

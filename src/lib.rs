@@ -31,7 +31,7 @@
 //! * [`service`] — the long-running batch scheduling service behind the
 //!   `onesched-svc` daemon: NDJSON job protocol, priority queue, schedule
 //!   cache, worker pool, and workload generators;
-//! * [`runner`] — the thread-pool sweep runner behind `experiments figs`
+//! * [`runner`] — the `par_map` sweep runner behind `experiments figs`
 //!   and the machine-readable perf baseline (`BENCH_2.json`);
 //! * [`regress`] — schedule fingerprints backing the schedule-equivalence
 //!   regression tests.
