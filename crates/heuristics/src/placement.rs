@@ -607,13 +607,13 @@ fn commit_into(
 /// Evaluate the processors for `task` and return the placement with the
 /// earliest finish time (ties: lowest processor id, the paper's tie-break).
 ///
-/// The scan is *pruned*: candidates are ordered by [`quick_lower_bound`]
+/// The scan is *pruned*: candidates are ordered by a quick lower bound
 /// (best bound first, so the likely winner is evaluated early). Once an
 /// incumbent exists, a candidate is skipped unless it could still (a)
 /// strictly beat the incumbent or (b) tie it and win on the lower
-/// processor id — first on its cheap bound, then on
-/// [`contention_disqualifies`], the committed-state bound. Survivors are
-/// evaluated message by message and abort the moment they provably lose.
+/// processor id — first on its cheap bound, then on a contention bound
+/// over the committed state. Survivors are evaluated message by message
+/// and abort the moment they provably lose.
 /// On the paper platform this skips most of the 10 candidates for most
 /// tasks and returns the same placement as the exhaustive id-order scan
 /// whenever distinct finish times differ by more than `EPS` — true of

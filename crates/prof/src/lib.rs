@@ -2,7 +2,7 @@
 //!
 //! The rest of the workspace is deliberately allocation-unaware: the
 //! construction crates are pure functions, and the service measures time
-//! through the `onesched-trace` [`Clock`] abstraction. This crate adds
+//! through the `onesched-trace` `Clock` abstraction. This crate adds
 //! the missing axis — *where does memory churn happen* — without
 //! perturbing any of that:
 //!

@@ -17,7 +17,7 @@ use onesched_heuristics::{default_threads, par_map, NoProbe, Phase, Probe, ScanS
 use onesched_platform::Platform;
 use onesched_prof::AllocSnapshot;
 use onesched_sim::Schedule;
-use onesched_trace::Clock;
+use onesched_trace::{Clock, Scope};
 use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::OnceLock;
@@ -45,8 +45,11 @@ pub struct ConstructProbe<'a> {
     scan: Cell<ScanStats>,
 }
 
-/// The fixed phase order used for the accumulator arrays and the
-/// synthesized `construct.*` child spans.
+/// The fixed phase order of the accumulator arrays, and of the
+/// `construct.*` child spans. Those four are the only spans the daemon
+/// does not measure: each is a phase's accumulated total over the whole
+/// construction, laid end to end from the start of the measured
+/// `construct` span by [`run_job`] and [`run_sim_job`].
 pub const PHASES: [Phase; 4] = [Phase::Rank, Phase::Step1, Phase::Scan, Phase::Commit];
 
 fn phase_slot(phase: Phase) -> usize {
@@ -91,6 +94,36 @@ impl<'a> ConstructProbe<'a> {
     /// Cumulative placement-scan counters reported by the scheduler.
     pub fn scan(&self) -> ScanStats {
         self.scan.get()
+    }
+
+    /// Record the `construct.{rank,step1,scan,commit}` children of the
+    /// `construct` span that started at `start_us`. Phases run one after
+    /// another, so their totals laid end to end from the span's start
+    /// stay inside it; they are aggregates, not per-task intervals (which
+    /// would multiply trace volume by the task count).
+    fn record_phases(&self, scope: &Scope<'_>, start_us: u64) {
+        let scan = self.scan();
+        let mut at = start_us;
+        for phase in PHASES {
+            let us = self.phase_us(phase);
+            let alloc = self.phase_allocs(phase);
+            let mut span = scope.record(
+                format_args!("construct.{}", phase.name()),
+                "construct",
+                at,
+                us,
+            );
+            span.field("allocs", alloc.allocs as f64)
+                .field("alloc_bytes", alloc.bytes as f64);
+            if phase == Phase::Scan {
+                span.field("candidates", scan.candidates as f64)
+                    .field("evaluated", scan.evaluated as f64)
+                    .field("pruned_bound", scan.pruned_bound as f64)
+                    .field("pruned_contention", scan.pruned_contention as f64)
+                    .field("aborted", scan.aborted as f64);
+            }
+            at = at.saturating_add(us);
+        }
     }
 }
 
@@ -153,15 +186,26 @@ pub struct JobOutcome {
 /// The construction step shared by [`run_job`], [`run_sim_job`] and
 /// [`run_portfolio_members`]: schedule the already-built problem with the
 /// job's scheduler and record the outcome next to the schedule, which the
-/// simulate path feeds to the execution engine.
+/// simulate path feeds to the execution engine. The `schedule()` call is
+/// the `construct` span of `scope`; `probe` (when given) observes it and
+/// adds the phase children.
 fn construct(
     job: &ResolvedJob,
     g: &TaskGraph,
     platform: &Platform,
-    probe: &dyn Probe,
+    probe: Option<&ConstructProbe<'_>>,
+    scope: &Scope<'_>,
 ) -> (JobOutcome, Schedule) {
     let scheduler = job.build_scheduler();
-    let (sched, construct) = schedule_timed(g, platform, scheduler.as_ref(), job.model(), probe);
+    let (sched, construct) = {
+        let span = scope.open("construct", "job.attempt");
+        let observer = probe.map_or(&NoProbe as &dyn Probe, |p| p);
+        let timed = schedule_timed(g, platform, scheduler.as_ref(), job.model(), observer);
+        if let Some(p) = probe {
+            p.record_phases(scope, span.start_us());
+        }
+        timed
+    };
     let violations = if job.spec.validate {
         onesched_sim::validate(g, platform, job.model(), &sched).len()
     } else {
@@ -182,19 +226,22 @@ fn construct(
 
 /// Execute a resolved job: generate the graph and platform, run the
 /// scheduler (through the runner's shared timing step), and record the
-/// outcome. `probe` sees phase boundaries and placement-scan counters but
-/// cannot influence the outcome ([`NoProbe`] when nobody listens).
-/// Deterministic: equal [`ResolvedJob::key`]s produce equal outcomes up to
-/// the `construct` timing.
-///
-/// [`NoProbe`]: onesched_heuristics::NoProbe
-pub fn run_job(job: &ResolvedJob, probe: &dyn Probe) -> JobOutcome {
-    construct(job, &job.build_graph(), &job.build_platform(), probe).0
+/// outcome. `probe` sees phase boundaries and placement-scan counters, and
+/// `scope` gets the `construct` span; neither can influence the outcome
+/// (`None` and [`Scope::off`] when nobody listens). Deterministic: equal
+/// [`ResolvedJob::key`]s produce equal outcomes up to the `construct`
+/// timing.
+pub fn run_job(
+    job: &ResolvedJob,
+    probe: Option<&ConstructProbe<'_>>,
+    scope: &Scope<'_>,
+) -> JobOutcome {
+    construct(job, &job.build_graph(), &job.build_platform(), probe, scope).0
 }
 
 /// One member's slot in a portfolio fan-out: the member's canonical spec
-/// label, its own schedule-cache key, the recorded outcome, and whether
-/// that outcome was served from the cache instead of constructed.
+/// label, its own schedule-cache key, the recorded outcome, whether that
+/// outcome was served from the cache instead of constructed, and when.
 #[derive(Debug, Clone)]
 pub struct PortfolioMember {
     /// Canonical member spec string (e.g. `ilha(b=4)`), the win-count key.
@@ -205,38 +252,50 @@ pub struct PortfolioMember {
     pub outcome: JobOutcome,
     /// Served from the schedule cache — no construction ran for it.
     pub cached: bool,
+    /// Lookup time on the scope's clock, microseconds (0 when off).
+    pub start_us: u64,
+    /// Construction time after the lookup, microseconds (0 when cached).
+    pub dur_us: u64,
 }
 
-/// Construct the not-yet-cached members of a portfolio over [`par_map`]
-/// (at most [`default_threads`] at once) and return every member's outcome
-/// in member order. Input is `(canonical label, resolved member job, cached
-/// outcome)`; members arriving with an outcome are passed through
-/// untouched. The members differ only in their scheduler, so the graph
-/// and the platform are built once, by the first member that needs them.
+/// Run a portfolio's members over [`par_map`] (at most
+/// [`default_threads`] at once) and return every member's outcome in
+/// member order. Input is `(canonical label, resolved member job)`; each
+/// member is looked up with `cached` (by its cache key) and constructed
+/// only on a miss, the graph and the platform built once by the first
+/// member that needs them. Each member's interval is measured on its own
+/// worker with `scope`'s clock; the caller records the member spans once
+/// the winner is known.
 ///
 /// Deterministic: each member's construction is the same pure computation
 /// [`run_job`] performs, and the caller picks the winner with the
 /// registry's label tie-break — thread timing never influences the result.
 pub fn run_portfolio_members(
-    members: Vec<(String, ResolvedJob, Option<JobOutcome>)>,
+    members: &[(String, ResolvedJob)],
+    cached: impl Fn(&str) -> Option<JobOutcome> + Sync,
+    scope: &Scope<'_>,
 ) -> Vec<PortfolioMember> {
     let problem = OnceLock::new();
-    let outcomes = par_map(&members, default_threads(), |(_, job, cached)| {
-        cached.clone().unwrap_or_else(|| {
-            let (g, platform) = problem.get_or_init(|| (job.build_graph(), job.build_platform()));
-            construct(job, g, platform, &NoProbe).0
-        })
-    });
-    members
-        .into_iter()
-        .zip(outcomes)
-        .map(|((label, job, cached), outcome)| PortfolioMember {
-            label,
-            key: job.key,
+    par_map(members, default_threads(), |(label, job)| {
+        let start_us = scope.now();
+        let (outcome, cached, dur_us) = match cached(&job.key) {
+            Some(outcome) => (outcome, true, 0),
+            None => {
+                let (g, platform) =
+                    problem.get_or_init(|| (job.build_graph(), job.build_platform()));
+                let outcome = construct(job, g, platform, None, &Scope::off()).0;
+                (outcome, false, scope.now().saturating_sub(start_us))
+            }
+        };
+        PortfolioMember {
+            label: label.clone(),
+            key: job.key.clone(),
             outcome,
-            cached: cached.is_some(),
-        })
-        .collect()
+            cached,
+            start_us,
+            dur_us,
+        }
+    })
 }
 
 /// The outcome of one construct-then-execute simulation: the construction
@@ -285,9 +344,9 @@ impl std::fmt::Display for SimRunError {
 
 /// Execute a resolved simulate job: construct the schedule exactly as
 /// [`run_job`] would (`probe` observes the construction half), then replay
-/// it through the `onesched-exec` engine under the resolved perturbation.
-/// Deterministic: equal `(job key, sim key)` pairs produce equal outcomes
-/// up to the timings.
+/// it through the `onesched-exec` engine under the resolved perturbation,
+/// the `execute` span of `scope`. Deterministic: equal `(job key, sim
+/// key)` pairs produce equal outcomes up to the timings.
 ///
 /// Construction from a resolved job cannot fail, but two things can stop
 /// the simulation half: the caller's `deadline_us` (a [`Clock`] timestamp
@@ -299,17 +358,23 @@ pub fn run_sim_job(
     sim: &ResolvedSim,
     deadline_us: Option<u64>,
     clock: &dyn Clock,
-    probe: &dyn Probe,
+    probe: Option<&ConstructProbe<'_>>,
+    scope: &Scope<'_>,
 ) -> Result<SimOutcome, SimRunError> {
     let g = job.build_graph();
     let platform = job.build_platform();
-    let (outcome, sched) = construct(job, &g, &platform, probe);
+    let (outcome, sched) = construct(job, &g, &platform, probe, scope);
     if deadline_us.is_some_and(|d| clock.now_micros() > d) {
         return Err(SimRunError::DeadlineExceeded(Box::new(outcome)));
     }
     let t0 = clock.now_micros();
-    let report = onesched_exec::execute(&g, &platform, job.model(), &sched, &sim.exec_config())
-        .map_err(SimRunError::Exec)?;
+    let report = {
+        let mut span = scope.open("execute", "job.attempt");
+        let report = onesched_exec::execute(&g, &platform, job.model(), &sched, &sim.exec_config())
+            .map_err(SimRunError::Exec)?;
+        span.field("events", report.events_processed as f64);
+        report
+    };
     let exec = Duration::from_micros(clock.now_micros().saturating_sub(t0));
     Ok(SimOutcome {
         job: outcome,
@@ -581,8 +646,8 @@ mod tests {
     #[test]
     fn run_job_is_deterministic_and_valid() {
         let job = lu_job();
-        let a = run_job(&job, &NoProbe);
-        let b = run_job(&job, &NoProbe);
+        let a = run_job(&job, None, &Scope::off());
+        let b = run_job(&job, None, &Scope::off());
         assert_eq!(a.fingerprint, b.fingerprint);
         assert_eq!(a.makespan, b.makespan);
         assert_eq!(a.violations, 0, "validator must accept the schedule");
@@ -595,7 +660,7 @@ mod tests {
         let mut reg = Registry::new(16);
         // miss: run and record
         assert!(reg.get(&job.key).is_none());
-        let outcome = run_job(&job, &NoProbe);
+        let outcome = run_job(&job, None, &Scope::off());
         reg.insert(job.key.clone(), outcome.clone());
         assert_eq!(reg.executions, 1);
         // hit: the stored outcome answers without another run
@@ -607,7 +672,7 @@ mod tests {
     #[test]
     fn registry_evicts_fifo_at_capacity() {
         let mut reg = Registry::new(2);
-        let out = run_job(&lu_job(), &NoProbe);
+        let out = run_job(&lu_job(), None, &Scope::off());
         reg.insert("a".into(), out.clone());
         reg.insert("b".into(), out.clone());
         assert_eq!(reg.evictions, 0);
@@ -623,20 +688,20 @@ mod tests {
         let job = lu_job();
         let clock = onesched_trace::WallClock::new();
         let sim = crate::protocol::SimSpec::default().resolve().unwrap();
-        let a = run_sim_job(&job, &sim, None, &clock, &NoProbe).expect("executes");
+        let a = run_sim_job(&job, &sim, None, &clock, None, &Scope::off()).expect("executes");
         assert_eq!(a.degradation, 1.0, "zero noise replays exactly");
         assert_eq!(a.executed_makespan, a.job.makespan);
         assert_eq!(a.job.violations, 0);
         // deterministic, including the executed trace
-        let b = run_sim_job(&job, &sim, None, &clock, &NoProbe).expect("executes");
+        let b = run_sim_job(&job, &sim, None, &clock, None, &Scope::off()).expect("executes");
         assert_eq!(a.trace_fingerprint, b.trace_fingerprint);
         assert_eq!(a.job.fingerprint, b.job.fingerprint);
         // noise moves the executed makespan but stays seed-deterministic
         let noisy = crate::protocol::SimSpec::noise("list-dynamic", 0.3, 9)
             .resolve()
             .unwrap();
-        let x = run_sim_job(&job, &noisy, None, &clock, &NoProbe).expect("executes");
-        let y = run_sim_job(&job, &noisy, None, &clock, &NoProbe).expect("executes");
+        let x = run_sim_job(&job, &noisy, None, &clock, None, &Scope::off()).expect("executes");
+        let y = run_sim_job(&job, &noisy, None, &clock, None, &Scope::off()).expect("executes");
         assert_eq!(x.trace_fingerprint, y.trace_fingerprint);
         assert_ne!(x.trace_fingerprint, a.trace_fingerprint);
         assert_eq!(
@@ -652,15 +717,18 @@ mod tests {
         // a manual clock past the deadline: expired before the engine runs
         let clock = onesched_trace::ManualClock::new();
         clock.set(10);
-        match run_sim_job(&job, &sim, Some(5), &clock, &NoProbe) {
+        match run_sim_job(&job, &sim, Some(5), &clock, None, &Scope::off()) {
             Err(SimRunError::DeadlineExceeded(outcome)) => {
                 // the construction half completed and is cacheable
-                assert_eq!(outcome.fingerprint, run_job(&job, &NoProbe).fingerprint);
+                assert_eq!(
+                    outcome.fingerprint,
+                    run_job(&job, None, &Scope::off()).fingerprint
+                );
             }
             other => panic!("expected deadline error, got {other:?}"),
         }
         // a generous deadline lets the run finish
-        let ok = run_sim_job(&job, &sim, Some(u64::MAX), &clock, &NoProbe);
+        let ok = run_sim_job(&job, &sim, Some(u64::MAX), &clock, None, &Scope::off());
         assert!(ok.is_ok());
     }
 

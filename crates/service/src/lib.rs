@@ -35,9 +35,9 @@
 //!
 //! ```
 //! use onesched_service::protocol::{DagSpec, JobSpec, Request};
-//! use onesched_heuristics::NoProbe;
 //! use onesched_service::cache::run_job;
 //! use onesched_service::Testbed;
+//! use onesched_trace::Scope;
 //!
 //! // A request as it would arrive on the wire...
 //! let line = r#"{"op":"submit","id":"demo","job":{"dag":{"kind":"testbed","testbed":"LU","n":20}}}"#;
@@ -57,7 +57,8 @@
 //! .resolve()
 //! .unwrap();
 //! assert_eq!(job.key, same.key);
-//! assert_eq!(run_job(&job, &NoProbe).fingerprint, run_job(&same, &NoProbe).fingerprint);
+//! let (a, b) = (run_job(&job, None, &Scope::off()), run_job(&same, None, &Scope::off()));
+//! assert_eq!(a.fingerprint, b.fingerprint);
 //! ```
 
 #![warn(missing_docs)]

@@ -1384,7 +1384,7 @@ mod tests {
         };
         assert_eq!(r.key, again.resolve().unwrap().key);
         // the job actually runs and validates
-        let out = crate::cache::run_job(&r, &onesched_heuristics::NoProbe);
+        let out = crate::cache::run_job(&r, None, &onesched_trace::Scope::off());
         assert_eq!(out.violations, 0);
     }
 

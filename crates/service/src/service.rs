@@ -52,9 +52,7 @@ use crate::protocol::{
     ResultResponse, SimResultResponse, PROTOCOL_VERSION,
 };
 use crate::queue::PriorityQueue;
-use onesched_heuristics::ScanStats;
-use onesched_prof::AllocSnapshot;
-use onesched_trace::{prometheus_text, Clock, Gauge, MetricsHub, TraceEvent, Tracer, WallClock};
+use onesched_trace::{prometheus_text, Clock, Gauge, MetricsHub, Scope, Tracer, WallClock};
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{self, BufRead, Write};
@@ -976,15 +974,16 @@ impl Service {
 
     /// Fold a finished construction into the hub: total and per-phase
     /// histograms plus the placement-scan disposition counters.
-    fn note_construct(&self, construct: Duration, phase_us: &[u64; 4], scan: &ScanStats) {
+    fn note_construct(&self, construct: Duration, probe: &ConstructProbe<'_>) {
         self.metrics
             .observe_ms("onesched_construct_ms", construct.as_secs_f64() * 1e3);
-        for (phase, &us) in PHASES.iter().zip(phase_us) {
+        for phase in PHASES {
             self.metrics.observe_ms(
                 &format!("onesched_construct_phase_ms{{phase=\"{}\"}}", phase.name()),
-                us as f64 / 1e3,
+                probe.phase_us(phase) as f64 / 1e3,
             );
         }
+        let scan = probe.scan();
         let dispositions: [(&str, u64); 5] = [
             ("considered", scan.candidates),
             ("evaluated", scan.evaluated),
@@ -1050,171 +1049,164 @@ impl Service {
         }
     }
 
-    /// Run one claimed ticket: deadline gate, `started` journal entry,
-    /// then the actual work behind a panic barrier — a panicking job is
-    /// re-queued at reduced priority up to `max_retries`, then poisoned.
+    /// Run one claimed ticket as one traced attempt: the `queue.wait`
+    /// span, then the `job.attempt` span around the deadline gate, the
+    /// `started` journal entry, and the work itself behind a panic
+    /// barrier. A panicking job is re-queued at reduced priority up to
+    /// `max_retries`, then poisoned; every other ending is terminal and
+    /// closes the job's root `job` span here, the one place it is
+    /// recorded.
     fn run_ticket(&self, ticket: Ticket, worker: u64) {
         let dequeued_us = self.clock.now_micros();
-        self.metrics.observe_ms(
-            "onesched_queue_wait_ms",
-            dequeued_us.saturating_sub(ticket.accepted_us) as f64 / 1e3,
+        let waited_us = dequeued_us.saturating_sub(ticket.accepted_us);
+        self.metrics
+            .observe_ms("onesched_queue_wait_ms", waited_us as f64 / 1e3);
+        let scope = Scope::new(
+            self.tracer.as_ref(),
+            ticket.seq,
+            &ticket.id,
+            u64::from(ticket.attempts) + 1,
+            worker,
         );
-        if ticket.deadline.is_some_and(|d| dequeued_us > d) {
-            self.answer_timeout(&ticket);
-            self.trace_abort(&ticket, worker, dequeued_us, true);
-            return;
+        scope.record("queue.wait", "job", ticket.accepted_us, waited_us);
+        let ended = {
+            let _attempt = scope.open("job.attempt", "job");
+            if ticket.deadline.is_some_and(|d| dequeued_us > d) {
+                self.answer_timeout(&ticket)
+            } else {
+                self.ledger_append(&LedgerRecord::started(ticket.seq, &ticket.id, &ticket.key));
+                // The panic barrier: schedulers are pure and total, but
+                // "never takes the worker pool down" must not depend on
+                // that. The shared state (locks, counters, caches) is
+                // valid at every instruction boundary and `lock` recovers
+                // poisoned mutexes, so unwinding cannot leave it
+                // inconsistent.
+                catch_unwind(AssertUnwindSafe(|| self.execute(&ticket, &scope)))
+                    .unwrap_or(Ended::Panicked)
+            }
+        };
+        let retry = ended == Ended::Panicked
+            && ticket.attempts < self.cfg.max_retries
+            && !self.is_shutdown();
+        if !retry {
+            if ended == Ended::Panicked {
+                self.poison(&ticket);
+            }
+            let mut root = scope.record(
+                "job",
+                None,
+                ticket.accepted_us,
+                scope.now().saturating_sub(ticket.accepted_us),
+            );
+            match ended {
+                Ended::Answered { cache_hit } => {
+                    root.field("ok", 1.0)
+                        .field("cache_hit", f64::from(u8::from(cache_hit)));
+                }
+                Ended::Failed | Ended::Panicked => {
+                    root.field("ok", 0.0);
+                }
+            }
         }
-        self.ledger_append(&LedgerRecord::started(ticket.seq, &ticket.id, &ticket.key));
-        // The panic barrier: schedulers are pure and total, but "never
-        // takes the worker pool down" must not depend on that. The shared
-        // state (locks, counters, caches) is valid at every instruction
-        // boundary and `lock` recovers poisoned mutexes, so unwinding
-        // cannot leave it inconsistent.
-        let ran = catch_unwind(AssertUnwindSafe(|| {
-            self.execute(&ticket, worker, dequeued_us)
-        }));
-        if ran.is_err() {
-            self.handle_panic(ticket, worker, dequeued_us);
+        // Flushed per attempt, so a SIGKILL right after an answer loses
+        // none of its spans.
+        if let Some(tracer) = &self.tracer {
+            tracer.flush();
+        }
+        if retry {
+            self.retry(ticket);
         }
     }
 
-    /// Retry-or-poison after a panic escaped a job.
-    fn handle_panic(&self, mut ticket: Ticket, worker: u64, dequeued_us: u64) {
-        if ticket.attempts < self.cfg.max_retries && !self.is_shutdown() {
-            // A non-terminal attempt span: the job itself is still open.
-            self.trace_abort(&ticket, worker, dequeued_us, false);
-            ticket.attempts += 1;
-            lock(&self.stats).jobs_retried += 1;
-            // Deterministic backoff by *position*, not wall-clock: each
-            // attempt re-queues one priority level lower, so the retry
-            // runs after the work that was queued alongside it, in an
-            // order that depends only on the queue contents.
-            let backoff = ticket.priority.saturating_sub(i64::from(ticket.attempts));
-            {
-                let mut q = lock(&self.queue);
-                q.push(backoff, ticket);
-            }
-            self.ready.notify_one();
-            return;
-        }
+    /// Re-queue a ticket whose attempt panicked.
+    fn retry(&self, mut ticket: Ticket) {
+        ticket.attempts += 1;
+        lock(&self.stats).jobs_retried += 1;
+        // Deterministic backoff by *position*, not wall-clock: each
+        // attempt re-queues one priority level lower, so the retry runs
+        // after the work that was queued alongside it, in an order that
+        // depends only on the queue contents.
+        let backoff = ticket.priority.saturating_sub(i64::from(ticket.attempts));
+        lock(&self.queue).push(backoff, ticket);
+        self.ready.notify_one();
+    }
+
+    /// Tombstone a ticket whose every attempt panicked, and answer it.
+    fn poison(&self, ticket: &Ticket) {
         let attempts = ticket.attempts + 1;
+        let max = self.cfg.max_retries;
         lock(&self.poisoned).insert(ticket.key.clone());
-        self.ledger_append(&LedgerRecord::failed(
-            ticket.seq,
-            &ticket.id,
-            &ticket.key,
-            format!(
-                "poison: {attempts} attempts panicked (max-retries {})",
-                self.cfg.max_retries
-            ),
-        ));
         // The poison answer may be going to the very writer whose panics
         // exhausted the retries — guard it too, or the failure path for a
         // broken client takes the worker down with it.
         let _ = catch_unwind(AssertUnwindSafe(|| {
-            self.respond_error(
-                &ticket.out,
-                Some(ticket.id.clone()),
+            self.fail(
+                ticket,
+                format!("poison: {attempts} attempts panicked (max-retries {max})"),
                 format!("job failed: {attempts} attempts panicked; poisoned"),
                 "poisoned",
-                None,
-            );
+            )
         }));
-        self.trace_abort(&ticket, worker, dequeued_us, true);
     }
 
     /// Answer an accepted job that failed inside the daemon (kind
-    /// `internal`): journal the failure, answer, close the job's trace.
-    fn answer_internal(&self, ticket: &Ticket, worker: u64, dequeued_us: u64, msg: String) {
-        let failed = LedgerRecord::failed(ticket.seq, &ticket.id, &ticket.key, msg.clone());
-        self.ledger_append(&failed);
-        self.respond_error(&ticket.out, Some(ticket.id.clone()), msg, "internal", None);
-        self.trace_abort(ticket, worker, dequeued_us, true);
+    /// `internal`).
+    fn answer_internal(&self, ticket: &Ticket, msg: String) -> Ended {
+        self.fail(ticket, msg.clone(), msg, "internal")
     }
 
     /// Answer a job whose wall-clock deadline passed.
-    fn answer_timeout(&self, ticket: &Ticket) {
+    fn answer_timeout(&self, ticket: &Ticket) -> Ended {
         lock(&self.stats).jobs_timed_out += 1;
-        self.ledger_append(&LedgerRecord::failed(
-            ticket.seq,
-            &ticket.id,
-            &ticket.key,
-            "timeout".into(),
-        ));
-        let budget_ms = self
-            .cfg
-            .timeout
-            .map(|t| t.as_secs_f64() * 1e3)
-            .unwrap_or(0.0);
-        self.respond_error(
-            &ticket.out,
-            Some(ticket.id.clone()),
-            format!("timeout: job exceeded its {budget_ms} ms deadline"),
-            "timeout",
-            None,
-        );
+        let budget_ms = self.cfg.timeout.map_or(0.0, |t| t.as_secs_f64() * 1e3);
+        let answer = format!("timeout: job exceeded its {budget_ms} ms deadline");
+        self.fail(ticket, "timeout".into(), answer, "timeout")
     }
 
-    fn execute(&self, ticket: &Ticket, worker: u64, dequeued_us: u64) {
+    /// Journal an accepted job's failure as `journal` and answer it with
+    /// an error of `kind`.
+    fn fail(&self, ticket: &Ticket, journal: String, answer: String, kind: &str) -> Ended {
+        let failed = LedgerRecord::failed(ticket.seq, &ticket.id, &ticket.key, journal);
+        self.ledger_append(&failed);
+        self.respond_error(&ticket.out, Some(ticket.id.clone()), answer, kind, None);
+        Ended::Failed
+    }
+
+    /// The work of one attempt: serve from the cache or construct (and,
+    /// for a simulation, execute), then [`Service::answer`].
+    fn execute(&self, ticket: &Ticket, scope: &Scope<'_>) -> Ended {
         match &ticket.work {
-            Work::Job(job) => self.execute_schedule(ticket, job, worker, dequeued_us),
-            Work::Sim(job, sim) => self.execute_sim(ticket, job, sim, worker, dequeued_us),
+            Work::Job(job) => self.execute_schedule(ticket, job, scope),
+            Work::Sim(job, sim) => self.execute_sim(ticket, job, sim, scope),
         }
     }
 
-    fn execute_schedule(&self, ticket: &Ticket, job: &ResolvedJob, worker: u64, dequeued_us: u64) {
+    fn execute_schedule(&self, ticket: &Ticket, job: &ResolvedJob, scope: &Scope<'_>) -> Ended {
         let cached = lock(&self.registry).get(&job.key).cloned();
-        let probe = ConstructProbe::new(self.clock.as_ref());
-        let (outcome, cache_hit, construct_trace, portfolio_trace) = match cached {
-            Some(outcome) => (outcome, true, None, None),
+        let (outcome, cache_hit) = match cached {
+            Some(outcome) => (outcome, true),
             // The portfolio meta-kind gets its own fan-out path: each
-            // member is cached under its own canonical key, and the trace
-            // carries per-member spans instead of per-phase ones.
+            // member is cached under its own canonical key, and traced as
+            // its own child span instead of per-phase ones.
             None if job.scheduler_spec().kind == "portfolio" => {
-                match self.construct_portfolio(job) {
-                    Ok((outcome, detail)) => (outcome, false, None, Some(detail)),
-                    Err(msg) => {
-                        self.answer_internal(ticket, worker, dequeued_us, msg);
-                        return;
-                    }
+                match self.construct_portfolio(job, scope) {
+                    Ok(outcome) => (outcome, false),
+                    Err(msg) => return self.answer_internal(ticket, msg),
                 }
             }
             None => {
                 // run WITHOUT holding any lock: construction is the slow part
-                let outcome = run_job(job, &probe);
-                let detail = self.finish_construct(&outcome.construct, &probe);
+                let probe = ConstructProbe::new(self.clock.as_ref());
+                let outcome = run_job(job, Some(&probe), scope);
+                self.note_construct(outcome.construct, &probe);
                 lock(&self.registry).insert(job.key.clone(), outcome.clone());
-                (outcome, false, Some(detail), None)
+                (outcome, false)
             }
         };
-        // Deadline re-check between construction and the answer: the
-        // outcome stays cached (the work is done and deterministic), but
-        // the client asked for a bounded wait.
-        if ticket.deadline.is_some_and(|d| self.clock.now_micros() > d) {
-            self.answer_timeout(ticket);
-            self.trace_abort(ticket, worker, dequeued_us, true);
-            return;
-        }
-        {
-            let mut stats = lock(&self.stats);
-            stats.jobs_done += 1;
-            if cache_hit {
-                stats.cache_hits += 1;
-            } else {
-                stats.record_latency(&outcome.scheduler, outcome.construct);
-            }
-        }
-        self.ledger_append(&LedgerRecord::done(
-            ticket.seq,
-            &ticket.id,
-            &ticket.key,
-            Some(LedgerOutcome::from_job(&outcome)),
-            None,
-        ));
         let resp = ResultResponse {
             op: "result".into(),
             id: ticket.id.clone(),
-            scheduler: outcome.scheduler,
+            scheduler: outcome.scheduler.clone(),
             model: job.model().name().into(),
             tasks: outcome.tasks,
             makespan: outcome.makespan,
@@ -1225,18 +1217,8 @@ impl Service {
             cache_hit,
             violations: outcome.violations,
         };
-        let respond_us = self.clock.now_micros();
-        write_line(&ticket.out, &to_line(&resp));
-        self.trace_finish(FinishTrace {
-            ticket,
-            worker,
-            dequeued_us,
-            respond_us,
-            construct: construct_trace,
-            portfolio: portfolio_trace,
-            exec: None,
-            cache_hit,
-        });
+        let ledger = LedgerOutcome::from_job(&outcome);
+        self.answer(ticket, scope, cache_hit, &outcome, ledger, &resp)
     }
 
     /// The portfolio fan-out: resolve each member as its own job, reuse
@@ -1246,11 +1228,16 @@ impl Service {
     /// `(makespan, canonical label)` tie-break. The portfolio's own
     /// outcome — the winner's schedule summary under the portfolio job
     /// key, with `construct` covering the whole race — is cached too, so
-    /// a repeat of the portfolio job is a plain cache hit.
+    /// a repeat of the portfolio job is a plain cache hit. The race is the
+    /// `construct.portfolio` span; each member is a child over the
+    /// interval measured on its worker (zero-length at its lookup when
+    /// cached).
     fn construct_portfolio(
         &self,
         job: &ResolvedJob,
-    ) -> Result<(JobOutcome, PortfolioTrace), String> {
+        scope: &Scope<'_>,
+    ) -> Result<JobOutcome, String> {
+        let mut race = scope.open("construct.portfolio", "job.attempt");
         let member_specs = job.scheduler_spec().members.clone().unwrap_or_default();
         let t0 = self.clock.now_micros();
         let mut members = Vec::with_capacity(member_specs.len());
@@ -1265,16 +1252,15 @@ impl Service {
                     e.message
                 )
             })?;
-            members.push((m.canonical(), mj, None));
+            members.push((m.canonical(), mj));
         }
-        {
-            let reg = lock(&self.registry);
-            for (_, mj, cached) in &mut members {
-                *cached = reg.get(&mj.key).cloned();
-            }
-        }
-        // Fan out WITHOUT holding any lock: construction is the slow part.
-        let members = run_portfolio_members(members);
+        // Fan out WITHOUT holding any lock: construction is the slow part,
+        // and each member holds the registry only for its own lookup.
+        let members = run_portfolio_members(
+            &members,
+            |key| lock(&self.registry).get(key).cloned(),
+            scope,
+        );
         {
             let mut reg = lock(&self.registry);
             for m in &members {
@@ -1292,8 +1278,7 @@ impl Service {
         let won = members
             .get(winner)
             .ok_or_else(|| "portfolio winner out of range".to_string())?;
-        let end_us = self.clock.now_micros();
-        let construct = Duration::from_micros(end_us.saturating_sub(t0));
+        let construct = Duration::from_micros(self.clock.now_micros().saturating_sub(t0));
         let outcome = JobOutcome {
             scheduler: format!("portfolio({})", members.len()),
             tasks: won.outcome.tasks,
@@ -1323,22 +1308,20 @@ impl Service {
             &format!("onesched_portfolio_wins_total{{member=\"{}\"}}", won.label),
             1,
         );
-        let trace = PortfolioTrace {
-            total_us: duration_us(construct),
-            end_us,
-            members: members
-                .iter()
-                .enumerate()
-                .map(|(i, m)| MemberTrace {
-                    label: m.label.clone(),
-                    construct_us: duration_us(m.outcome.construct),
-                    makespan: m.outcome.makespan,
-                    won: i == winner,
-                    cached: m.cached,
-                })
-                .collect(),
-        };
-        Ok((outcome, trace))
+        race.field("members", members.len() as f64);
+        for (i, m) in members.iter().enumerate() {
+            scope
+                .record(
+                    format_args!("construct.portfolio.{}", m.label),
+                    "construct.portfolio",
+                    m.start_us,
+                    m.dur_us,
+                )
+                .field("makespan", m.outcome.makespan)
+                .field("win", f64::from(u8::from(i == winner)))
+                .field("cached", f64::from(u8::from(m.cached)));
+        }
+        Ok(outcome)
     }
 
     fn execute_sim(
@@ -1346,74 +1329,48 @@ impl Service {
         ticket: &Ticket,
         job: &ResolvedJob,
         sim: &ResolvedSim,
-        worker: u64,
-        dequeued_us: u64,
-    ) {
+        scope: &Scope<'_>,
+    ) -> Ended {
         // The sim cache key is the job key plus the resolved sim spec:
         // the same schedule under a different seed or policy is a
         // different deterministic experiment.
         let key = format!("{}|{}", job.key, sim.key);
         let cached = lock(&self.sim_registry).get(&key).cloned();
-        let probe = ConstructProbe::new(self.clock.as_ref());
-        let (outcome, cache_hit, construct_trace) = match cached {
-            Some(outcome) => (outcome, true, None),
+        let (outcome, cache_hit) = match cached {
+            Some(outcome) => (outcome, true),
             None => {
-                match run_sim_job(job, sim, ticket.deadline, self.clock.as_ref(), &probe) {
+                let probe = ConstructProbe::new(self.clock.as_ref());
+                let clock = self.clock.as_ref();
+                match run_sim_job(job, sim, ticket.deadline, clock, Some(&probe), scope) {
                     Ok(outcome) => {
-                        let detail = self.finish_construct(&outcome.job.construct, &probe);
+                        self.note_construct(outcome.job.construct, &probe);
                         self.metrics
                             .observe_ms("onesched_exec_ms", outcome.exec.as_secs_f64() * 1e3);
                         lock(&self.sim_registry).insert(key, outcome.clone());
-                        (outcome, false, Some(detail))
+                        (outcome, false)
                     }
                     // The deadline passed between construction and execution:
                     // keep the constructed half (a future plain submit of the
                     // same job is a cache hit), answer the timeout.
                     Err(SimRunError::DeadlineExceeded(constructed)) => {
                         lock(&self.registry).insert(job.key.clone(), *constructed);
-                        self.answer_timeout(ticket);
-                        self.trace_abort(ticket, worker, dequeued_us, true);
-                        return;
+                        return self.answer_timeout(ticket);
                     }
                     // The engine refused the schedule: answer with a protocol
                     // error instead of panicking the worker. No outcome is
                     // cached (the job stays retryable after a fix).
                     Err(SimRunError::Exec(e)) => {
-                        let msg = format!("execution failed: {e}");
-                        self.answer_internal(ticket, worker, dequeued_us, msg);
-                        return;
+                        return self.answer_internal(ticket, format!("execution failed: {e}"));
                     }
                 }
             }
         };
-        if ticket.deadline.is_some_and(|d| self.clock.now_micros() > d) {
-            self.answer_timeout(ticket);
-            self.trace_abort(ticket, worker, dequeued_us, true);
-            return;
-        }
-        {
-            let mut stats = lock(&self.stats);
-            stats.jobs_done += 1;
-            stats.sims_done += 1;
-            if cache_hit {
-                stats.cache_hits += 1;
-            } else {
-                stats.record_latency(&outcome.job.scheduler, outcome.job.construct);
-            }
-        }
-        self.ledger_append(&LedgerRecord::done(
-            ticket.seq,
-            &ticket.id,
-            &ticket.key,
-            Some(LedgerOutcome::from_sim(&outcome)),
-            None,
-        ));
         let resp = SimResultResponse {
             op: "sim-result".into(),
             id: ticket.id.clone(),
-            scheduler: outcome.job.scheduler,
+            scheduler: outcome.job.scheduler.clone(),
             model: job.model().name().into(),
-            policy: outcome.policy,
+            policy: outcome.policy.clone(),
             seed: outcome.seed,
             tasks: outcome.job.tasks,
             static_makespan: outcome.job.makespan,
@@ -1426,270 +1383,72 @@ impl Service {
             cache_hit,
             violations: outcome.job.violations,
         };
-        let respond_us = self.clock.now_micros();
-        write_line(&ticket.out, &to_line(&resp));
-        let exec_us = duration_us(outcome.exec);
-        self.trace_finish(FinishTrace {
-            ticket,
-            worker,
-            dequeued_us,
-            respond_us,
-            construct: construct_trace,
-            portfolio: None,
-            exec: (!cache_hit).then_some(ExecTrace {
-                exec_us,
-                end_us: respond_us,
-                events: outcome.events_processed,
-            }),
-            cache_hit,
-        });
+        let ledger = LedgerOutcome::from_sim(&outcome);
+        self.answer(ticket, scope, cache_hit, &outcome.job, ledger, &resp)
     }
 
-    /// Capture the construct-span detail right after a cache-miss
-    /// construction finishes, and fold its timings into the hub.
-    fn finish_construct(&self, construct: &Duration, probe: &ConstructProbe<'_>) -> ConstructTrace {
-        let phase_us = PHASES.map(|p| probe.phase_us(p));
-        let phase_allocs = PHASES.map(|p| probe.phase_allocs(p));
-        let scan = probe.scan();
-        self.note_construct(*construct, &phase_us, &scan);
-        ConstructTrace {
-            construct_us: duration_us(*construct),
-            end_us: self.clock.now_micros(),
-            phase_us,
-            phase_allocs,
-            scan,
+    /// The answer tail shared by plain and simulate jobs: deadline
+    /// re-check, stats, the ledger `done` record, and the response line
+    /// (the `respond` span). `outcome` is the construction behind the
+    /// answer, sampled for latency unless it was a cache hit.
+    fn answer(
+        &self,
+        ticket: &Ticket,
+        scope: &Scope<'_>,
+        cache_hit: bool,
+        outcome: &JobOutcome,
+        ledger: LedgerOutcome,
+        resp: &impl Serialize,
+    ) -> Ended {
+        // Deadline re-check between the work and the answer: the outcome
+        // stays cached (the work is done and deterministic), but the
+        // client asked for a bounded wait.
+        if ticket.deadline.is_some_and(|d| self.clock.now_micros() > d) {
+            return self.answer_timeout(ticket);
         }
-    }
-
-    /// Emit the full span tree of a successfully answered attempt:
-    /// `job` → `queue.wait` / `job.attempt` → `construct` (with
-    /// synthesized phase children) / `execute` / `respond`. Flushes the
-    /// sink so a SIGKILL right after the response loses no spans for
-    /// answered jobs.
-    fn trace_finish(&self, f: FinishTrace<'_>) {
-        let Some(tracer) = &self.tracer else {
-            return;
-        };
-        let t = f.ticket;
-        let attempt = u64::from(t.attempts) + 1;
-        let end_us = tracer.now();
-        let scope =
-            |ev: TraceEvent| -> TraceEvent { ev.job(t.seq, &t.id, attempt).worker(f.worker) };
-        tracer.record(
-            scope(TraceEvent::span(
-                "queue.wait",
-                t.accepted_us,
-                f.dequeued_us.saturating_sub(t.accepted_us),
-            ))
-            .parent("job"),
-        );
-        if let Some(c) = &f.construct {
-            let start = c.end_us.saturating_sub(c.construct_us);
-            tracer.record(
-                scope(TraceEvent::span("construct", start, c.construct_us)).parent("job.attempt"),
-            );
-            // Phase children are synthesized contiguously from the
-            // probe's accumulated totals: offsets within the construct
-            // span, not absolute re-measurements.
-            let mut offset = start;
-            for ((phase, &us), alloc) in PHASES.iter().zip(&c.phase_us).zip(c.phase_allocs) {
-                let mut ev = scope(TraceEvent::span(
-                    &format!("construct.{}", phase.name()),
-                    offset,
-                    us,
-                ))
-                .parent("construct")
-                .field("allocs", alloc.allocs as f64)
-                .field("alloc_bytes", alloc.bytes as f64);
-                if phase.name() == "scan" {
-                    ev = ev
-                        .field("candidates", c.scan.candidates as f64)
-                        .field("evaluated", c.scan.evaluated as f64)
-                        .field("pruned_bound", c.scan.pruned_bound as f64)
-                        .field("pruned_contention", c.scan.pruned_contention as f64)
-                        .field("aborted", c.scan.aborted as f64);
-                }
-                tracer.record(ev);
-                offset = offset.saturating_add(us);
+        {
+            let mut stats = lock(&self.stats);
+            stats.jobs_done += 1;
+            if matches!(ticket.work, Work::Sim(..)) {
+                stats.sims_done += 1;
+            }
+            if cache_hit {
+                stats.cache_hits += 1;
+            } else {
+                stats.record_latency(&outcome.scheduler, outcome.construct);
             }
         }
-        if let Some(p) = &f.portfolio {
-            // The portfolio race: one parent span for the whole fan-out,
-            // one child lane per member. Members ran concurrently, so
-            // children share the parent's start anchor instead of being
-            // laid out contiguously like the phase children above.
-            let start = p.end_us.saturating_sub(p.total_us);
-            tracer.record(
-                scope(TraceEvent::span("construct.portfolio", start, p.total_us))
-                    .parent("job.attempt")
-                    .field("members", p.members.len() as f64),
-            );
-            for m in &p.members {
-                tracer.record(
-                    scope(TraceEvent::span(
-                        &format!("construct.portfolio.{}", m.label),
-                        start,
-                        m.construct_us,
-                    ))
-                    .parent("construct.portfolio")
-                    .field("makespan", m.makespan)
-                    .field("win", f64::from(u8::from(m.won)))
-                    .field("cached", f64::from(u8::from(m.cached))),
-                );
-            }
-        }
-        if let Some(e) = &f.exec {
-            tracer.record(
-                scope(TraceEvent::span(
-                    "execute",
-                    e.end_us.saturating_sub(e.exec_us),
-                    e.exec_us,
-                ))
-                .parent("job.attempt")
-                .field("events", e.events as f64),
-            );
-        }
-        tracer.record(
-            scope(TraceEvent::span(
-                "respond",
-                f.respond_us,
-                end_us.saturating_sub(f.respond_us),
-            ))
-            .parent("job.attempt"),
-        );
-        tracer.record(
-            scope(TraceEvent::span(
-                "job.attempt",
-                f.dequeued_us,
-                end_us.saturating_sub(f.dequeued_us),
-            ))
-            .parent("job"),
-        );
-        tracer.record(
-            scope(TraceEvent::span(
-                "job",
-                t.accepted_us,
-                end_us.saturating_sub(t.accepted_us),
-            ))
-            .field("ok", 1.0)
-            .field("cache_hit", f64::from(u8::from(f.cache_hit))),
-        );
-        tracer.flush();
+        self.ledger_append(&LedgerRecord::done(
+            ticket.seq,
+            &ticket.id,
+            &ticket.key,
+            Some(ledger),
+            None,
+        ));
+        let _respond = scope.open("respond", "job.attempt");
+        write_line(&ticket.out, &to_line(resp));
+        Ended::Answered { cache_hit }
     }
+}
 
-    /// Emit the reduced span tree of an attempt that did not produce a
-    /// result: timeout, execution error, or a panic. `terminal` closes
-    /// the root `job` span too (with `ok = 0`); a retryable panic leaves
-    /// the job open for the next attempt.
-    fn trace_abort(&self, t: &Ticket, worker: u64, dequeued_us: u64, terminal: bool) {
-        let Some(tracer) = &self.tracer else {
-            return;
-        };
-        let attempt = u64::from(t.attempts) + 1;
-        let end_us = tracer.now();
-        let scope = |ev: TraceEvent| -> TraceEvent { ev.job(t.seq, &t.id, attempt).worker(worker) };
-        tracer.record(
-            scope(TraceEvent::span(
-                "queue.wait",
-                t.accepted_us,
-                dequeued_us.saturating_sub(t.accepted_us),
-            ))
-            .parent("job"),
-        );
-        tracer.record(
-            scope(TraceEvent::span(
-                "job.attempt",
-                dequeued_us,
-                end_us.saturating_sub(dequeued_us),
-            ))
-            .parent("job"),
-        );
-        if terminal {
-            tracer.record(
-                scope(TraceEvent::span(
-                    "job",
-                    t.accepted_us,
-                    end_us.saturating_sub(t.accepted_us),
-                ))
-                .field("ok", 0.0),
-            );
-        }
-        tracer.flush();
-    }
+/// How one attempt at a ticket ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Ended {
+    /// Answered with a result line.
+    Answered {
+        /// Served from a cache.
+        cache_hit: bool,
+    },
+    /// Answered with an error line (timeout, execution or internal
+    /// failure).
+    Failed,
+    /// A panic escaped the work: retried or poisoned by the caller.
+    Panicked,
 }
 
 /// A `Duration` as saturating whole microseconds.
 fn duration_us(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
-}
-
-/// Construct-span detail captured by [`Service::finish_construct`] on a
-/// cache miss.
-struct ConstructTrace {
-    /// The timed `schedule()` call, microseconds.
-    construct_us: u64,
-    /// Service-clock time right after construction finished.
-    end_us: u64,
-    /// Per-phase accumulated wall time, in [`PHASES`] order.
-    phase_us: [u64; 4],
-    /// Per-phase allocation activity, in [`PHASES`] order (all zero
-    /// unless the `profiling` allocator is registered).
-    phase_allocs: [AllocSnapshot; 4],
-    /// Placement-scan counters reported by the scheduler.
-    scan: ScanStats,
-}
-
-/// Execute-span detail for simulations.
-struct ExecTrace {
-    /// The engine replay, microseconds.
-    exec_us: u64,
-    /// Service-clock time used as the span's end anchor.
-    end_us: u64,
-    /// Events the engine drained.
-    events: u64,
-}
-
-/// Everything [`Service::trace_finish`] needs to emit one answered
-/// attempt's spans.
-struct FinishTrace<'a> {
-    ticket: &'a Ticket,
-    worker: u64,
-    dequeued_us: u64,
-    /// When the response line started being written.
-    respond_us: u64,
-    /// Cache-miss construction detail (`None`: served from cache).
-    construct: Option<ConstructTrace>,
-    /// Portfolio fan-out detail (`None`: not a portfolio construction).
-    portfolio: Option<PortfolioTrace>,
-    /// Simulation execution detail (`None`: plain submit or cache hit).
-    exec: Option<ExecTrace>,
-    cache_hit: bool,
-}
-
-/// Portfolio-construction detail captured by [`Service::construct_portfolio`]
-/// on a cache miss: the whole race plus one entry per member.
-struct PortfolioTrace {
-    /// The full fan-out (resolve + construct + select), microseconds.
-    total_us: u64,
-    /// Service-clock time right after the winner was selected.
-    end_us: u64,
-    /// Per-member construction detail, in member order.
-    members: Vec<MemberTrace>,
-}
-
-/// One member's slice of a portfolio construction.
-struct MemberTrace {
-    /// Canonical member spec string (e.g. `ilha(b=4)`).
-    label: String,
-    /// The member's own construction time, microseconds (for a member
-    /// served from the schedule cache: the original run's time).
-    construct_us: u64,
-    /// The member's schedule makespan.
-    makespan: f64,
-    /// Whether this member won the race.
-    won: bool,
-    /// Whether this member was served from the schedule cache.
-    cached: bool,
 }
 
 /// Write one complete response line under the writer's lock (the
@@ -1708,6 +1467,7 @@ mod tests {
     use super::*;
     use crate::protocol::{DagSpec, JobSpec, OpProbe, SchedulerSpec, SimSpec, StatsResponse};
     use onesched_testbeds::Testbed;
+    use onesched_trace::TraceEvent;
     use std::collections::HashMap;
 
     /// A writer that appends into shared memory, for driving the service
@@ -2252,6 +2012,138 @@ mod tests {
         assert_eq!(e.kind.as_deref(), Some("poisoned"));
     }
 
+    /// Assert the span trees of the one job in `events`, which took
+    /// `attempts` attempts: one `queue.wait` and one `job.attempt` per
+    /// attempt, exactly one `job` root (on the last attempt, with `ok`),
+    /// and every child inside its parent's window.
+    fn assert_attempt_trees(events: &[TraceEvent], attempts: u64, ok: f64) {
+        let spans: Vec<&TraceEvent> = events.iter().filter(|e| e.kind == "span").collect();
+        for a in 1..=attempts {
+            for name in ["queue.wait", "job.attempt"] {
+                let n = spans
+                    .iter()
+                    .filter(|e| e.attempt == Some(a) && e.name == name)
+                    .count();
+                assert_eq!(n, 1, "attempt {a}: one {name} span");
+            }
+        }
+        assert!(spans
+            .iter()
+            .all(|e| e.attempt.is_some_and(|a| a <= attempts)));
+        let roots: Vec<&TraceEvent> = spans.iter().copied().filter(|e| e.name == "job").collect();
+        assert_eq!(roots.len(), 1, "exactly one root");
+        let root = roots[0];
+        assert_eq!(
+            root.attempt,
+            Some(attempts),
+            "the root closes the last attempt"
+        );
+        assert_eq!(root.field_value("ok"), Some(ok));
+        let window = |e: &TraceEvent| {
+            let start = e.start_us.unwrap();
+            (start, start + e.dur_us.unwrap())
+        };
+        for ev in &spans {
+            let Some(parent) = ev.parent.as_deref() else {
+                continue;
+            };
+            // Every attempt hangs off the job's one root; deeper spans
+            // resolve within their own attempt.
+            let p = if parent == "job" {
+                root
+            } else {
+                spans
+                    .iter()
+                    .find(|p| p.name == parent && p.attempt == ev.attempt)
+                    .unwrap_or_else(|| panic!("{} links to missing {parent}", ev.name))
+            };
+            let ((cs, ce), (ps, pe)) = (window(ev), window(p));
+            assert!(
+                cs >= ps && ce <= pe,
+                "attempt {:?}: {} [{cs}, {ce}] escapes {parent} [{ps}, {pe}]",
+                ev.attempt,
+                ev.name
+            );
+        }
+    }
+
+    /// A service with an in-memory tracer on the service's own clock.
+    fn traced_service(cfg: ServiceConfig) -> Service {
+        let mut svc = Service::new(cfg);
+        svc.tracer = Some(Tracer::new(Arc::clone(&svc.clock)));
+        svc
+    }
+
+    fn drain_spans(svc: &Service) -> Vec<TraceEvent> {
+        svc.tracer.as_ref().map(Tracer::drain).unwrap_or_default()
+    }
+
+    /// Drive one submission written to a writer that panics on its first
+    /// `panics` writes, until `done` holds.
+    fn drive_panicking(svc: &Service, panics: u32, done: impl Fn(&Service, &MemWriter) -> bool) {
+        let sink = MemWriter::default();
+        let writer = PanicWriter {
+            inner: sink.clone(),
+            panics_left: Arc::new(Mutex::new(panics)),
+        };
+        let out: SharedWriter = Arc::new(Mutex::new(Box::new(writer)));
+        svc.handle_line(
+            &serde_json::to_string(&submit("flaky", 3, lu_spec(8))).unwrap(),
+            &out,
+        );
+        std::thread::scope(|scope| {
+            scope.spawn(|| svc.worker());
+            for _ in 0..400 {
+                if done(svc, &sink) {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            svc.begin_shutdown();
+        });
+    }
+
+    #[test]
+    fn failed_attempts_emit_complete_span_trees() {
+        // A deadline that has passed at dequeue: one attempt, answered
+        // with a timeout.
+        let svc = traced_service(ServiceConfig {
+            workers: 1,
+            timeout: Some(Duration::ZERO),
+            ..ServiceConfig::default()
+        });
+        drive_svc(&svc, &[submit("t0", 0, lu_spec(8))], 1);
+        assert_attempt_trees(&drain_spans(&svc), 1, 0.0);
+
+        // Two panics on the answer path, then an answer: three attempts,
+        // and only the last one closes the root.
+        let svc = traced_service(ServiceConfig {
+            workers: 1,
+            max_retries: 2,
+            ..ServiceConfig::default()
+        });
+        drive_panicking(&svc, 2, |_, sink| {
+            sink.lines().iter().any(|l| l.contains("\"result\""))
+        });
+        let events = drain_spans(&svc);
+        assert_attempt_trees(&events, 3, 1.0);
+        // The panicked answers were cut short inside their `respond`
+        // spans, which the guards still recorded while unwinding.
+        let responds = events.iter().filter(|e| e.name == "respond").count();
+        assert_eq!(responds, 3, "one respond span per attempt");
+
+        // A job that panics on every attempt: poisoned after its retry.
+        let svc = traced_service(ServiceConfig {
+            workers: 1,
+            max_retries: 1,
+            ..ServiceConfig::default()
+        });
+        drive_panicking(&svc, u32::MAX, |svc, _| {
+            !svc.poisoned.lock().unwrap().is_empty()
+        });
+        assert_attempt_trees(&drain_spans(&svc), 2, 0.0);
+    }
+
     #[test]
     fn simulate_requests_report_degradation_and_cache() {
         let sim = SimSpec::noise("static-order", 0.2, 7);
@@ -2386,8 +2278,7 @@ mod tests {
         let lines = drive_svc(&svc, &[submit("a-again", 0, spec_a.clone())], 1);
         let r: ResultResponse = serde_json::from_str(&lines[0]).unwrap();
         assert!(r.cache_hit, "rehydrated cache answers the resubmission");
-        let direct =
-            crate::cache::run_job(&spec_a.resolve().unwrap(), &onesched_heuristics::NoProbe);
+        let direct = crate::cache::run_job(&spec_a.resolve().unwrap(), None, &Scope::off());
         assert_eq!(
             r.fingerprint,
             format!("{:016x}", direct.fingerprint),
@@ -2409,7 +2300,7 @@ mod tests {
             ..lu_spec(8)
         };
         let resolved = routed.resolve().unwrap();
-        let truth = crate::cache::run_job(&resolved, &onesched_heuristics::NoProbe);
+        let truth = crate::cache::run_job(&resolved, None, &Scope::off());
         let key = key_hash(&resolved.key);
         {
             let (mut ledger, _) = Ledger::open(&path).unwrap();

@@ -242,6 +242,18 @@ fn traced_run_is_bit_identical_and_accounts_every_job() {
     assert_eq!(execs.len(), 1);
     assert_eq!(execs[0].id.as_deref(), Some("trace-sim"));
     assert!(execs[0].field_value("events").unwrap() > 0.0);
+    // It covers the engine run alone: the cache insert, stats and ledger
+    // append that follow it are not part of it, so it ends before the
+    // answer starts.
+    let respond = replay
+        .events
+        .iter()
+        .find(|e| e.name == "respond" && e.seq == execs[0].seq)
+        .expect("the simulation was answered");
+    assert!(
+        execs[0].start_us.unwrap() + execs[0].dur_us.unwrap() <= respond.start_us.unwrap(),
+        "execute must end before respond starts"
+    );
 
     let _ = std::fs::remove_file(&trace_path);
 }
@@ -362,4 +374,113 @@ fn metrics_endpoint_reconciles_with_stats() {
     assert_eq!(sample("onesched_construct_ms_count"), 4.0);
     let considered = sample("onesched_placement_candidates_total{disposition=\"considered\"}");
     assert!(considered > 0.0, "placement scans were counted");
+}
+
+#[test]
+fn portfolio_member_spans_lie_within_the_race() {
+    let trace_path = std::env::temp_dir().join(format!(
+        "onesched-trace-portfolio-{}.ndjson",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&trace_path);
+    let portfolio = |members| Some(SchedulerSpec::portfolio(members));
+    let reqs = vec![
+        Request::submit(
+            Some("heft".into()),
+            0,
+            job(Testbed::Lu, 12, Some(SchedulerSpec::heft())),
+        ),
+        Request::submit(
+            Some("ilha".into()),
+            0,
+            job(Testbed::Lu, 12, Some(SchedulerSpec::ilha(4))),
+        ),
+        // both members were constructed above: served from the cache
+        Request::submit(
+            Some("all-cached".into()),
+            0,
+            job(
+                Testbed::Lu,
+                12,
+                portfolio(vec![SchedulerSpec::heft(), SchedulerSpec::ilha(4)]),
+            ),
+        ),
+        // one cached member, one constructed in the race
+        Request::submit(
+            Some("mixed".into()),
+            0,
+            job(
+                Testbed::Lu,
+                12,
+                portfolio(vec![SchedulerSpec::heft(), SchedulerSpec::ilha(8)]),
+            ),
+        ),
+    ];
+    let (_, lines) = run_batch(&reqs, Some(&trace_path));
+    assert_eq!(lines.len(), reqs.len());
+    assert!(lines.iter().all(|l| l.contains("\"op\":\"result\"")));
+    let replay = parse_trace(&std::fs::read(&trace_path).expect("trace file written"));
+    let report = onesched_trace::build_report(&replay);
+
+    for id in ["all-cached", "mixed"] {
+        let spans: Vec<&TraceEvent> = replay
+            .events
+            .iter()
+            .filter(|e| e.id.as_deref() == Some(id))
+            .collect();
+        let race = spans
+            .iter()
+            .find(|e| e.name == "construct.portfolio")
+            .expect("the race span");
+        let (rs, re) = (
+            race.start_us.unwrap(),
+            race.start_us.unwrap() + race.dur_us.unwrap(),
+        );
+        let members: Vec<&&TraceEvent> = spans
+            .iter()
+            .filter(|e| e.name.starts_with("construct.portfolio."))
+            .collect();
+        assert_eq!(members.len(), 2, "{id}: one span per member");
+        for m in &members {
+            assert_eq!(m.parent.as_deref(), Some("construct.portfolio"));
+            let (ms, me) = (m.start_us.unwrap(), m.start_us.unwrap() + m.dur_us.unwrap());
+            assert!(
+                ms >= rs && me <= re,
+                "{id}: member {} [{ms}, {me}] escapes the race [{rs}, {re}]",
+                m.name
+            );
+            if m.field_value("cached") == Some(1.0) {
+                assert_eq!(m.dur_us, Some(0), "{id}: a cached member is zero-length");
+            }
+        }
+        let cached = members
+            .iter()
+            .filter(|m| m.field_value("cached") == Some(1.0))
+            .count();
+        assert_eq!(cached, if id == "all-cached" { 2 } else { 1 }, "{id}");
+        assert_eq!(
+            members
+                .iter()
+                .filter(|m| m.field_value("win") == Some(1.0))
+                .count(),
+            1,
+            "{id}: exactly one winner"
+        );
+    }
+
+    // With no concurrent children left, the all-cached job's self-times
+    // sum back to its root exactly.
+    let all_cached = report
+        .jobs
+        .iter()
+        .find(|j| j.id == "all-cached")
+        .expect("profiled");
+    let root = all_cached.job_root().expect("root span");
+    assert_eq!(
+        all_cached.self_total_us(),
+        all_cached.spans[root].dur_us,
+        "all-cached portfolio reconciles exactly"
+    );
+
+    let _ = std::fs::remove_file(&trace_path);
 }

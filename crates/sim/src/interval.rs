@@ -169,8 +169,8 @@ impl Default for GapCursor {
 /// (paper §4.3: "we look for the first available time-interval during which
 /// P2 is not sending and P1 is not receiving").
 ///
-/// Storage is *chunked*: intervals live in runs of at most [`MAX_CHUNK`]
-/// entries, so [`Timeline::occupy`] shifts one small chunk instead of the
+/// Storage is *chunked*: intervals live in runs of at most 64 entries
+/// (`MAX_CHUNK`), so [`Timeline::occupy`] shifts one small chunk instead of the
 /// whole timeline (`O(log n + chunk)` instead of the former sorted-`Vec`
 /// `O(n)` memmove plus `O(n)` metadata rebuild — which made schedule
 /// construction quadratic in practice). Each chunk carries its largest

@@ -223,7 +223,7 @@ impl StagedPlacements {
 /// (`next`/`views`): a fixpoint pass of [`Txn::earliest_comm_slot`] walks
 /// only the handful of intervals staged on the queried resource instead of
 /// rescanning every staged interval of the transaction. Each resource also
-/// keeps a [`GapCursor`] into its committed timeline, so successive
+/// keeps a gap cursor into its committed timeline, so successive
 /// searches of one transaction — the fixpoint's repeated rounds, then the
 /// next message and the compute slot — resume where the last one stopped
 /// instead of searching the timeline again from the front.

@@ -16,6 +16,9 @@
 //!   recorders. Spans ring-buffer in memory and stream to an NDJSON
 //!   sink; counters and fixed-bucket histograms merge into deterministic
 //!   snapshots.
+//! - [`Scope`] / [`SpanGuard`] ([`scope`]): one job attempt's handle on
+//!   a tracer. Spans are recorded where the work happens, by guards that
+//!   read their real end on drop; an untraced scope does nothing.
 //! - [`chrome_trace_json`] / [`prometheus_text`] ([`export`]): render a
 //!   captured stream for Perfetto, or a snapshot as Prometheus text
 //!   exposition.
@@ -34,6 +37,7 @@ pub mod flame;
 pub mod record;
 pub mod recorder;
 pub mod report;
+pub mod scope;
 
 pub use clock::{Clock, DisabledClock, ManualClock, WallClock};
 pub use export::{chrome_trace_json, prometheus_text, Gauge};
@@ -41,3 +45,4 @@ pub use flame::{flamegraph_svg, fold_jobs, folded_text, report_flamegraph_svg, F
 pub use record::{parse_trace, Field, TraceEvent, TraceReplay, TRACE_SCHEMA};
 pub use recorder::{Hist, MetricsHub, MetricsSnapshot, Tracer, HIST_BOUNDS_MS};
 pub use report::{build_report, render_report, JobProfile, NameAgg, Report, SpanNode};
+pub use scope::{Scope, SpanGuard};

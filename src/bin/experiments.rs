@@ -747,7 +747,7 @@ fn routed_sweep(opts: &Opts) {
         let job = spec.resolve().expect("generated routed specs are valid");
         let topology = job.spec.platform.as_ref().unwrap().kind.clone();
         let testbed = job.spec.dag.testbed.clone().unwrap();
-        let r = cache::run_job(&job, &NoProbe);
+        let r = cache::run_job(&job, None, &onesched::trace::Scope::off());
         assert_eq!(r.violations, 0, "{topology}/{testbed}: invalid schedule");
         let _ = writeln!(
             csv,
