@@ -37,24 +37,6 @@ pub use minmin::{MaxMin, MinMin};
 pub use pct::Pct;
 pub use simple::{RandomAlloc, RoundRobin, Serial};
 
-use onesched_heuristics::Scheduler;
-
-/// All baselines (boxed), for comparison harnesses. `seed` feeds
-/// [`RandomAlloc`].
-pub fn all_baselines(seed: u64) -> Vec<Box<dyn Scheduler>> {
-    vec![
-        Box::new(Cpop::new()),
-        Box::new(Gdl::new()),
-        Box::new(Bil::new()),
-        Box::new(Pct::new()),
-        Box::new(MinMin::new()),
-        Box::new(MaxMin::new()),
-        Box::new(RoundRobin),
-        Box::new(RandomAlloc::new(seed)),
-        Box::new(Serial),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -63,14 +45,16 @@ mod tests {
     use onesched_sim::validate;
     use onesched_testbeds::{Testbed, PAPER_C};
 
-    /// Every baseline must produce valid schedules on every testbed under
-    /// every communication model (the workspace-wide correctness bar).
+    /// Every catalog kind must produce valid schedules on every testbed
+    /// under every communication model (the workspace-wide correctness
+    /// bar).
     #[test]
-    fn all_baselines_valid_on_all_testbeds() {
+    fn every_catalog_kind_valid_on_all_testbeds() {
         let p = Platform::paper();
         for tb in Testbed::ALL {
             let g = tb.generate(5, PAPER_C);
-            for s in all_baselines(7) {
+            for spec in registry::concrete_specs(tb.paper_best_b(), 7) {
+                let s = registry::build(&spec).unwrap();
                 for m in [CommModel::MacroDataflow, CommModel::OnePortBidir] {
                     let sched = s.schedule(&g, &p, m);
                     let v = validate(&g, &p, m, &sched);
@@ -81,9 +65,12 @@ mod tests {
     }
 
     #[test]
-    fn names_are_unique() {
-        let names: std::collections::HashSet<String> =
-            all_baselines(0).iter().map(|s| s.name()).collect();
-        assert_eq!(names.len(), all_baselines(0).len());
+    fn catalog_names_are_unique() {
+        let specs = registry::concrete_specs(4, 0);
+        let names: std::collections::HashSet<String> = specs
+            .iter()
+            .map(|spec| registry::build(spec).unwrap().name())
+            .collect();
+        assert_eq!(names.len(), specs.len());
     }
 }

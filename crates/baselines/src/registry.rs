@@ -90,6 +90,22 @@ pub fn catalog() -> &'static Catalog {
     })
 }
 
+/// Every concrete kind of the workspace catalog as a buildable spec, in
+/// catalog order: `ilha` with chunk size `b`, `random` with `seed`, every
+/// other kind bare (so each canonical string names only what the kind
+/// takes).
+pub fn concrete_specs(b: usize, seed: u64) -> Vec<SchedulerSpec> {
+    let mut specs = catalog().default_members();
+    for spec in &mut specs {
+        match spec.kind.as_str() {
+            "ilha" => spec.b = Some(b),
+            "random" => spec.seed = Some(seed),
+            _ => {}
+        }
+    }
+    specs
+}
+
 /// [`Catalog::build`] against the full workspace catalog.
 pub fn build(
     spec: &SchedulerSpec,

@@ -18,9 +18,9 @@
 //!   [`par_map`]) and keep the best makespan, tie-breaking deterministically
 //!   on the canonical member string.
 //!
-//! The module-level [`build`]/[`list`] helpers operate on the core
-//! catalog; services that want baseline kinds too go through the composed
-//! catalog.
+//! Construction always goes through a [`Catalog`]. Outside this crate's
+//! own tests that is the composed workspace catalog
+//! (`onesched_baselines::registry::build`), which knows every kind.
 
 use crate::par::{default_threads, par_map};
 use crate::probe::{NoProbe, Probe};
@@ -42,9 +42,10 @@ pub struct SchedulerSpec {
     /// `"portfolio"`, ... — see [`Catalog::list`]). Empty means the
     /// default (`"heft"`).
     pub kind: String,
-    /// ILHA chunk size `B` (`ilha` / `routed-ilha`). Defaults to the
-    /// testbed's paper-best value, or the platform's perfect-balance chunk
-    /// for non-testbed DAGs (`routed-ilha` always uses the platform chunk).
+    /// ILHA chunk size `B` (`ilha` only). The service's intake defaults it
+    /// to the testbed's paper-best value, or to the platform's
+    /// perfect-balance chunk for non-testbed DAGs and for the wire-only
+    /// `routed-ilha` alias, which it rewrites to `ilha`.
     pub b: Option<usize>,
     /// RNG seed (`random` only; default 0).
     pub seed: Option<u64>,
@@ -457,18 +458,6 @@ impl Catalog {
     }
 }
 
-/// Build a spec against the **core** catalog (the two heuristics kinds
-/// plus `portfolio` over them). The composed workspace catalog — baseline
-/// kinds included — is `onesched_baselines::registry::catalog()`.
-pub fn build(spec: &SchedulerSpec) -> Result<Box<dyn Scheduler>, UnknownScheduler> {
-    Catalog::core().build(spec)
-}
-
-/// List the **core** catalog's kinds (see [`build`]).
-pub fn list() -> Vec<KindInfo> {
-    Catalog::core().list()
-}
-
 /// Pick the winner among `(canonical label, makespan)` candidates: the
 /// smallest makespan, ties within [`EPS`] broken by the lexicographically
 /// smaller label. The single tie-break rule shared by
@@ -731,7 +720,10 @@ mod tests {
         }
         let g = b.build().unwrap();
         let m = CommModel::OnePortBidir;
-        let heft = build(&SchedulerSpec::heft()).unwrap().schedule(&g, &p, m);
+        let heft = Catalog::core()
+            .build(&SchedulerSpec::heft())
+            .unwrap()
+            .schedule(&g, &p, m);
         assert!(heft.comms().iter().any(|c| c.to.index() == 2), "uses P2");
         for comm in heft.comms() {
             let edge = g.edge(comm.edge);

@@ -493,8 +493,9 @@ pub struct ServiceStats {
     /// `stats` latency table is stable run to run.
     latencies: BTreeMap<String, LatencySample>,
     /// Portfolio win tallies keyed by the winning member's canonical spec
-    /// string. Ordered so the `stats` portfolio table is stable.
-    portfolio_wins: BTreeMap<String, u64>,
+    /// string. Ordered so the `stats` portfolio table is stable; the
+    /// `metrics` win counters derive from it too.
+    pub(crate) portfolio_wins: BTreeMap<String, u64>,
 }
 
 /// Point-in-time gauges the service owns (the stats mutex does not), fed

@@ -14,8 +14,10 @@
 //! timed construction ([`schedule_timed`]), with nothing shared between
 //! jobs but the immutable platform.
 
+use crate::protocol::parse_testbed;
 use onesched_dag::TaskGraph;
-use onesched_heuristics::{par_map, Heft, Ilha, NoProbe, Probe, Scheduler};
+use onesched_heuristics::registry::{SchedulerSpec, UnknownScheduler};
+use onesched_heuristics::{par_map, NoProbe, Probe, Scheduler};
 use onesched_platform::Platform;
 use onesched_sim::{CommModel, Schedule};
 use onesched_testbeds::{Testbed, PAPER_C};
@@ -50,42 +52,15 @@ pub fn schedule_timed(
     (sched, construct)
 }
 
-/// Which scheduler a sweep job runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedKind {
-    /// One-port HEFT with the paper-faithful policy.
-    Heft,
-    /// ILHA with chunk size `b`.
-    Ilha(usize),
-}
-
-impl SchedKind {
-    /// Stable key used in CSVs, bench JSON, and baselines.
-    pub fn key(self) -> &'static str {
-        match self {
-            SchedKind::Heft => "HEFT",
-            SchedKind::Ilha(_) => "ILHA",
-        }
-    }
-
-    /// Instantiate the scheduler.
-    pub fn build(self) -> Box<dyn Scheduler> {
-        match self {
-            SchedKind::Heft => Box::new(Heft::new()),
-            SchedKind::Ilha(b) => Box::new(Ilha::new(b)),
-        }
-    }
-}
-
 /// One unit of sweep work: schedule one testbed instance with one scheduler.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepJob {
     /// Which testbed to generate.
     pub testbed: Testbed,
     /// Problem size `n`.
     pub size: usize,
-    /// Which scheduler to run.
-    pub sched: SchedKind,
+    /// Which scheduler to run, built through the workspace catalog.
+    pub sched: SchedulerSpec,
 }
 
 /// The outcome of one [`SweepJob`].
@@ -117,7 +92,10 @@ pub fn paper_jobs(testbeds: &[Testbed], sizes: &[usize]) -> Vec<SweepJob> {
     let mut jobs = Vec::with_capacity(testbeds.len() * sizes.len() * 2);
     for &tb in testbeds {
         for &n in sizes {
-            for sched in [SchedKind::Heft, SchedKind::Ilha(tb.paper_best_b())] {
+            for sched in [
+                SchedulerSpec::heft(),
+                SchedulerSpec::ilha(tb.paper_best_b()),
+            ] {
                 jobs.push(SweepJob {
                     testbed: tb,
                     size: n,
@@ -134,17 +112,23 @@ pub fn paper_jobs(testbeds: &[Testbed], sizes: &[usize]) -> Vec<SweepJob> {
 /// minimum over `repeats` runs — the robust estimator for perf gating on
 /// noisy (shared) hardware. Schedules are deterministic, so quality numbers
 /// are unaffected. `threads == 1` runs the jobs serially on the caller's
-/// thread (clean construction-time and allocation measurements).
+/// thread (clean construction-time and allocation measurements). Every
+/// job's scheduler is built before any runs, so a spec the catalog cannot
+/// build fails the sweep up front.
 pub fn run_sweep_repeated(
     jobs: &[SweepJob],
     threads: usize,
     model: CommModel,
     repeats: usize,
-) -> Vec<SweepResult> {
+) -> Result<Vec<SweepResult>, UnknownScheduler> {
     let platform = Platform::paper();
-    par_map(jobs, threads, |job| {
-        run_job(job, &platform, model, repeats.max(1))
-    })
+    let work = jobs
+        .iter()
+        .map(|job| Ok((job, onesched_baselines::registry::build(&job.sched)?)))
+        .collect::<Result<Vec<_>, UnknownScheduler>>()?;
+    Ok(par_map(&work, threads, |(job, scheduler)| {
+        run_job(job, scheduler.as_ref(), &platform, model, repeats.max(1))
+    }))
 }
 
 /// A minimal write-only probe for sweeps: placement-scan counters only
@@ -160,23 +144,28 @@ impl Probe for ScanProbe {
     }
 }
 
-fn run_job(job: &SweepJob, platform: &Platform, model: CommModel, repeats: usize) -> SweepResult {
+fn run_job(
+    job: &SweepJob,
+    scheduler: &dyn Scheduler,
+    platform: &Platform,
+    model: CommModel,
+    repeats: usize,
+) -> SweepResult {
     let g = job.testbed.generate(job.size, PAPER_C);
-    let scheduler = job.sched.build();
     let probe = ScanProbe::default();
     let a0 = onesched_prof::snapshot();
-    let (sched, mut construct) = schedule_timed(&g, platform, scheduler.as_ref(), model, &probe);
+    let (sched, mut construct) = schedule_timed(&g, platform, scheduler, model, &probe);
     let alloc = onesched_prof::snapshot().delta_since(a0);
     // alloc and scan counters come from the first run only: repeats are
     // bit-identical, so accumulating them would just multiply the totals
     let scan = probe.0.get();
     for _ in 1..repeats {
-        let (again, t) = schedule_timed(&g, platform, scheduler.as_ref(), model, &NoProbe);
+        let (again, t) = schedule_timed(&g, platform, scheduler, model, &NoProbe);
         construct = construct.min(t);
         debug_assert!(again.makespan() == sched.makespan());
     }
     SweepResult {
-        job: *job,
+        job: job.clone(),
         tasks: g.num_tasks(),
         makespan: sched.makespan(),
         speedup: sched.speedup(&g, platform),
@@ -194,7 +183,9 @@ pub struct BenchEntry {
     pub testbed: String,
     /// Problem size `n`.
     pub size: usize,
-    /// Scheduler key (`"HEFT"` / `"ILHA"`).
+    /// Canonical scheduler spec (`heft`, `ilha(b=38)`). Files written
+    /// before sweeps were keyed by spec say `"HEFT"` / `"ILHA"`; see
+    /// [`BenchEntry::same_job`].
     pub scheduler: String,
     /// Number of tasks scheduled.
     pub tasks: usize,
@@ -238,6 +229,26 @@ pub const BENCH_SCHEMA: &str = "onesched-bench/v1";
 /// Schema tag written into bench JSON files produced by this build.
 pub const BENCH_SCHEMA_V2: &str = "onesched-bench/v2";
 
+impl BenchEntry {
+    /// Whether `self` and `other` time the same job: same testbed, size
+    /// and scheduler. A legacy `"HEFT"` label reads as `heft`, and a legacy
+    /// `"ILHA"` as ILHA with the testbed's paper-best chunk size, the only
+    /// ILHA the sweeps ran before they were keyed by spec.
+    pub fn same_job(&self, other: &BenchEntry) -> bool {
+        self.testbed == other.testbed
+            && self.size == other.size
+            && self.canonical_scheduler() == other.canonical_scheduler()
+    }
+
+    fn canonical_scheduler(&self) -> String {
+        match (self.scheduler.as_str(), parse_testbed(&self.testbed)) {
+            ("HEFT", _) => SchedulerSpec::heft().canonical(),
+            ("ILHA", Ok(tb)) => SchedulerSpec::ilha(tb.paper_best_b()).canonical(),
+            (other, _) => other.to_string(),
+        }
+    }
+}
+
 impl BenchFile {
     /// Package sweep results as a bench file, optionally carrying over the
     /// matching construction times of `baseline` as `seed_construct_ms`.
@@ -246,30 +257,20 @@ impl BenchFile {
         threads: usize,
         baseline: Option<&BenchFile>,
     ) -> BenchFile {
+        // alloc columns mean something only when the counting allocator
+        // actually observed the run; prune_rate is deterministic and
+        // always recorded
+        let profiled = onesched_prof::enabled();
         let entries = results
             .iter()
             .map(|r| {
-                let seed = baseline.and_then(|b| {
-                    b.entries
-                        .iter()
-                        .find(|e| {
-                            e.testbed == r.job.testbed.name()
-                                && e.size == r.job.size
-                                && e.scheduler == r.job.sched.key()
-                        })
-                        .map(|e| e.seed_construct_ms.unwrap_or(e.construct_ms))
-                });
-                // alloc columns mean something only when the counting
-                // allocator actually observed the run; prune_rate is
-                // deterministic and always recorded
-                let profiled = onesched_prof::enabled();
-                BenchEntry {
+                let mut entry = BenchEntry {
                     testbed: r.job.testbed.name().to_string(),
                     size: r.job.size,
-                    scheduler: r.job.sched.key().to_string(),
+                    scheduler: r.job.sched.canonical(),
                     tasks: r.tasks,
                     construct_ms: r.construct.as_secs_f64() * 1e3,
-                    seed_construct_ms: seed,
+                    seed_construct_ms: None,
                     makespan: r.makespan,
                     speedup: r.speedup,
                     allocs: profiled.then_some(r.alloc.allocs),
@@ -279,7 +280,14 @@ impl BenchFile {
                     } else {
                         r.scan.pruned() as f64 / r.scan.candidates as f64
                     }),
-                }
+                };
+                entry.seed_construct_ms = baseline.and_then(|b| {
+                    b.entries
+                        .iter()
+                        .find(|e| e.same_job(&entry))
+                        .map(|e| e.seed_construct_ms.unwrap_or(e.construct_ms))
+                });
+                entry
             })
             .collect();
         BenchFile {
@@ -374,10 +382,10 @@ impl Default for BenchHistory {
     }
 }
 
-/// Compare a fresh bench run against a committed baseline: every matching
-/// `(testbed, size, scheduler)` entry whose baseline construction time is at
-/// least `floor_ms` must not exceed `max_ratio ×` the baseline. Returns the
-/// offending descriptions (empty = pass).
+/// Compare a fresh bench run against a committed baseline: every entry
+/// timing the same job ([`BenchEntry::same_job`]) whose baseline
+/// construction time is at least `floor_ms` must not exceed `max_ratio ×`
+/// the baseline. Returns the offending descriptions (empty = pass).
 pub fn bench_regressions(
     current: &BenchFile,
     baseline: &BenchFile,
@@ -386,9 +394,7 @@ pub fn bench_regressions(
 ) -> Vec<String> {
     let mut bad = Vec::new();
     for cur in &current.entries {
-        let Some(base) = baseline.entries.iter().find(|e| {
-            e.testbed == cur.testbed && e.size == cur.size && e.scheduler == cur.scheduler
-        }) else {
+        let Some(base) = baseline.entries.iter().find(|e| e.same_job(cur)) else {
             continue;
         };
         if base.construct_ms < floor_ms {
@@ -412,13 +418,13 @@ mod tests {
     fn sweep_results_deterministic_and_in_job_order() {
         let jobs = paper_jobs(&[Testbed::Lu, Testbed::ForkJoin], &[10, 20]);
         assert_eq!(jobs.len(), 8);
-        let serial = run_sweep_repeated(&jobs, 1, CommModel::OnePortBidir, 1);
-        let parallel = run_sweep_repeated(&jobs, 4, CommModel::OnePortBidir, 1);
+        let serial = run_sweep_repeated(&jobs, 1, CommModel::OnePortBidir, 1).unwrap();
+        let parallel = run_sweep_repeated(&jobs, 4, CommModel::OnePortBidir, 1).unwrap();
         assert_eq!(serial.len(), parallel.len());
         for (s, p) in serial.iter().zip(&parallel) {
             assert_eq!(s.job.testbed, p.job.testbed);
             assert_eq!(s.job.size, p.job.size);
-            assert_eq!(s.job.sched.key(), p.job.sched.key());
+            assert_eq!(s.job.sched, p.job.sched);
             assert_eq!(
                 s.makespan, p.makespan,
                 "parallelism must not change schedules"
@@ -430,7 +436,7 @@ mod tests {
     #[test]
     fn bench_file_roundtrip_and_compare() {
         let jobs = paper_jobs(&[Testbed::ForkJoin], &[10]);
-        let results = run_sweep_repeated(&jobs, 2, CommModel::OnePortBidir, 1);
+        let results = run_sweep_repeated(&jobs, 2, CommModel::OnePortBidir, 1).unwrap();
         let file = BenchFile::from_results(&results, 2, None);
         let json = serde_json::to_string(&file).unwrap();
         let back: BenchFile = serde_json::from_str(&json).unwrap();
@@ -452,10 +458,66 @@ mod tests {
     }
 
     #[test]
+    fn sweeps_name_schedulers_by_canonical_spec() {
+        let jobs = paper_jobs(&[Testbed::Lu], &[10]);
+        let results = run_sweep_repeated(&jobs, 1, CommModel::OnePortBidir, 1).unwrap();
+        let file = BenchFile::from_results(&results, 1, None);
+        let labels: Vec<&str> = file.entries.iter().map(|e| e.scheduler.as_str()).collect();
+        let ilha = SchedulerSpec::ilha(Testbed::Lu.paper_best_b()).canonical();
+        assert_eq!(labels, ["heft", ilha.as_str()]);
+        // a spec the catalog cannot build fails the sweep before any runs
+        let mut bad = jobs;
+        bad[1].sched = SchedulerSpec::named("nope");
+        assert!(run_sweep_repeated(&bad, 1, CommModel::OnePortBidir, 1).is_err());
+    }
+
+    #[test]
+    fn legacy_labels_match_canonical_specs_of_the_same_job() {
+        let entry = |testbed: &str, size: usize, scheduler: &str| BenchEntry {
+            testbed: testbed.into(),
+            size,
+            scheduler: scheduler.into(),
+            tasks: 0,
+            construct_ms: 1.0,
+            seed_construct_ms: None,
+            makespan: 1.0,
+            speedup: 1.0,
+            allocs: None,
+            alloc_bytes: None,
+            prune_rate: None,
+        };
+        let lu_b = format!("ilha(b={})", Testbed::Lu.paper_best_b());
+        let stencil_b = format!("ilha(b={})", Testbed::Stencil.paper_best_b());
+        assert!(entry("LU", 60, "HEFT").same_job(&entry("LU", 60, "heft")));
+        assert!(entry("LU", 60, "ILHA").same_job(&entry("LU", 60, &lu_b)));
+        assert!(entry("LU", 60, &lu_b).same_job(&entry("LU", 60, "ILHA")));
+        assert!(entry("LU", 60, "ILHA").same_job(&entry("LU", 60, "ILHA")));
+        // a different testbed, size, kind or chunk size is another job
+        assert!(!entry("LU", 60, "HEFT").same_job(&entry("STENCIL", 60, "heft")));
+        assert!(!entry("LU", 60, "HEFT").same_job(&entry("LU", 120, "heft")));
+        assert!(!entry("LU", 60, "HEFT").same_job(&entry("LU", 60, &lu_b)));
+        assert!(!entry("STENCIL", 60, "ILHA").same_job(&entry("LU", 60, &lu_b)));
+        assert!(!entry("LU", 60, "ILHA").same_job(&entry("LU", 60, "ilha(b=1)")));
+        assert!(entry("STENCIL", 60, "ILHA").same_job(&entry("STENCIL", 60, &stencil_b)));
+        // the matcher is what bench_regressions and the carry-over pair by
+        let legacy = BenchFile {
+            schema: BENCH_SCHEMA_V2.into(),
+            threads: 1,
+            entries: vec![entry("LU", 60, "ILHA")],
+        };
+        let mut slow = legacy.clone();
+        slow.entries[0].scheduler = lu_b;
+        slow.entries[0].construct_ms = 3.0;
+        assert_eq!(bench_regressions(&slow, &legacy, 2.0, 0.0).len(), 1);
+        slow.entries[0].size = 120;
+        assert!(bench_regressions(&slow, &legacy, 2.0, 0.0).is_empty());
+    }
+
+    #[test]
     fn bench_history_validation_catches_malformed_files() {
         let jobs = paper_jobs(&[Testbed::ForkJoin], &[10]);
         let bench = BenchFile::from_results(
-            &run_sweep_repeated(&jobs, 1, CommModel::OnePortBidir, 1),
+            &run_sweep_repeated(&jobs, 1, CommModel::OnePortBidir, 1).unwrap(),
             1,
             None,
         );
@@ -513,7 +575,7 @@ mod tests {
     #[test]
     fn baseline_times_carry_over() {
         let jobs = paper_jobs(&[Testbed::ForkJoin], &[10]);
-        let results = run_sweep_repeated(&jobs, 1, CommModel::OnePortBidir, 1);
+        let results = run_sweep_repeated(&jobs, 1, CommModel::OnePortBidir, 1).unwrap();
         let mut seed = BenchFile::from_results(&results, 1, None);
         for e in &mut seed.entries {
             e.construct_ms = 42.0;

@@ -710,8 +710,10 @@ impl Service {
         match req.op.as_str() {
             "submit" | "simulate" => self.handle_submission(req, out),
             "stats" => {
-                let snap = lock(&self.stats).snapshot(self.gauges(), self.uptime());
-                write_line(out, &to_line(&snap));
+                let (gauges, uptime) = (self.gauges(), self.uptime());
+                let mut w = lock(out); // see `Service::write_counted`
+                let snap = lock(&self.stats).snapshot(gauges, uptime);
+                write_locked(&mut **w, &to_line(&snap));
             }
             "metrics" => {
                 let resp = MetricsResponse {
@@ -928,8 +930,9 @@ impl Service {
 
     /// The Prometheus text exposition behind the `metrics` op: the hub's
     /// own counters/histograms, plus counters derived from the same
-    /// [`ServiceStats`] that answers `stats` (so the two views reconcile
-    /// by construction), plus scrape-time gauges.
+    /// [`ServiceStats`] that answers `stats` (the job counters and the
+    /// portfolio wins, so the two views reconcile by construction), plus
+    /// scrape-time gauges.
     fn metrics_text(&self) -> String {
         let mut snap = self.metrics.snapshot();
         let gauges = self.gauges();
@@ -950,6 +953,10 @@ impl Service {
             ];
             for (name, v) in derived {
                 snap.counters.insert(name.to_string(), v);
+            }
+            for (member, &wins) in &s.portfolio_wins {
+                let name = format!("onesched_portfolio_wins_total{{member=\"{member}\"}}");
+                snap.counters.insert(name, wins);
             }
         }
         snap.counters
@@ -1011,7 +1018,6 @@ impl Service {
         kind: &str,
         retry_after_ms: Option<f64>,
     ) {
-        lock(&self.stats).errors += 1;
         let resp = ErrorResponse {
             op: "error".into(),
             id,
@@ -1019,7 +1025,20 @@ impl Service {
             kind: Some(kind.to_string()),
             retry_after_ms,
         };
-        write_line(out, &to_line(&resp));
+        self.write_counted(out, &to_line(&resp), |stats| {
+            stats.errors += 1;
+            stats.jobs_timed_out += u64::from(kind == "timeout");
+        });
+    }
+
+    /// [`write_line`], then `count` the answer on the stats before the
+    /// writer's lock is released. An attempt whose write panics counts
+    /// nothing, so its retry counts once, and a `stats` answer, read
+    /// under the same lock, counts every line its client has read.
+    fn write_counted(&self, out: &SharedWriter, line: &str, count: impl FnOnce(&mut ServiceStats)) {
+        let mut w = lock(out);
+        write_locked(&mut **w, line);
+        count(&mut lock(&self.stats));
     }
 
     /// Worker loop: claim the highest-priority job, serve it from the cache
@@ -1157,7 +1176,6 @@ impl Service {
 
     /// Answer a job whose wall-clock deadline passed.
     fn answer_timeout(&self, ticket: &Ticket) -> Ended {
-        lock(&self.stats).jobs_timed_out += 1;
         let budget_ms = self.cfg.timeout.map_or(0.0, |t| t.as_secs_f64() * 1e3);
         let answer = format!("timeout: job exceeded its {budget_ms} ms deadline");
         self.fail(ticket, "timeout".into(), answer, "timeout")
@@ -1304,10 +1322,6 @@ impl Service {
         }
         self.metrics
             .observe_ms("onesched_construct_ms", construct.as_secs_f64() * 1e3);
-        self.metrics.incr(
-            &format!("onesched_portfolio_wins_total{{member=\"{}\"}}", won.label),
-            1,
-        );
         race.field("members", members.len() as f64);
         for (i, m) in members.iter().enumerate() {
             scope
@@ -1388,9 +1402,10 @@ impl Service {
     }
 
     /// The answer tail shared by plain and simulate jobs: deadline
-    /// re-check, stats, the ledger `done` record, and the response line
-    /// (the `respond` span). `outcome` is the construction behind the
-    /// answer, sampled for latency unless it was a cache hit.
+    /// re-check, the write-ahead ledger `done` record, the response line
+    /// (the `respond` span), then the stats. `outcome` is the
+    /// construction behind the answer, sampled for latency unless it was a
+    /// cache hit.
     fn answer(
         &self,
         ticket: &Ticket,
@@ -1406,18 +1421,6 @@ impl Service {
         if ticket.deadline.is_some_and(|d| self.clock.now_micros() > d) {
             return self.answer_timeout(ticket);
         }
-        {
-            let mut stats = lock(&self.stats);
-            stats.jobs_done += 1;
-            if matches!(ticket.work, Work::Sim(..)) {
-                stats.sims_done += 1;
-            }
-            if cache_hit {
-                stats.cache_hits += 1;
-            } else {
-                stats.record_latency(&outcome.scheduler, outcome.construct);
-            }
-        }
         self.ledger_append(&LedgerRecord::done(
             ticket.seq,
             &ticket.id,
@@ -1426,7 +1429,15 @@ impl Service {
             None,
         ));
         let _respond = scope.open("respond", "job.attempt");
-        write_line(&ticket.out, &to_line(resp));
+        self.write_counted(&ticket.out, &to_line(resp), |stats| {
+            stats.jobs_done += 1;
+            stats.sims_done += u64::from(matches!(ticket.work, Work::Sim(..)));
+            if cache_hit {
+                stats.cache_hits += 1;
+            } else {
+                stats.record_latency(&outcome.scheduler, outcome.construct);
+            }
+        });
         Ended::Answered { cache_hit }
     }
 }
@@ -1453,10 +1464,14 @@ fn duration_us(d: Duration) -> u64 {
 
 /// Write one complete response line under the writer's lock (the
 /// no-interleaving guarantee) and flush it so clients see results as they
-/// complete. Write errors are swallowed: a vanished client must not take a
-/// worker down.
+/// complete.
 fn write_line(out: &SharedWriter, line: &str) {
-    let mut w = lock(out);
+    write_locked(&mut **lock(out), line);
+}
+
+/// [`write_line`] for a caller already holding the writer's lock. Write
+/// errors are swallowed: a vanished client must not take a worker down.
+fn write_locked(w: &mut dyn Write, line: &str) {
     let _ = w.write_all(line.as_bytes());
     let _ = w.write_all(b"\n");
     let _ = w.flush();
@@ -1684,6 +1699,26 @@ mod tests {
             "ilha(b=4)"
         };
         assert_eq!(s.portfolio[0].scheduler, winner_label);
+        // the metrics win counters are the stats portfolio table
+        let metrics_lines = drive_svc(&svc, &[Request::metrics()], 1);
+        let metrics: MetricsResponse = serde_json::from_str(&metrics_lines[0]).unwrap();
+        let wins: Vec<String> = metrics
+            .text
+            .lines()
+            .filter(|l| l.starts_with("onesched_portfolio_wins_total{"))
+            .map(str::to_string)
+            .collect();
+        let table: Vec<String> = s
+            .portfolio
+            .iter()
+            .map(|p| {
+                format!(
+                    "onesched_portfolio_wins_total{{member=\"{}\"}} {}",
+                    p.scheduler, p.wins
+                )
+            })
+            .collect();
+        assert_eq!(wins, table);
         // member constructions landed in the latency table under their
         // display names, the race total under the portfolio's
         let latency_keys: Vec<&str> = s.latency.iter().map(|l| l.scheduler.as_str()).collect();
@@ -1965,7 +2000,12 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r.id, "flaky");
-        assert_eq!(svc.stats.lock().unwrap().jobs_retried, 2);
+        let stats = svc.stats.lock().unwrap();
+        assert_eq!(stats.jobs_retried, 2);
+        // one answer line, counted once: the attempts whose write panicked
+        // (the first constructed, the second hit the cache) count nothing
+        assert_eq!(stats.jobs_done, 1);
+        assert_eq!(stats.cache_hits, 1);
     }
 
     #[test]

@@ -254,7 +254,7 @@ fn record_baseline(opts: &Opts) {
     } else {
         opts.sizes.clone()
     };
-    let file = onesched::regress::record_baseline(&sizes);
+    let file = onesched::regress::record_baseline(&sizes).expect("heft and ilha build");
     let path = opts
         .fixture
         .as_deref()
@@ -295,7 +295,8 @@ fn profiled_bench(opts: &Opts, sizes: &[usize]) -> BenchFile {
     let jobs = runner::paper_jobs(&Testbed::ALL, sizes);
     // threads = 1: allocation counters are process-global, so concurrent
     // jobs would attribute each other's allocations
-    let results = runner::run_sweep_repeated(&jobs, 1, CommModel::OnePortBidir, opts.bench_repeats);
+    let results = runner::run_sweep_repeated(&jobs, 1, CommModel::OnePortBidir, opts.bench_repeats)
+        .expect("paper jobs build");
     BenchFile::from_results(&results, 1, None)
 }
 
@@ -378,7 +379,8 @@ fn bench_history(opts: &Opts) {
 }
 
 /// `bench-compare <current> <baseline>`: gate on construction-time
-/// regressions (the CI perf smoke step).
+/// regressions (the CI perf smoke step). A run with no entry comparable
+/// to the baseline fails too: it would gate nothing.
 fn bench_compare(args: &[String], max_ratio: f64) {
     let [cur_path, base_path] = args else {
         eprintln!(
@@ -404,14 +406,13 @@ fn bench_compare(args: &[String], max_ratio: f64) {
     let compared = current
         .entries
         .iter()
-        .filter(|c| {
-            baseline
-                .entries
-                .iter()
-                .any(|b| b.testbed == c.testbed && b.size == c.size && b.scheduler == c.scheduler)
-        })
+        .filter(|c| baseline.entries.iter().any(|b| b.same_job(c)))
         .count();
     println!("bench-compare: {compared} comparable entries, max ratio {max_ratio}");
+    if compared == 0 {
+        eprintln!("NOTHING COMPARED: no entry of {cur_path} times a job of {base_path}");
+        std::process::exit(1);
+    }
     if bad.is_empty() {
         println!("OK: no construction-time regressions");
     } else {
@@ -544,13 +545,14 @@ fn figure_sweeps(opts: &Opts, testbeds: &[Testbed]) {
         opts.threads,
         CommModel::OnePortBidir,
         opts.bench_repeats,
-    );
+    )
+    .expect("paper jobs build");
     let wall = t0.elapsed();
 
-    let find = |tb: Testbed, n: usize, key: &str| -> &SweepResult {
+    let find = |tb: Testbed, n: usize, kind: &str| -> &SweepResult {
         results
             .iter()
-            .find(|r| r.job.testbed == tb && r.job.size == n && r.job.sched.key() == key)
+            .find(|r| r.job.testbed == tb && r.job.size == n && r.job.sched.kind == kind)
             .expect("every (testbed, size, scheduler) job ran")
     };
 
@@ -570,8 +572,8 @@ fn figure_sweeps(opts: &Opts, testbeds: &[Testbed]) {
             "size", "tasks", "HEFT speedup", "ILHA speedup", "gain"
         );
         for &n in &opts.sizes {
-            let heft = find(tb, n, "HEFT");
-            let ilha = find(tb, n, "ILHA");
+            let heft = find(tb, n, "heft");
+            let ilha = find(tb, n, "ilha");
             let (hs, is) = (heft.speedup, ilha.speedup);
             let _ = writeln!(
                 csv,
@@ -1015,7 +1017,7 @@ fn perturb_sweep(opts: &Opts) {
 /// CSVs at any `--threads` — the CI league determinism gate.
 fn league(opts: &Opts) {
     use onesched::exec::{execute, DispatchPolicy, ExecConfig, Perturbation};
-    use onesched::registry::{catalog, SchedulerSpec};
+    use onesched::registry::{catalog, concrete_specs, SchedulerSpec};
     use std::collections::BTreeMap;
 
     /// Perturbation seeds per league cell (mean/p95 population).
@@ -1026,30 +1028,11 @@ fn league(opts: &Opts) {
 
     let n = (*opts.sizes.iter().min().unwrap_or(&100)).min(20);
     let p = Platform::paper();
-    let kinds: Vec<&'static str> = catalog()
-        .list()
-        .iter()
-        .filter(|k| k.kind != "portfolio")
-        .map(|k| k.kind)
-        .collect();
+    let kinds = catalog().default_members().len();
     println!(
-        "== league: robustness table ({} schedulers, n = {n}, sigma {SIGMA}, {SEEDS} seeds from {}) ==",
-        kinds.len(),
+        "== league: robustness table ({kinds} schedulers, n = {n}, sigma {SIGMA}, {SEEDS} seeds from {}) ==",
         opts.seed
     );
-
-    // The per-testbed spec for a kind: parameters pinned the same way the
-    // daemon's intake normalizes them (ILHA takes the testbed's paper-best
-    // chunk size; `random` takes the sweep seed).
-    let spec_for = |kind: &'static str, tb: Testbed| -> SchedulerSpec {
-        let mut s = SchedulerSpec::named(kind);
-        match kind {
-            "ilha" => s.b = Some(tb.paper_best_b()),
-            "random" => s.seed = Some(opts.seed),
-            _ => {}
-        }
-        s
-    };
 
     struct Job {
         tb: Testbed,
@@ -1058,12 +1041,16 @@ fn league(opts: &Opts) {
     }
     let mut jobs: Vec<Job> = Vec::new();
     for tb in Testbed::ALL {
+        // parameters pinned the same way the daemon's intake normalizes
+        // them: ILHA takes the testbed's paper-best chunk size, `random`
+        // the sweep seed
+        let specs = concrete_specs(tb.paper_best_b(), opts.seed);
         for model in CommModel::ALL {
-            for &kind in &kinds {
+            for spec in &specs {
                 jobs.push(Job {
                     tb,
                     model,
-                    spec: spec_for(kind, tb),
+                    spec: spec.clone(),
                 });
             }
         }
@@ -1139,7 +1126,7 @@ fn league(opts: &Opts) {
         e.2 += 1;
     }
     let mut wins: BTreeMap<String, u64> = BTreeMap::new();
-    for (cell_jobs, cell_rows) in jobs.chunks(kinds.len()).zip(rows.chunks(kinds.len())) {
+    for (cell_jobs, cell_rows) in jobs.chunks(kinds).zip(rows.chunks(kinds)) {
         let winner = cell_rows.iter().zip(cell_jobs).reduce(|best, cand| {
             let (brow, _) = best;
             let (crow, _) = cand;
@@ -1175,7 +1162,9 @@ fn league(opts: &Opts) {
     write_csv(opts, "league_rank.csv", &rank_csv);
 }
 
-/// Every scheduler (heuristics + baselines) on every testbed at one size.
+/// Every concrete catalog kind (heuristics + baselines) on every testbed
+/// at one size: ILHA with the testbed's paper-best chunk size, `random`
+/// with seed 42.
 fn baseline_comparison(opts: &Opts) {
     println!("== baselines: full scheduler comparison ==");
     let p = Platform::paper();
@@ -1184,13 +1173,9 @@ fn baseline_comparison(opts: &Opts) {
     let mut csv = String::from("testbed,scheduler,makespan,speedup,comms,imbalance\n");
     for tb in Testbed::ALL {
         let g = tb.generate(n, PAPER_C);
-        let mut schedulers: Vec<Box<dyn Scheduler>> = vec![
-            Box::new(Heft::new()),
-            Box::new(Ilha::new(tb.paper_best_b())),
-        ];
-        schedulers.extend(onesched::baselines::all_baselines(42));
         println!("-- {tb} (n = {n}, {} tasks) --", g.num_tasks());
-        for s in schedulers {
+        for spec in onesched::registry::concrete_specs(tb.paper_best_b(), 42) {
+            let s = onesched::registry::build(&spec).expect("catalog specs build");
             let sched = s.schedule(&g, &p, m);
             assert!(validate(&g, &p, m, &sched).is_empty(), "{}", s.name());
             let st = ScheduleStats::of(&g, &p, &sched);

@@ -76,11 +76,10 @@ pub use onesched_trace as trace;
 pub use onesched_service::runner;
 
 /// The scheduler registry: canonical `SchedulerSpec` addressing for every
-/// scheduler in the workspace. `registry::build`/`registry::list` here go
-/// through the *full* composed catalog (baselines included), unlike
-/// `heuristics::registry` which only knows the core kinds.
+/// scheduler in the workspace. `build`, `list` and `concrete_specs` all
+/// read the one composed catalog, baseline kinds included.
 pub mod registry {
-    pub use onesched_baselines::registry::{build, catalog};
+    pub use onesched_baselines::registry::{build, catalog, concrete_specs};
     pub use onesched_heuristics::registry::{
         Catalog, KindInfo, ParseError, Portfolio, SchedulerSpec, UnknownScheduler,
     };

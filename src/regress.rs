@@ -5,13 +5,16 @@
 //! schedules the heuristics produce. This module pins them down: a
 //! [`placement_fingerprint`] hashes every task placement bit-exactly, and a
 //! [`BaselineFile`] records makespan + fingerprint + communication count for
-//! HEFT and ILHA on every testbed at reference sizes. The fixture under
+//! HEFT and ILHA on every testbed at reference sizes. Each entry names its
+//! scheduler by canonical [`SchedulerSpec`] string (`heft`, `ilha(b=4)`),
+//! and readers build it through the workspace catalog
+//! (`onesched_baselines::registry::build`). The fixture under
 //! `tests/fixtures/` was recorded from the seed implementation; the
 //! `schedule_equivalence` integration test regenerates all schedules and
 //! compares. Regenerate the fixture (only after an *intentional* schedule
 //! change) with `experiments record-baseline`.
 
-use onesched_heuristics::{Heft, Ilha, Scheduler};
+use onesched_heuristics::registry::{SchedulerSpec, UnknownScheduler};
 use onesched_platform::{topology, Platform};
 use onesched_sim::CommModel;
 use onesched_testbeds::{Testbed, PAPER_C};
@@ -31,9 +34,9 @@ pub struct BaselineEntry {
     /// Platform key: `"paper"`, or a routed topology (`"star"`, `"ring"`,
     /// `"line"` — see [`baseline_platform`]).
     pub topology: String,
-    /// Scheduler key: `"HEFT"` / `"ILHA"` (with the testbed's paper-best
-    /// B) on the paper platform, `"HEFT-routed"` / `"ILHA-routed"` (HEFT
-    /// and ILHA with a fixed `B = 8`) on the routed topologies.
+    /// Canonical [`SchedulerSpec`] string: `heft`, and `ilha(b=..)` with
+    /// the testbed's paper-best chunk size on the paper platform or a
+    /// fixed `B = 8` ([`ROUTED_BASELINE_PROCS`]) on the routed topologies.
     pub scheduler: String,
     /// Number of tasks in the generated graph.
     pub tasks: usize,
@@ -49,14 +52,14 @@ pub struct BaselineEntry {
 /// The on-disk fixture: a schema tag plus the recorded entries.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BaselineFile {
-    /// Format tag (`onesched-baseline/v1`).
+    /// Format tag ([`BASELINE_SCHEMA`]).
     pub schema: String,
     /// Recorded schedules, in generation order.
     pub entries: Vec<BaselineEntry>,
 }
 
 /// Schema tag written by [`record_baseline`].
-pub const BASELINE_SCHEMA: &str = "onesched-baseline/v2";
+pub const BASELINE_SCHEMA: &str = "onesched-baseline/v3";
 
 /// The routed topology keys recorded in the baseline fixture.
 pub const BASELINE_TOPOLOGIES: [&str; 3] = ["star", "ring", "line"];
@@ -86,57 +89,55 @@ pub fn baseline_platform(topology: &str) -> Platform {
     }
 }
 
-/// The scheduler a baseline entry refers to.
-pub fn baseline_scheduler(key: &str, tb: Testbed) -> Box<dyn Scheduler> {
-    match key {
-        "HEFT" | "HEFT-routed" => Box::new(Heft::new()),
-        "ILHA" => Box::new(Ilha::new(tb.paper_best_b())),
-        "ILHA-routed" => Box::new(Ilha::new(ROUTED_BASELINE_PROCS)),
-        other => panic!("unknown baseline scheduler key {other:?}"),
-    }
-}
-
 /// Schedule HEFT and ILHA on every testbed at each size (paper platform,
 /// bi-directional one-port model), then HEFT and ILHA (`B = 8`) on
 /// every testbed at [`ROUTED_BASELINE_N`] over each
-/// [`BASELINE_TOPOLOGIES`] entry, and record the outcomes.
-pub fn record_baseline(sizes: &[usize]) -> BaselineFile {
+/// [`BASELINE_TOPOLOGIES`] entry, and record the outcomes. Every scheduler
+/// is built through the workspace catalog.
+pub fn record_baseline(sizes: &[usize]) -> Result<BaselineFile, UnknownScheduler> {
     let model = CommModel::OnePortBidir;
     let mut entries = Vec::new();
-    let mut record = |topology: &str, tb: Testbed, n: usize, key: &str| {
+    let mut record = |topology: &str, tb: Testbed, n: usize, spec: SchedulerSpec| {
         let g = tb.generate(n, PAPER_C);
         let platform = baseline_platform(topology);
-        let sched = baseline_scheduler(key, tb).schedule(&g, &platform, model);
+        let sched = onesched_baselines::registry::build(&spec)?.schedule(&g, &platform, model);
         assert!(sched.is_complete());
         entries.push(BaselineEntry {
             testbed: tb.name().to_string(),
             n,
             topology: topology.to_string(),
-            scheduler: key.to_string(),
+            scheduler: spec.canonical(),
             tasks: g.num_tasks(),
             makespan: sched.makespan(),
             fingerprint: format!("{:016x}", placement_fingerprint(&sched)),
             effective_comms: sched.num_effective_comms(),
         });
+        Ok(())
     };
     for tb in Testbed::ALL {
         for &n in sizes {
-            for key in ["HEFT", "ILHA"] {
-                record("paper", tb, n, key);
+            for spec in [
+                SchedulerSpec::heft(),
+                SchedulerSpec::ilha(tb.paper_best_b()),
+            ] {
+                record("paper", tb, n, spec)?;
             }
         }
     }
     for topology in BASELINE_TOPOLOGIES {
         for tb in Testbed::ALL {
-            for key in ["HEFT-routed", "ILHA-routed"] {
-                record(topology, tb, ROUTED_BASELINE_N, key);
+            for spec in [
+                SchedulerSpec::heft(),
+                SchedulerSpec::ilha(ROUTED_BASELINE_PROCS),
+            ] {
+                record(topology, tb, ROUTED_BASELINE_N, spec)?;
             }
         }
     }
-    BaselineFile {
+    Ok(BaselineFile {
         schema: BASELINE_SCHEMA.to_string(),
         entries,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -180,14 +181,13 @@ mod tests {
             assert!(p.first_unreachable().is_none(), "{t} must be connected");
         }
         assert_eq!(baseline_platform("paper").num_procs(), 10);
-        assert_eq!(
-            baseline_scheduler("ILHA-routed", Testbed::Lu).name(),
-            "ILHA(B=8)"
-        );
-        assert_eq!(
-            baseline_scheduler("HEFT-routed", Testbed::Lu).name(),
-            "HEFT"
-        );
+        let build = |label: &str| {
+            let spec = SchedulerSpec::parse(label).unwrap();
+            assert_eq!(spec.canonical(), label);
+            onesched_baselines::registry::build(&spec).unwrap().name()
+        };
+        assert_eq!(build("ilha(b=8)"), "ILHA(B=8)");
+        assert_eq!(build("heft"), "HEFT");
     }
 
     #[test]
@@ -198,7 +198,7 @@ mod tests {
                 testbed: "LU".into(),
                 n: 30,
                 topology: "paper".into(),
-                scheduler: "HEFT".into(),
+                scheduler: "heft".into(),
                 tasks: 465,
                 makespan: 3690.0,
                 fingerprint: "00ff00ff00ff00ff".into(),

@@ -8,7 +8,8 @@ use onesched::exec::{
     check_replay, execute, DispatchPolicy, ExecConfig, Perturbation, ReplayViolation,
 };
 use onesched::prelude::*;
-use onesched::regress::{baseline_platform, baseline_scheduler, BaselineFile, BASELINE_TOPOLOGIES};
+use onesched::registry::{self, SchedulerSpec};
+use onesched::regress::{baseline_platform, BaselineFile, BASELINE_TOPOLOGIES};
 use onesched_sim::{trace_fingerprint, validate, ExecutionTrace, Schedule};
 use onesched_testbeds::{random_layered, RandomDagConfig};
 use proptest::prelude::*;
@@ -38,7 +39,10 @@ fn zero_perturbation_replay_is_bit_exact_on_every_fixture() {
             .expect("fixture testbed");
         let g = tb.generate(e.n, PAPER_C);
         let platform = baseline_platform(&e.topology);
-        let sched = baseline_scheduler(&e.scheduler, tb).schedule(&g, &platform, model);
+        let spec = SchedulerSpec::parse(&e.scheduler).expect("fixture labels are specs");
+        let sched = registry::build(&spec)
+            .expect("fixture specs build")
+            .schedule(&g, &platform, model);
         let ctx = format!("{} n={} {} on {}", e.testbed, e.n, e.scheduler, e.topology);
 
         let rep = execute(&g, &platform, model, &sched, &ExecConfig::replay())
@@ -96,7 +100,7 @@ proptest! {
         model_ix in 0usize..4,
     ) {
         use onesched::platform::topology::random_connected;
-        use onesched::registry::{build, list, SchedulerSpec};
+        use onesched::registry::{build, list};
 
         let g = small_dag(layers, width, edge_prob, seed);
         let cts: Vec<f64> = (0..procs).map(|i| [1.0, 2.0, 3.0][i % 3]).collect();

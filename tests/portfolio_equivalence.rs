@@ -27,8 +27,6 @@ fn portfolio_schedule_is_the_fixtures_best_member_bit_exactly() {
     assert_eq!(paper.len(), 24, "fixture covers every paper instance");
     for pair in paper.chunks(2) {
         let (heft_e, ilha_e) = (pair[0], pair[1]);
-        assert_eq!(heft_e.scheduler, "HEFT");
-        assert_eq!(ilha_e.scheduler, "ILHA");
         assert_eq!((heft_e.n, &heft_e.testbed), (ilha_e.n, &ilha_e.testbed));
         let tb = Testbed::ALL
             .iter()
@@ -37,10 +35,14 @@ fn portfolio_schedule_is_the_fixtures_best_member_bit_exactly() {
             .unwrap_or_else(|| panic!("unknown testbed {:?}", heft_e.testbed));
         let g = tb.generate(heft_e.n, PAPER_C);
 
-        let spec = SchedulerSpec::portfolio(vec![
-            SchedulerSpec::heft(),
-            SchedulerSpec::ilha(tb.paper_best_b()),
-        ]);
+        // the members are the fixture's own labels, canonical specs
+        let members: Vec<SchedulerSpec> = pair
+            .iter()
+            .map(|e| SchedulerSpec::parse(&e.scheduler).expect("fixture labels are specs"))
+            .collect();
+        assert_eq!(members[0], SchedulerSpec::heft());
+        assert_eq!(members[1].kind, "ilha");
+        let spec = SchedulerSpec::portfolio(members);
         let portfolio = registry::build(&spec).expect("portfolio builds");
         let sched = portfolio.schedule(&g, &platform, model);
 

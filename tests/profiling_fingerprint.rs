@@ -16,9 +16,8 @@
 
 use onesched::exec::{execute, DispatchPolicy, ExecConfig, Perturbation};
 use onesched::prelude::*;
-use onesched::regress::{
-    baseline_platform, baseline_scheduler, placement_fingerprint, BaselineFile,
-};
+use onesched::registry::{self, SchedulerSpec};
+use onesched::regress::{baseline_platform, placement_fingerprint, BaselineFile};
 use onesched::sim::{trace_fingerprint, ExecutionTrace};
 
 #[global_allocator]
@@ -50,7 +49,10 @@ fn schedules_bit_identical_with_profiling_allocator() {
             .unwrap_or_else(|| panic!("unknown testbed {:?}", e.testbed));
         let g = tb.generate(e.n, PAPER_C);
         let platform = baseline_platform(&e.topology);
-        let sched = baseline_scheduler(&e.scheduler, tb).schedule(&g, &platform, model);
+        let spec = SchedulerSpec::parse(&e.scheduler).expect("fixture labels are specs");
+        let sched = registry::build(&spec)
+            .expect("fixture specs build")
+            .schedule(&g, &platform, model);
         let ctx = format!("{} n={} {} on {}", e.testbed, e.n, e.scheduler, e.topology);
         assert_eq!(sched.makespan(), e.makespan, "{ctx}: makespan drifted");
         assert_eq!(

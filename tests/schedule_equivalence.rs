@@ -1,7 +1,9 @@
 //! Schedule-equivalence regression: HEFT and ILHA must produce bit-identical
-//! schedules to the recorded seed fixture on every testbed at n ∈ {30, 60},
-//! and HEFT and ILHA (fixture keys `HEFT-routed`, `ILHA-routed`) on every
-//! testbed at n = 12 over each star/ring/line baseline topology.
+//! schedules to the recorded seed fixture on every testbed at n ∈ {30, 60}
+//! (`heft`, `ilha(b=<paper-best B>)`), and HEFT and ILHA (`heft`,
+//! `ilha(b=8)`) on every testbed at n = 12 over each star/ring/line
+//! baseline topology. Every fixture label is a canonical `SchedulerSpec`
+//! string, built through the workspace catalog.
 //!
 //! The placement hot path is under active performance work (indexed
 //! timelines, the pruned candidate scan over one-hop and multi-hop
@@ -12,9 +14,10 @@
 //! and say so in the PR (CI's fixture-drift gate enforces the same).
 
 use onesched::prelude::*;
+use onesched::registry::{self, SchedulerSpec};
 use onesched::regress::{
-    baseline_platform, baseline_scheduler, placement_fingerprint, BaselineFile, BASELINE_SCHEMA,
-    BASELINE_TOPOLOGIES, ROUTED_BASELINE_N,
+    baseline_platform, placement_fingerprint, BaselineFile, BASELINE_SCHEMA, BASELINE_TOPOLOGIES,
+    ROUTED_BASELINE_N, ROUTED_BASELINE_PROCS,
 };
 
 const FIXTURE: &str = include_str!("fixtures/schedule_baseline.json");
@@ -52,12 +55,27 @@ fn schedules_match_recorded_seed_fixture() {
             e.testbed,
             e.n
         );
-        if e.topology != "paper" {
-            assert_eq!(e.n, ROUTED_BASELINE_N, "routed entries pin one size");
-        }
-        let platform = baseline_platform(&e.topology);
-        let sched = baseline_scheduler(&e.scheduler, tb).schedule(&g, &platform, model);
         let ctx = format!("{} n={} {} on {}", e.testbed, e.n, e.scheduler, e.topology);
+        // every label is a canonical spec: it round-trips exactly, and
+        // ILHA's chunk size is the testbed's paper-best B on the paper
+        // platform, B = 8 on the routed topologies
+        let spec = SchedulerSpec::parse(&e.scheduler)
+            .unwrap_or_else(|err| panic!("{ctx}: label is not a spec: {err}"));
+        assert_eq!(spec.canonical(), e.scheduler, "{ctx}: label not canonical");
+        let ilha_b = if e.topology == "paper" {
+            tb.paper_best_b()
+        } else {
+            assert_eq!(e.n, ROUTED_BASELINE_N, "routed entries pin one size");
+            ROUTED_BASELINE_PROCS
+        };
+        assert!(
+            [SchedulerSpec::heft(), SchedulerSpec::ilha(ilha_b)].contains(&spec),
+            "{ctx}: unexpected scheduler"
+        );
+        let platform = baseline_platform(&e.topology);
+        let sched = registry::build(&spec)
+            .unwrap_or_else(|err| panic!("{ctx}: {err}"))
+            .schedule(&g, &platform, model);
         // Exact comparisons throughout: the fixture pins bit-identical
         // schedules, not approximately-equal makespans.
         assert_eq!(sched.makespan(), e.makespan, "{ctx}: makespan drifted");

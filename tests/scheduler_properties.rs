@@ -13,14 +13,19 @@ fn small_dag_strategy() -> impl Strategy<Value = (u64, usize, usize, f64)> {
     (0u64..1000, 2usize..6, 1usize..6, 0.1f64..0.9)
 }
 
+/// Every concrete catalog kind (ILHA with `B = 4`, `random` with seed
+/// 99), plus ILHA with the platform's own chunk size and §4.4's
+/// rescheduling wrapper, which the catalog does not name.
 fn schedulers(platform: &Platform) -> Vec<Box<dyn Scheduler>> {
-    let mut v: Vec<Box<dyn Scheduler>> = vec![
-        Box::new(Heft::new()),
-        Box::new(Ilha::new(4)),
-        Box::new(Ilha::auto(platform)),
-        Box::new(onesched_heuristics::resched::WithResched::new(Heft::new())),
-    ];
-    v.extend(onesched::baselines::all_baselines(99));
+    use onesched::registry::{build, concrete_specs};
+    let mut v: Vec<Box<dyn Scheduler>> = concrete_specs(4, 99)
+        .iter()
+        .map(|spec| build(spec).unwrap())
+        .collect();
+    v.push(Box::new(Ilha::auto(platform)));
+    v.push(Box::new(onesched_heuristics::resched::WithResched::new(
+        Heft::new(),
+    )));
     v
 }
 

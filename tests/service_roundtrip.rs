@@ -7,7 +7,7 @@
 //! endpoint, error handling, and graceful shutdown.
 
 use onesched::prelude::*;
-use onesched::regress::{baseline_scheduler, placement_fingerprint, BaselineFile};
+use onesched::regress::{placement_fingerprint, BaselineFile};
 use onesched::service::protocol::{
     AckResponse, DagSpec, ErrorResponse, JobSpec, OpProbe, PlatformSpec, ReadyResponse, Request,
     ResultResponse, SchedulerSpec, SimResultResponse, SimSpec, StatsResponse,
@@ -95,11 +95,12 @@ fn daemon_schedules_bit_identically_and_serves_cache_hits() {
             seed: None,
         },
         platform: None,
-        scheduler: match scheduler {
-            "HEFT" => None, // exercise the default
-            // b unset: defaults to the testbed's paper-best B
-            "ILHA" => Some(SchedulerSpec::named("ilha")),
-            other => panic!("unexpected fixture scheduler {other}"),
+        scheduler: match SchedulerSpec::parse(scheduler).map(|s| s.kind) {
+            Ok(kind) if kind == "heft" => None, // exercise the default
+            // b unset: defaults to the testbed's paper-best B, the chunk
+            // size the fixture label pins
+            Ok(kind) if kind == "ilha" => Some(SchedulerSpec::named("ilha")),
+            other => panic!("unexpected fixture scheduler {scheduler}: {other:?}"),
         },
         model: None,
         validate: true,
@@ -136,15 +137,17 @@ fn daemon_schedules_bit_identically_and_serves_cache_hits() {
     // compare against the service results (direct-runner equivalence,
     // not just fixture equivalence) -----------------------------------
     let platform = Platform::paper();
-    for (testbed, scheduler) in [("LU", "HEFT"), ("LAPLACE", "ILHA")] {
+    let laplace_ilha = SchedulerSpec::ilha(Testbed::Laplace.paper_best_b()).canonical();
+    for (testbed, scheduler) in [("LU", "heft"), ("LAPLACE", laplace_ilha.as_str())] {
         let tb = Testbed::ALL
             .iter()
             .copied()
             .find(|t| t.name() == testbed)
             .unwrap();
         let g = tb.generate(30, PAPER_C);
-        let direct =
-            baseline_scheduler(scheduler, tb).schedule(&g, &platform, CommModel::OnePortBidir);
+        let direct = onesched::registry::build(&SchedulerSpec::parse(scheduler).unwrap())
+            .unwrap()
+            .schedule(&g, &platform, CommModel::OnePortBidir);
         let r = &results[&format!("{testbed}/{scheduler}")];
         assert_eq!(
             r.fingerprint,
@@ -157,15 +160,15 @@ fn daemon_schedules_bit_identically_and_serves_cache_hits() {
     // -- Phase B: resubmitting an identical job hits the cache ---------
     send(
         &mut stream,
-        &Request::submit(Some("repeat".into()), 9, spec_for("LU", "HEFT")),
+        &Request::submit(Some("repeat".into()), 9, spec_for("LU", "heft")),
     );
     let repeat: ResultResponse = serde_json::from_str(&read_response(&mut reader)).unwrap();
     assert!(
         repeat.cache_hit,
         "identical resolved job must hit the cache"
     );
-    assert_eq!(repeat.fingerprint, results["LU/HEFT"].fingerprint);
-    assert_eq!(repeat.makespan, results["LU/HEFT"].makespan);
+    assert_eq!(repeat.fingerprint, results["LU/heft"].fingerprint);
+    assert_eq!(repeat.makespan, results["LU/heft"].makespan);
 
     // -- Phase B': simulate jobs run construct-then-execute ------------
     // zero perturbation: the executed trace is the schedule, bit-exactly
@@ -174,7 +177,7 @@ fn daemon_schedules_bit_identically_and_serves_cache_hits() {
         &Request::simulate(
             Some("sim-exact".into()),
             9,
-            spec_for("LU", "HEFT"),
+            spec_for("LU", "heft"),
             SimSpec::default(),
         ),
     );
@@ -183,7 +186,7 @@ fn daemon_schedules_bit_identically_and_serves_cache_hits() {
     assert_eq!(exact.degradation, 1.0, "zero noise replays bit-exactly");
     assert_eq!(exact.executed_makespan, exact.static_makespan);
     assert_eq!(
-        exact.fingerprint, results["LU/HEFT"].fingerprint,
+        exact.fingerprint, results["LU/heft"].fingerprint,
         "simulate constructs the same schedule submit does"
     );
     {
@@ -194,7 +197,7 @@ fn daemon_schedules_bit_identically_and_serves_cache_hits() {
             .find(|t| t.name() == "LU")
             .unwrap();
         let g = tb.generate(30, PAPER_C);
-        let sched = baseline_scheduler("HEFT", tb).schedule(&g, &platform, CommModel::OnePortBidir);
+        let sched = Heft::new().schedule(&g, &platform, CommModel::OnePortBidir);
         let expected =
             onesched_sim::trace_fingerprint(&onesched_sim::ExecutionTrace::from_schedule(&sched));
         assert_eq!(
@@ -211,7 +214,7 @@ fn daemon_schedules_bit_identically_and_serves_cache_hits() {
         &Request::simulate(
             Some("sim-noisy".into()),
             9,
-            spec_for("LU", "HEFT"),
+            spec_for("LU", "heft"),
             noisy.clone(),
         ),
     );
@@ -221,7 +224,7 @@ fn daemon_schedules_bit_identically_and_serves_cache_hits() {
         &Request::simulate(
             Some("sim-noisy-again".into()),
             9,
-            spec_for("LU", "HEFT"),
+            spec_for("LU", "heft"),
             noisy,
         ),
     );
@@ -267,7 +270,7 @@ fn daemon_schedules_bit_identically_and_serves_cache_hits() {
     }
 
     // -- Phase D: invalid submissions get error responses --------------
-    let mut bad = spec_for("LU", "HEFT");
+    let mut bad = spec_for("LU", "heft");
     bad.model = Some("quantum-entangled".into());
     send(
         &mut stream,
