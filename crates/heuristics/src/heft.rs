@@ -38,7 +38,7 @@ impl Heft {
         }
     }
 
-    /// HEFT with a custom placement policy (used by the ablation benches).
+    /// HEFT with a custom placement policy (used by `experiments ablations`).
     pub fn with_policy(policy: PlacementPolicy) -> Heft {
         Heft { policy }
     }

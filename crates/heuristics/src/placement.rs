@@ -32,7 +32,7 @@ use onesched_sim::{
 /// How a task's incoming messages are ordered when they are greedily
 /// serialized on the ports. The paper leaves the order unspecified; the
 /// choice matters under one-port contention, so it is an ablation knob
-/// (DESIGN.md, ablation 2).
+/// (`experiments ablations`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CommOrder {
     /// Earliest parent finish time first (default: data available first is

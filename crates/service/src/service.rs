@@ -74,13 +74,16 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Serialize a response line. The response types cannot fail to serialize,
-/// but the answer path must never panic a worker, so the impossible case
-/// degrades to a fixed protocol error line.
+/// Serialize a response line, newline included, so it goes out in one
+/// write. The response types cannot fail to serialize, but the answer path
+/// must never panic a worker, so the impossible case degrades to a fixed
+/// protocol error line.
 fn to_line<T: Serialize>(value: &T) -> String {
-    serde_json::to_string(value).unwrap_or_else(|_| {
+    let mut line = serde_json::to_string(value).unwrap_or_else(|_| {
         r#"{"op":"error","message":"internal: response serialization failed"}"#.to_string()
-    })
+    });
+    line.push('\n');
+    line
 }
 
 /// A writer that discards everything: where recovered (ownerless) jobs
@@ -1462,18 +1465,18 @@ fn duration_us(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
-/// Write one complete response line under the writer's lock (the
-/// no-interleaving guarantee) and flush it so clients see results as they
-/// complete.
+/// Write one complete response line (a [`to_line`] result) under the
+/// writer's lock (the no-interleaving guarantee) and flush it so clients
+/// see results as they complete.
 fn write_line(out: &SharedWriter, line: &str) {
     write_locked(&mut **lock(out), line);
 }
 
-/// [`write_line`] for a caller already holding the writer's lock. Write
-/// errors are swallowed: a vanished client must not take a worker down.
+/// [`write_line`] for a caller already holding the writer's lock: one
+/// write per line, then a flush. Write errors are swallowed: a vanished
+/// client must not take a worker down.
 fn write_locked(w: &mut dyn Write, line: &str) {
     let _ = w.write_all(line.as_bytes());
-    let _ = w.write_all(b"\n");
     let _ = w.flush();
 }
 
@@ -1582,6 +1585,56 @@ mod tests {
             metrics.contains(&format!("onesched_trace_dropped_total {expected}")),
             "scrape carries the drop counter:\n{metrics}"
         );
+    }
+
+    /// A writer that keeps the bytes of each `write` call as one chunk.
+    #[derive(Clone, Default)]
+    struct ChunkWriter(Arc<Mutex<Vec<Vec<u8>>>>);
+
+    impl Write for ChunkWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.lock().unwrap().push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_answer_line_leaves_in_one_write() {
+        let svc = Service::new(ServiceConfig {
+            workers: 2,
+            cache_capacity: 64,
+            ..ServiceConfig::default()
+        });
+        let chunks = ChunkWriter::default();
+        let out: SharedWriter = Arc::new(Mutex::new(Box::new(chunks.clone())));
+        let mut input: String = [
+            submit("a", 0, lu_spec(8)),
+            submit("b", 0, lu_spec(8)),
+            Request::stats(),
+        ]
+        .iter()
+        .map(|r| serde_json::to_string(r).unwrap() + "\n")
+        .collect();
+        // an error answer, an unknown op and a metrics scrape
+        input.push_str("not json\n{\"op\":\"frobnicate\"}\n{\"op\":\"metrics\"}\n");
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| svc.worker());
+            }
+            svc.serve_reader(input.as_bytes(), &out);
+            svc.drain_queue();
+            svc.begin_shutdown();
+        });
+        let chunks = chunks.0.lock().unwrap();
+        assert_eq!(chunks.len(), 6, "one write per answer");
+        for chunk in chunks.iter() {
+            let text = String::from_utf8_lossy(chunk);
+            assert!(text.ends_with('\n'), "a whole line per write: {text}");
+            assert_eq!(text.matches('\n').count(), 1, "one line per write: {text}");
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Experiment harness: regenerates every figure and worked example of the
-//! paper (see DESIGN.md for the experiment index and EXPERIMENTS.md for the
-//! recorded results).
+//! paper, plus the §4.4 design-choice ablations (EXPERIMENTS.md indexes the
+//! commands and records the results).
 //!
 //! ```text
 //! experiments [--sizes 100,200,300,400,500] [--out results]
@@ -14,6 +14,9 @@
 //!   figs           all six testbed sweeps (parallel over testbed×size×scheduler)
 //!   bsweep         ILHA chunk-size sensitivity per testbed
 //!   models         HEFT/ILHA under all four communication models
+//!   ablations      the §4.4 design choices (insertion, message order,
+//!                  ILHA scan depth, communication rescheduling), one
+//!                  fixed instance each, every schedule validated
 //!   baselines      every scheduler on every testbed at one size
 //!   routed [--procs P]
 //!                  HEFT + ILHA on star/ring/line topologies (§4.3
@@ -68,6 +71,9 @@
 //!
 //! Run in release mode: `cargo run --release --bin experiments -- all`.
 
+mod cli;
+
+use cli::{die, parse_or_die, take_flag, take_parsed};
 use onesched::heuristics::{default_threads, par_map, NoProbe};
 use onesched::prelude::*;
 use onesched::runner::{self, BenchFile, SweepResult};
@@ -124,83 +130,34 @@ impl Default for Opts {
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut opts = Opts::default();
-    let mut max_ratio = 2.0f64;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--sizes" => {
-                opts.sizes = args[i + 1]
-                    .split(',')
-                    .map(|s| s.parse().expect("size must be an integer"))
-                    .collect();
-                args.drain(i..=i + 1);
-            }
-            "--out" => {
-                opts.out = args[i + 1].clone();
-                args.drain(i..=i + 1);
-            }
-            "--threads" => {
-                opts.threads = args[i + 1]
-                    .parse()
-                    .expect("thread count must be an integer");
-                args.drain(i..=i + 1);
-            }
-            "--bench-json" => {
-                opts.bench_json = Some(args[i + 1].clone());
-                args.drain(i..=i + 1);
-            }
-            "--bench-baseline" => {
-                opts.bench_baseline = Some(args[i + 1].clone());
-                args.drain(i..=i + 1);
-            }
-            "--bench-repeats" => {
-                opts.bench_repeats = args[i + 1].parse().expect("repeats must be an integer");
-                args.drain(i..=i + 1);
-            }
-            "--max-ratio" => {
-                max_ratio = args[i + 1].parse().expect("ratio must be a number");
-                args.drain(i..=i + 1);
-            }
-            "--tasks" => {
-                opts.tasks = args[i + 1].parse().expect("tasks must be an integer");
-                args.drain(i..=i + 1);
-            }
-            "--seed" => {
-                opts.seed = args[i + 1].parse().expect("seed must be an integer");
-                args.drain(i..=i + 1);
-            }
-            "--procs" => {
-                opts.procs = args[i + 1].parse().expect("procs must be an integer");
-                args.drain(i..=i + 1);
-            }
-            "--fixture" => {
-                opts.fixture = Some(args[i + 1].clone());
-                args.drain(i..=i + 1);
-            }
-            "--profile" => {
-                opts.profile = true;
-                args.remove(i);
-            }
-            "--history" => {
-                opts.history = args[i + 1].clone();
-                args.drain(i..=i + 1);
-            }
-            "--date" => {
-                opts.date = Some(args[i + 1].clone());
-                args.drain(i..=i + 1);
-            }
-            "--label" => {
-                opts.label = args[i + 1].clone();
-                args.drain(i..=i + 1);
-            }
-            _ => i += 1,
-        }
-    }
+    let defaults = Opts::default();
+    let profile = args.iter().any(|a| a == "--profile");
+    args.retain(|a| a != "--profile");
+    let opts = Opts {
+        sizes: take_flag(&mut args, "--sizes").map_or(defaults.sizes, |v| {
+            v.split(',').map(|n| parse_or_die("--sizes", n)).collect()
+        }),
+        out: take_flag(&mut args, "--out").unwrap_or(defaults.out),
+        threads: take_parsed(&mut args, "--threads").unwrap_or(defaults.threads),
+        bench_json: take_flag(&mut args, "--bench-json"),
+        bench_baseline: take_flag(&mut args, "--bench-baseline"),
+        bench_repeats: take_parsed(&mut args, "--bench-repeats").unwrap_or(defaults.bench_repeats),
+        tasks: take_parsed(&mut args, "--tasks").unwrap_or(defaults.tasks),
+        seed: take_parsed(&mut args, "--seed").unwrap_or(defaults.seed),
+        procs: take_parsed(&mut args, "--procs").unwrap_or(defaults.procs),
+        fixture: take_flag(&mut args, "--fixture"),
+        profile,
+        history: take_flag(&mut args, "--history").unwrap_or(defaults.history),
+        date: take_flag(&mut args, "--date"),
+        label: take_flag(&mut args, "--label").unwrap_or(defaults.label),
+    };
+    let max_ratio: f64 = take_parsed(&mut args, "--max-ratio").unwrap_or(2.0);
     let cmd = args.first().map(String::as_str).unwrap_or("all");
-    if cmd == "bench-compare" {
-        bench_compare(&args[1..], max_ratio);
-        return;
+    // the two commands that write no files
+    match cmd {
+        "bench-compare" => return bench_compare(&args[1..], max_ratio),
+        "probe" => return probe(&args[1..]),
+        _ => {}
     }
     std::fs::create_dir_all(&opts.out).expect("create output directory");
     match cmd {
@@ -215,13 +172,13 @@ fn main() {
         "figs" => figure_sweeps(&opts, &Testbed::ALL),
         "bsweep" => b_sensitivity(&opts),
         "models" => model_ablation(&opts),
+        "ablations" => ablations(&opts),
         "baselines" => baseline_comparison(&opts),
         "routed" => routed_sweep(&opts),
         "routed-figs" => routed_figs(&opts),
         "stress" => stress_sweep(&opts),
         "perturb" => perturb_sweep(&opts),
         "league" => league(&opts),
-        "probe" => probe(&args[1..]),
         "record-baseline" => record_baseline(&opts),
         "bench-history" => bench_history(&opts),
         "all" => {
@@ -230,6 +187,7 @@ fn main() {
             figure_sweeps(&opts, &Testbed::ALL);
             b_sensitivity(&opts);
             model_ablation(&opts);
+            ablations(&opts);
             baseline_comparison(&opts);
             routed_sweep(&opts);
             routed_figs(&opts);
@@ -383,10 +341,7 @@ fn bench_history(opts: &Opts) {
 /// to the baseline fails too: it would gate nothing.
 fn bench_compare(args: &[String], max_ratio: f64) {
     let [cur_path, base_path] = args else {
-        eprintln!(
-            "usage: experiments bench-compare <current.json> <baseline.json> [--max-ratio R]"
-        );
-        std::process::exit(2);
+        die("usage: experiments bench-compare <current.json> <baseline.json> [--max-ratio R]");
     };
     let read = |p: &String| -> BenchFile {
         let text = std::fs::read_to_string(p).unwrap_or_else(|e| panic!("read {p}: {e}"));
@@ -425,12 +380,11 @@ fn bench_compare(args: &[String], max_ratio: f64) {
 
 /// Diagnostic: `probe <testbed> <n>` prints detailed stats for HEFT/ILHA.
 fn probe(args: &[String]) {
-    let tb = Testbed::ALL
-        .iter()
-        .copied()
-        .find(|t| t.name().eq_ignore_ascii_case(&args[0]))
-        .expect("unknown testbed");
-    let n: usize = args[1].parse().expect("size");
+    let [tb, n] = args else {
+        die("usage: experiments probe <testbed> <n>");
+    };
+    let tb = onesched::service::protocol::parse_testbed(tb).unwrap_or_else(|e| die(e));
+    let n: usize = parse_or_die("size", n);
     let g = tb.generate(n, PAPER_C);
     let p = Platform::paper();
     let m = CommModel::OnePortBidir;
@@ -716,7 +670,11 @@ fn model_ablation(opts: &Opts) {
                 &Ilha::new(tb.paper_best_b()) as &dyn Scheduler,
             ] {
                 let sched = s.schedule(&g, &p, m);
-                debug_assert!(validate(&g, &p, m, &sched).is_empty());
+                assert!(
+                    validate(&g, &p, m, &sched).is_empty(),
+                    "{tb}/{m}/{}",
+                    s.name()
+                );
                 let _ = writeln!(
                     csv,
                     "{tb},{m},{},{},{}",
@@ -729,6 +687,88 @@ fn model_ablation(opts: &Opts) {
         println!("{tb:>10} done");
     }
     write_csv(opts, "model_ablation.csv", &csv);
+}
+
+/// The §4.4 design choices, each varied alone on one fixed instance on the
+/// paper platform under one-port-bidir: HEFT's insertion vs append
+/// placement and its four incoming-message orders, ILHA's zero- vs
+/// one-message step-1 scan, and ILHA with and without the third-step
+/// communication rescheduling (`resched::WithResched`). ILHA takes the
+/// testbed's paper-best B. Every schedule is validated.
+fn ablations(opts: &Opts) {
+    use onesched_heuristics::resched::WithResched;
+    use onesched_heuristics::CommOrder::{ByDataAsc, ByDataDesc, ByParentFinish, ByParentId};
+    use onesched_heuristics::ScanDepth::{UpToOneComm, ZeroComm};
+
+    println!("== ablations: the §4.4 design choices (paper platform, one-port-bidir) ==");
+    let p = Platform::paper();
+    let m = CommModel::OnePortBidir;
+    let paper = PlacementPolicy::paper();
+    let heft = |policy| -> Box<dyn Scheduler> { Box::new(Heft::with_policy(policy)) };
+    let insertion = |insertion| heft(PlacementPolicy { insertion, ..paper });
+    let order = |comm_order| {
+        heft(PlacementPolicy {
+            comm_order,
+            ..paper
+        })
+    };
+    let scan = |scan| -> Box<dyn Scheduler> {
+        Box::new(Ilha {
+            scan,
+            ..Ilha::new(Testbed::Laplace.paper_best_b())
+        })
+    };
+    let plain = Ilha::new(Testbed::Doolittle.paper_best_b());
+    let (lu, ldmt) = ((Testbed::Lu, 40), (Testbed::Ldmt, 30));
+    let (laplace, doolittle) = ((Testbed::Laplace, 40), (Testbed::Doolittle, 30));
+    /// Ablation, variant, instance, scheduler.
+    type Row = (
+        &'static str,
+        &'static str,
+        (Testbed, usize),
+        Box<dyn Scheduler>,
+    );
+    let rows: [Row; 10] = [
+        ("insertion", "insertion", lu, insertion(true)),
+        ("insertion", "append", lu, insertion(false)),
+        ("comm-order", "parent-finish", ldmt, order(ByParentFinish)),
+        ("comm-order", "data-desc", ldmt, order(ByDataDesc)),
+        ("comm-order", "data-asc", ldmt, order(ByDataAsc)),
+        ("comm-order", "parent-id", ldmt, order(ByParentId)),
+        ("scan-depth", "zero-comm", laplace, scan(ZeroComm)),
+        ("scan-depth", "one-comm", laplace, scan(UpToOneComm)),
+        ("resched", "plain", doolittle, Box::new(plain.clone())),
+        (
+            "resched",
+            "resched",
+            doolittle,
+            Box::new(WithResched::new(plain)),
+        ),
+    ];
+    let mut csv =
+        String::from("ablation,variant,testbed,n,scheduler,makespan,speedup,violations\n");
+    for (ablation, variant, (tb, n), s) in &rows {
+        let g = tb.generate(*n, PAPER_C);
+        let sched = s.schedule(&g, &p, m);
+        let v = validate(&g, &p, m, &sched);
+        assert!(
+            v.is_empty(),
+            "{ablation}/{variant}: invalid schedule: {v:?}"
+        );
+        let (makespan, speedup) = (sched.makespan(), sched.speedup(&g, &p));
+        let _ = writeln!(
+            csv,
+            "{ablation},{variant},{tb},{n},{},{makespan},{speedup},{}",
+            s.name(),
+            v.len()
+        );
+        println!(
+            "{ablation:>10} {variant:<13} {:>9} n={n:<3} {:<20} makespan {makespan:>8.0}  speedup {speedup:.3}",
+            tb.name(),
+            s.name()
+        );
+    }
+    write_csv(opts, "ablations.csv", &csv);
 }
 
 /// Routed scheduling (the §4.3 store-and-forward extension) on every

@@ -48,6 +48,9 @@
 //!
 //! Protocol reference: `crates/service/README.md`.
 
+mod cli;
+
+use cli::{take_flag, take_parsed};
 use onesched::service::protocol::{MetricsResponse, OpProbe, Request};
 use onesched::service::{workloads, Service, ServiceConfig};
 use std::io::{BufRead, BufReader, Write};
@@ -93,45 +96,19 @@ fn main() {
 
 const USAGE: &str = "usage:\n  onesched-svc serve [--stdio | --tcp ADDR] [--workers N] [--cache N] [--queue-cap N]\n                     [--ledger PATH] [--max-retries N] [--timeout-ms N] [--high-water N]\n                     [--trace PATH]\n  onesched-svc submit --tcp ADDR [FILE|-]\n  onesched-svc stats --tcp ADDR\n  onesched-svc metrics --tcp ADDR\n  onesched-svc shutdown --tcp ADDR\n  onesched-svc trace export IN [--out OUT]\n  onesched-svc trace validate PATH\n  onesched-svc trace report IN [--max-jobs N]\n  onesched-svc trace flamegraph IN [--out SVG] [--folded PATH]\n  onesched-svc ledger inspect PATH\n  onesched-svc gen <smoke|stress|routed|sim|chaos> [--tasks N] [--seed S] [--count K] [--procs P] [--n N] [--testbed NAME] [--scheduler SPEC]\n";
 
-/// Pull `--flag value` out of `args`, leaving positionals behind.
-fn take_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let i = args.iter().position(|a| a == flag)?;
-    if i + 1 >= args.len() {
-        eprintln!("onesched-svc: {flag} needs a value");
-        std::process::exit(2);
-    }
-    let v = args.remove(i + 1);
-    args.remove(i);
-    Some(v)
-}
-
-fn parse_or_die<T: std::str::FromStr>(what: &str, v: &str) -> T {
-    v.parse().unwrap_or_else(|_| {
-        eprintln!("onesched-svc: invalid {what}: {v:?}");
-        std::process::exit(2);
-    })
-}
-
 fn serve(args: &[String]) -> i32 {
     let mut args = args.to_vec();
     let tcp = take_flag(&mut args, "--tcp");
-    let workers = take_flag(&mut args, "--workers")
-        .map(|v| parse_or_die::<usize>("--workers", &v))
+    let workers = take_parsed::<usize>(&mut args, "--workers")
         .unwrap_or_else(onesched::heuristics::default_threads);
-    let cache = take_flag(&mut args, "--cache")
-        .map(|v| parse_or_die::<usize>("--cache", &v))
-        .unwrap_or(1024);
-    let queue_cap = take_flag(&mut args, "--queue-cap")
-        .map(|v| parse_or_die::<usize>("--queue-cap", &v))
+    let cache = take_parsed::<usize>(&mut args, "--cache").unwrap_or(1024);
+    let queue_cap = take_parsed::<usize>(&mut args, "--queue-cap")
         .unwrap_or(onesched::service::service::DEFAULT_QUEUE_CAP);
     let ledger = take_flag(&mut args, "--ledger");
-    let max_retries = take_flag(&mut args, "--max-retries")
-        .map(|v| parse_or_die::<u32>("--max-retries", &v))
+    let max_retries = take_parsed::<u32>(&mut args, "--max-retries")
         .unwrap_or(onesched::service::service::DEFAULT_MAX_RETRIES);
-    let timeout = take_flag(&mut args, "--timeout-ms")
-        .map(|v| std::time::Duration::from_millis(parse_or_die::<u64>("--timeout-ms", &v)));
-    let high_water =
-        take_flag(&mut args, "--high-water").map(|v| parse_or_die::<usize>("--high-water", &v));
+    let timeout = take_parsed(&mut args, "--timeout-ms").map(std::time::Duration::from_millis);
+    let high_water = take_parsed::<usize>(&mut args, "--high-water");
     let trace = take_flag(&mut args, "--trace").map(std::path::PathBuf::from);
     args.retain(|a| a != "--stdio");
     if !args.is_empty() {
@@ -440,9 +417,7 @@ fn trace_cmd(args: &[String]) -> i32 {
             i32::from(invalid > 0)
         }
         "report" => {
-            let max_jobs = take_flag(&mut args, "--max-jobs")
-                .map(|v| parse_or_die("--max-jobs", &v))
-                .unwrap_or(10);
+            let max_jobs = take_parsed(&mut args, "--max-jobs").unwrap_or(10);
             let Some(input) = args.first() else {
                 eprintln!("onesched-svc: trace report needs an input file\n{USAGE}");
                 return 2;
@@ -552,32 +527,16 @@ fn ledger_cmd(args: &[String]) -> i32 {
 /// Print a generated workload batch as request lines.
 fn gen(args: &[String]) -> i32 {
     let mut args = args.to_vec();
-    let tasks = take_flag(&mut args, "--tasks")
-        .map(|v| parse_or_die::<usize>("--tasks", &v))
-        .unwrap_or(100_000);
-    let seed = take_flag(&mut args, "--seed")
-        .map(|v| parse_or_die::<u64>("--seed", &v))
-        .unwrap_or(0);
-    let count = take_flag(&mut args, "--count")
-        .map(|v| parse_or_die::<usize>("--count", &v))
-        .unwrap_or(1);
-    let procs = take_flag(&mut args, "--procs")
-        .map(|v| parse_or_die::<usize>("--procs", &v))
-        .unwrap_or(8);
-    let n = take_flag(&mut args, "--n")
-        .map(|v| parse_or_die::<usize>("--n", &v))
-        .unwrap_or(20);
+    let tasks = take_parsed::<usize>(&mut args, "--tasks").unwrap_or(100_000);
+    let seed = take_parsed::<u64>(&mut args, "--seed").unwrap_or(0);
+    let count = take_parsed::<usize>(&mut args, "--count").unwrap_or(1);
+    let procs = take_parsed::<usize>(&mut args, "--procs").unwrap_or(8);
+    let n = take_parsed::<usize>(&mut args, "--n").unwrap_or(20);
     let testbed = take_flag(&mut args, "--testbed").unwrap_or_else(|| "LU".into());
     // any registry kind by canonical string, e.g. "min-min" or "ilha(b=4)"
     // or "portfolio[heft,cpop]" (stress workloads only; default heft+ilha)
     let scheduler = take_flag(&mut args, "--scheduler").map(|v| {
-        match onesched::heuristics::registry::SchedulerSpec::parse(&v) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("onesched-svc: {e}");
-                std::process::exit(2);
-            }
-        }
+        onesched::heuristics::registry::SchedulerSpec::parse(&v).unwrap_or_else(|e| cli::die(e))
     });
     let kind = args.first().map(String::as_str).unwrap_or("smoke");
     let reqs: Vec<Request> = match kind {
