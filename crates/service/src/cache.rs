@@ -11,13 +11,12 @@
 //! outcome is a few hundred bytes regardless of task count.
 
 use crate::protocol::{LatencyEntry, PortfolioWinEntry, ResolvedJob, ResolvedSim, StatsResponse};
-use crate::runner::schedule_timed;
 use onesched_dag::TaskGraph;
 use onesched_heuristics::{default_threads, par_map, NoProbe, Phase, Probe, ScanStats};
 use onesched_platform::Platform;
 use onesched_prof::AllocSnapshot;
 use onesched_sim::Schedule;
-use onesched_trace::{Clock, Scope};
+use onesched_trace::{Clock, Scope, WallClock};
 use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::OnceLock;
@@ -25,9 +24,10 @@ use std::time::Duration;
 
 /// A write-only [`Probe`] that accumulates per-phase wall time,
 /// allocation deltas, and placement-scan counters over one (or several)
-/// constructions, timed by a [`Clock`]. Single-threaded by design
-/// (`Cell` state): one worker owns one probe for the duration of a job,
-/// then reads the totals out.
+/// constructions, timed by a [`Clock`], plus the allocation delta of each
+/// whole `schedule()` call [`construct`] runs it on. Single-threaded by
+/// design (`Cell` state): one worker owns one probe for the duration of a
+/// job, then reads the totals out.
 ///
 /// Allocation attribution reads the process-global `onesched-prof`
 /// counters at each phase edge; without the `profiling` allocator
@@ -43,13 +43,14 @@ pub struct ConstructProbe<'a> {
     alloc_begin: [Cell<AllocSnapshot>; 4],
     alloc_total: [Cell<AllocSnapshot>; 4],
     scan: Cell<ScanStats>,
+    construct_allocs: Cell<AllocSnapshot>,
 }
 
 /// The fixed phase order of the accumulator arrays, and of the
 /// `construct.*` child spans. Those four are the only spans the daemon
 /// does not measure: each is a phase's accumulated total over the whole
 /// construction, laid end to end from the start of the measured
-/// `construct` span by [`run_job`] and [`run_sim_job`].
+/// `construct` span by [`construct`].
 pub const PHASES: [Phase; 4] = [Phase::Rank, Phase::Step1, Phase::Scan, Phase::Commit];
 
 fn phase_slot(phase: Phase) -> usize {
@@ -71,6 +72,7 @@ impl<'a> ConstructProbe<'a> {
             alloc_begin: Default::default(),
             alloc_total: Default::default(),
             scan: Cell::new(ScanStats::default()),
+            construct_allocs: Cell::default(),
         }
     }
 
@@ -94,6 +96,13 @@ impl<'a> ConstructProbe<'a> {
     /// Cumulative placement-scan counters reported by the scheduler.
     pub fn scan(&self) -> ScanStats {
         self.scan.get()
+    }
+
+    /// Accumulated allocation activity of the whole `schedule()` calls
+    /// [`construct`] ran with this probe (zero without the `profiling`
+    /// allocator registered).
+    pub fn construct_allocs(&self) -> AllocSnapshot {
+        self.construct_allocs.get()
     }
 
     /// Record the `construct.{rank,step1,scan,commit}` children of the
@@ -127,6 +136,15 @@ impl<'a> ConstructProbe<'a> {
     }
 }
 
+/// Add `d` to the allocation total in `acc` (saturating).
+fn add_allocs(acc: &Cell<AllocSnapshot>, d: AllocSnapshot) {
+    let a = acc.get();
+    acc.set(AllocSnapshot {
+        allocs: a.allocs.saturating_add(d.allocs),
+        bytes: a.bytes.saturating_add(d.bytes),
+    });
+}
+
 impl Probe for ConstructProbe<'_> {
     fn phase_begin(&self, phase: Phase) {
         let slot = phase_slot(phase);
@@ -145,12 +163,7 @@ impl Probe for ConstructProbe<'_> {
             t.set(t.get().saturating_add(d));
         }
         if let (Some(b), Some(t)) = (self.alloc_begin.get(slot), self.alloc_total.get(slot)) {
-            let d = onesched_prof::snapshot().delta_since(b.get());
-            let acc = t.get();
-            t.set(AllocSnapshot {
-                allocs: acc.allocs.saturating_add(d.allocs),
-                bytes: acc.bytes.saturating_add(d.bytes),
-            });
+            add_allocs(t, onesched_prof::snapshot().delta_since(b.get()));
         }
     }
 
@@ -183,13 +196,14 @@ pub struct JobOutcome {
     pub violations: usize,
 }
 
-/// The construction step shared by [`run_job`], [`run_sim_job`] and
-/// [`run_portfolio_members`]: schedule the already-built problem with the
-/// job's scheduler and record the outcome next to the schedule, which the
-/// simulate path feeds to the execution engine. The `schedule()` call is
-/// the `construct` span of `scope`; `probe` (when given) observes it and
-/// adds the phase children.
-fn construct(
+/// The one construction step, shared by [`run_job`], [`run_sim_job`],
+/// [`run_portfolio_members`] and the offline sweeps: schedule the
+/// already-built problem (`g` and `platform` from `job`) with the job's
+/// scheduler and record the outcome next to the schedule. The `schedule()`
+/// call alone is timed, and is the `construct` span of `scope`; `probe`
+/// (when given) observes it, adds the phase children and its allocation
+/// delta, and cannot influence the schedule.
+pub fn construct(
     job: &ResolvedJob,
     g: &TaskGraph,
     platform: &Platform,
@@ -197,14 +211,24 @@ fn construct(
     scope: &Scope<'_>,
 ) -> (JobOutcome, Schedule) {
     let scheduler = job.build_scheduler();
+    // Wall time through the trace crate's Clock (the D104 discipline: no
+    // direct Instant reads outside WallClock), at microsecond resolution.
+    let clock = WallClock::new();
     let (sched, construct) = {
         let span = scope.open("construct", "job.attempt");
         let observer = probe.map_or(&NoProbe as &dyn Probe, |p| p);
-        let timed = schedule_timed(g, platform, scheduler.as_ref(), job.model(), observer);
+        let a0 = onesched_prof::snapshot();
+        let t0 = clock.now_micros();
+        // `platform` is connected (intake checked it), so the construction
+        // runs without the trait wrappers' connectivity check
+        let sched = scheduler.schedule_with_probe(g, platform, job.model(), observer);
+        let construct = Duration::from_micros(clock.now_micros().saturating_sub(t0));
         if let Some(p) = probe {
+            let allocs = onesched_prof::snapshot().delta_since(a0);
+            add_allocs(&p.construct_allocs, allocs);
             p.record_phases(scope, span.start_us());
         }
-        timed
+        (sched, construct)
     };
     let violations = if job.spec.validate {
         onesched_sim::validate(g, platform, job.model(), &sched).len()
@@ -225,10 +249,10 @@ fn construct(
 }
 
 /// Execute a resolved job: generate the graph and platform, run the
-/// scheduler (through the runner's shared timing step), and record the
-/// outcome. `probe` sees phase boundaries and placement-scan counters, and
-/// `scope` gets the `construct` span; neither can influence the outcome
-/// (`None` and [`Scope::off`] when nobody listens). Deterministic: equal
+/// scheduler through [`construct`], and record the outcome. `probe` sees
+/// phase boundaries and placement-scan counters, and `scope` gets the
+/// `construct` span; neither can influence the outcome (`None` and
+/// [`Scope::off`] when nobody listens). Deterministic: equal
 /// [`ResolvedJob::key`]s produce equal outcomes up to the `construct`
 /// timing.
 pub fn run_job(

@@ -8,7 +8,8 @@
 //! * [`queue`] — the priority job queue (higher priority first, FIFO
 //!   within a priority);
 //! * [`cache`] — the request/platform/DAG registry: a schedule cache keyed
-//!   by resolved job, the deterministic job executor, and service
+//!   by resolved job, the deterministic job executor and its one
+//!   construction step (shared with the offline sweeps), and service
 //!   statistics (queue depth, cache hits, per-scheduler latency
 //!   percentiles);
 //! * [`ledger`] — the append-only write-ahead job ledger (NDJSON events
@@ -23,9 +24,9 @@
 //!   layered DAGs targeted at 100k+ tasks and routed workloads on
 //!   non-fully-connected topologies;
 //! * [`runner`] — the sweep runner behind `experiments figs` and the
-//!   machine-readable perf baseline (`BENCH_2.json`), fanned out by
-//!   `par_map`; the service worker pool follows its job-isolation
-//!   discipline.
+//!   machine-readable perf baseline (`BENCH_2.json`): resolved jobs fanned
+//!   out by `par_map` and built by [`cache::construct`], the daemon's own
+//!   construction step.
 //!
 //! Schedulers stay pure (`onesched-heuristics`); this crate owns jobs,
 //! queues, caches, and results — the scheduler/runner separation the dslab

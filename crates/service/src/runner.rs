@@ -3,92 +3,45 @@
 //! fans out over [`onesched_heuristics::par_map`], the workspace's one
 //! ordered, bounded fan-out (no external dependencies).
 //!
-//! Each job regenerates its task graph, builds one schedule, and reports the
-//! quality numbers plus the *schedule-construction time* — the quantity the
-//! perf baseline (`BENCH_2.json`) tracks. Results come back in job order
+//! A sweep job is a [`ResolvedJob`], the daemon's own job description, and
+//! runs through the daemon's construction step ([`cache::construct`]): it
+//! regenerates its task graph, builds one schedule, and reports the quality
+//! numbers plus the *schedule-construction time* — the quantity the perf
+//! baseline (`BENCH_2.json`) tracks. Results come back in job order
 //! whatever the thread count, so CSV output is deterministic; one thread
 //! runs the jobs inline on the caller's thread, one at a time.
-//!
-//! The long-running scheduling service ([`crate::Service`]) builds on the
-//! same job-isolation discipline: one job = one graph + one scheduler + one
-//! timed construction ([`schedule_timed`]), with nothing shared between
-//! jobs but the immutable platform.
 
-use crate::protocol::parse_testbed;
-use onesched_dag::TaskGraph;
-use onesched_heuristics::registry::{SchedulerSpec, UnknownScheduler};
-use onesched_heuristics::{par_map, NoProbe, Probe, Scheduler};
+use crate::cache::{self, ConstructProbe, JobOutcome};
+use crate::protocol::{parse_testbed, DagSpec, JobSpec, PlatformSpec, ResolveError, ResolvedJob};
+use onesched_heuristics::registry::SchedulerSpec;
+use onesched_heuristics::{par_map, ScanStats};
 use onesched_platform::Platform;
-use onesched_sim::{CommModel, Schedule};
-use onesched_testbeds::{Testbed, PAPER_C};
-use onesched_trace::{Clock, WallClock};
+use onesched_prof::AllocSnapshot;
+use onesched_testbeds::Testbed;
+use onesched_trace::{Scope, WallClock};
 use serde::{Deserialize, Serialize};
-use std::time::Duration;
+use std::borrow::Cow;
 
-/// Build one schedule, timing the construction alone (graph generation
-/// and statistics excluded). The shared execution step of the sweep runner
-/// and the scheduling service: both isolate a job to exactly this call.
-/// The probe sees phase boundaries and placement-scan counters but cannot
-/// influence the schedule, so timing and fingerprints match an unprobed
-/// call ([`onesched_heuristics::NoProbe`]).
-///
-/// `platform` must be connected — the service's intake and the sweeps'
-/// fixed topologies guarantee it — so the construction runs without the
-/// trait wrappers' connectivity check.
-pub fn schedule_timed(
-    g: &TaskGraph,
-    platform: &Platform,
-    scheduler: &dyn Scheduler,
-    model: CommModel,
-    probe: &dyn Probe,
-) -> (Schedule, Duration) {
-    // Wall time through the trace crate's Clock (the D104 discipline:
-    // no direct Instant reads outside WallClock). Microsecond
-    // resolution, which is what every consumer reports anyway.
-    let clock = WallClock::new();
-    let t0 = clock.now_micros();
-    let sched = scheduler.schedule_with_probe(g, platform, model, probe);
-    let construct = Duration::from_micros(clock.now_micros().saturating_sub(t0));
-    (sched, construct)
-}
-
-/// One unit of sweep work: schedule one testbed instance with one scheduler.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepJob {
-    /// Which testbed to generate.
-    pub testbed: Testbed,
-    /// Problem size `n`.
-    pub size: usize,
-    /// Which scheduler to run, built through the workspace catalog.
-    pub sched: SchedulerSpec,
-}
-
-/// The outcome of one [`SweepJob`].
+/// The outcome of one sweep job.
 #[derive(Debug, Clone)]
 pub struct SweepResult {
     /// The job this result answers.
-    pub job: SweepJob,
-    /// Number of tasks in the generated graph.
-    pub tasks: usize,
-    /// Schedule makespan.
-    pub makespan: f64,
-    /// Speedup over the fastest-single-processor sequential time.
-    pub speedup: f64,
-    /// Number of effective (non-zero duration) communications.
-    pub effective_comms: usize,
-    /// Wall-clock time of the `schedule()` call alone (graph generation and
-    /// statistics excluded).
-    pub construct: Duration,
+    pub job: ResolvedJob,
+    /// The first run's outcome, its `construct` time the minimum over all
+    /// repeats.
+    pub outcome: JobOutcome,
     /// Allocation activity of the first `schedule()` call (zero without
     /// the `profiling` allocator registered).
-    pub alloc: onesched_prof::AllocSnapshot,
+    pub alloc: AllocSnapshot,
     /// Placement-scan counters of the first `schedule()` call.
-    pub scan: onesched_heuristics::ScanStats,
+    pub scan: ScanStats,
 }
 
 /// The standard figure-sweep job list: for each testbed and size, one HEFT
-/// job and one ILHA job (with the testbed's paper-best chunk size).
-pub fn paper_jobs(testbeds: &[Testbed], sizes: &[usize]) -> Vec<SweepJob> {
+/// job and one ILHA job (with the testbed's paper-best chunk size), on the
+/// paper platform under the one-port-bidir model. Fails, before any run,
+/// on a size intake would refuse ([`crate::protocol::MAX_TASKS_PER_JOB`]).
+pub fn paper_jobs(testbeds: &[Testbed], sizes: &[usize]) -> Result<Vec<ResolvedJob>, ResolveError> {
     let mut jobs = Vec::with_capacity(testbeds.len() * sizes.len() * 2);
     for &tb in testbeds {
         for &n in sizes {
@@ -96,84 +49,73 @@ pub fn paper_jobs(testbeds: &[Testbed], sizes: &[usize]) -> Vec<SweepJob> {
                 SchedulerSpec::heft(),
                 SchedulerSpec::ilha(tb.paper_best_b()),
             ] {
-                jobs.push(SweepJob {
-                    testbed: tb,
-                    size: n,
-                    sched,
-                });
+                let spec = JobSpec {
+                    dag: DagSpec::testbed(tb, n),
+                    platform: None,
+                    scheduler: Some(sched),
+                    model: None,
+                    validate: false,
+                };
+                jobs.push(spec.resolve()?);
             }
         }
     }
-    jobs
+    Ok(jobs)
 }
 
 /// Run every job over [`par_map`] with at most `threads` workers and
 /// return the results in job order, each job's construction time the
 /// minimum over `repeats` runs — the robust estimator for perf gating on
-/// noisy (shared) hardware. Schedules are deterministic, so quality numbers
-/// are unaffected. `threads == 1` runs the jobs serially on the caller's
-/// thread (clean construction-time and allocation measurements). Every
-/// job's scheduler is built before any runs, so a spec the catalog cannot
-/// build fails the sweep up front.
+/// noisy (shared) hardware. The first run is probed (scan and allocation
+/// counters), the repeats are not, and every repeat must reproduce the
+/// first run's placements. `threads == 1` runs the jobs serially on the
+/// caller's thread (clean construction-time and allocation measurements).
+///
+/// Jobs with equal platform specs share one built platform, so its lazily
+/// built route table is built once per sweep, inside the first such job's
+/// construction, and counted there.
 pub fn run_sweep_repeated(
-    jobs: &[SweepJob],
+    jobs: &[ResolvedJob],
     threads: usize,
-    model: CommModel,
     repeats: usize,
-) -> Result<Vec<SweepResult>, UnknownScheduler> {
-    let platform = Platform::paper();
-    let work = jobs
-        .iter()
-        .map(|job| Ok((job, onesched_baselines::registry::build(&job.sched)?)))
-        .collect::<Result<Vec<_>, UnknownScheduler>>()?;
-    Ok(par_map(&work, threads, |(job, scheduler)| {
-        run_job(job, scheduler.as_ref(), &platform, model, repeats.max(1))
-    }))
-}
-
-/// A minimal write-only probe for sweeps: placement-scan counters only
-/// (phase timing stays the service probe's job).
-#[derive(Default)]
-struct ScanProbe(std::cell::Cell<onesched_heuristics::ScanStats>);
-
-impl Probe for ScanProbe {
-    fn placement_scan(&self, scan: &onesched_heuristics::ScanStats) {
-        let mut acc = self.0.get();
-        acc.add(scan);
-        self.0.set(acc);
+) -> Vec<SweepResult> {
+    let mut platforms: Vec<(&Option<PlatformSpec>, Platform)> = Vec::new();
+    for job in jobs {
+        if !platforms
+            .iter()
+            .any(|(spec, _)| **spec == job.spec.platform)
+        {
+            platforms.push((&job.spec.platform, job.build_platform()));
+        }
     }
-}
-
-fn run_job(
-    job: &SweepJob,
-    scheduler: &dyn Scheduler,
-    platform: &Platform,
-    model: CommModel,
-    repeats: usize,
-) -> SweepResult {
-    let g = job.testbed.generate(job.size, PAPER_C);
-    let probe = ScanProbe::default();
-    let a0 = onesched_prof::snapshot();
-    let (sched, mut construct) = schedule_timed(&g, platform, scheduler, model, &probe);
-    let alloc = onesched_prof::snapshot().delta_since(a0);
-    // alloc and scan counters come from the first run only: repeats are
-    // bit-identical, so accumulating them would just multiply the totals
-    let scan = probe.0.get();
-    for _ in 1..repeats {
-        let (again, t) = schedule_timed(&g, platform, scheduler, model, &NoProbe);
-        construct = construct.min(t);
-        debug_assert!(again.makespan() == sched.makespan());
-    }
-    SweepResult {
-        job: job.clone(),
-        tasks: g.num_tasks(),
-        makespan: sched.makespan(),
-        speedup: sched.speedup(&g, platform),
-        effective_comms: sched.num_effective_comms(),
-        construct,
-        alloc,
-        scan,
-    }
+    par_map(jobs, threads, |job| {
+        let g = job.build_graph();
+        let platform = platforms
+            .iter()
+            .find(|(spec, _)| **spec == job.spec.platform)
+            .map_or_else(
+                || Cow::Owned(job.build_platform()),
+                |(_, p)| Cow::Borrowed(p),
+            );
+        let clock = WallClock::new();
+        let probe = ConstructProbe::new(&clock);
+        let (mut outcome, _) = cache::construct(job, &g, &platform, Some(&probe), &Scope::off());
+        for _ in 1..repeats {
+            let (again, _) = cache::construct(job, &g, &platform, None, &Scope::off());
+            assert_eq!(
+                again.fingerprint, outcome.fingerprint,
+                "{}: a repeat changed the schedule",
+                job.key
+            );
+            outcome.construct = outcome.construct.min(again.construct);
+        }
+        SweepResult {
+            job: job.clone(),
+            outcome,
+            alloc: probe.construct_allocs(),
+            scan: probe.scan(),
+        }
+    })
 }
 
 /// One record of the machine-readable perf trajectory (`BENCH_2.json`).
@@ -252,6 +194,8 @@ impl BenchEntry {
 impl BenchFile {
     /// Package sweep results as a bench file, optionally carrying over the
     /// matching construction times of `baseline` as `seed_construct_ms`.
+    /// Entries are keyed by the job's testbed and size (empty and 0 for a
+    /// job whose DAG is not a testbed).
     pub fn from_results(
         results: &[SweepResult],
         threads: usize,
@@ -264,15 +208,16 @@ impl BenchFile {
         let entries = results
             .iter()
             .map(|r| {
+                let dag = &r.job.spec.dag;
                 let mut entry = BenchEntry {
-                    testbed: r.job.testbed.name().to_string(),
-                    size: r.job.size,
-                    scheduler: r.job.sched.canonical(),
-                    tasks: r.tasks,
-                    construct_ms: r.construct.as_secs_f64() * 1e3,
+                    testbed: dag.testbed.clone().unwrap_or_default(),
+                    size: dag.n.unwrap_or_default(),
+                    scheduler: r.job.scheduler_spec().canonical(),
+                    tasks: r.outcome.tasks,
+                    construct_ms: r.outcome.construct.as_secs_f64() * 1e3,
                     seed_construct_ms: None,
-                    makespan: r.makespan,
-                    speedup: r.speedup,
+                    makespan: r.outcome.makespan,
+                    speedup: r.outcome.speedup,
                     allocs: profiled.then_some(r.alloc.allocs),
                     alloc_bytes: profiled.then_some(r.alloc.bytes),
                     prune_rate: Some(if r.scan.candidates == 0 {
@@ -416,27 +361,24 @@ mod tests {
 
     #[test]
     fn sweep_results_deterministic_and_in_job_order() {
-        let jobs = paper_jobs(&[Testbed::Lu, Testbed::ForkJoin], &[10, 20]);
+        let jobs = paper_jobs(&[Testbed::Lu, Testbed::ForkJoin], &[10, 20]).unwrap();
         assert_eq!(jobs.len(), 8);
-        let serial = run_sweep_repeated(&jobs, 1, CommModel::OnePortBidir, 1).unwrap();
-        let parallel = run_sweep_repeated(&jobs, 4, CommModel::OnePortBidir, 1).unwrap();
+        let serial = run_sweep_repeated(&jobs, 1, 1);
+        let parallel = run_sweep_repeated(&jobs, 4, 2);
         assert_eq!(serial.len(), parallel.len());
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.job.testbed, p.job.testbed);
-            assert_eq!(s.job.size, p.job.size);
-            assert_eq!(s.job.sched, p.job.sched);
-            assert_eq!(
-                s.makespan, p.makespan,
-                "parallelism must not change schedules"
-            );
-            assert_eq!(s.effective_comms, p.effective_comms);
+        for ((s, p), job) in serial.iter().zip(&parallel).zip(&jobs) {
+            assert_eq!(s.job.key, job.key, "results come back in job order");
+            assert_eq!(p.job.key, job.key);
+            let (mut s, mut p) = (s.outcome.clone(), p.outcome.clone());
+            (s.construct, p.construct) = Default::default();
+            assert_eq!(s, p, "parallelism and repeats must not change schedules");
         }
     }
 
     #[test]
     fn bench_file_roundtrip_and_compare() {
-        let jobs = paper_jobs(&[Testbed::ForkJoin], &[10]);
-        let results = run_sweep_repeated(&jobs, 2, CommModel::OnePortBidir, 1).unwrap();
+        let jobs = paper_jobs(&[Testbed::ForkJoin], &[10]).unwrap();
+        let results = run_sweep_repeated(&jobs, 2, 1);
         let file = BenchFile::from_results(&results, 2, None);
         let json = serde_json::to_string(&file).unwrap();
         let back: BenchFile = serde_json::from_str(&json).unwrap();
@@ -459,16 +401,17 @@ mod tests {
 
     #[test]
     fn sweeps_name_schedulers_by_canonical_spec() {
-        let jobs = paper_jobs(&[Testbed::Lu], &[10]);
-        let results = run_sweep_repeated(&jobs, 1, CommModel::OnePortBidir, 1).unwrap();
-        let file = BenchFile::from_results(&results, 1, None);
+        let jobs = paper_jobs(&[Testbed::Lu], &[10]).unwrap();
+        let file = BenchFile::from_results(&run_sweep_repeated(&jobs, 1, 1), 1, None);
         let labels: Vec<&str> = file.entries.iter().map(|e| e.scheduler.as_str()).collect();
         let ilha = SchedulerSpec::ilha(Testbed::Lu.paper_best_b()).canonical();
         assert_eq!(labels, ["heft", ilha.as_str()]);
-        // a spec the catalog cannot build fails the sweep before any runs
-        let mut bad = jobs;
-        bad[1].sched = SchedulerSpec::named("nope");
-        assert!(run_sweep_repeated(&bad, 1, CommModel::OnePortBidir, 1).is_err());
+        assert!(file
+            .entries
+            .iter()
+            .all(|e| e.testbed == "LU" && e.size == 10));
+        // a size intake would refuse fails the whole job list up front
+        assert!(paper_jobs(&[Testbed::Lu], &[10, 1_000_000]).is_err());
     }
 
     #[test]
@@ -515,12 +458,8 @@ mod tests {
 
     #[test]
     fn bench_history_validation_catches_malformed_files() {
-        let jobs = paper_jobs(&[Testbed::ForkJoin], &[10]);
-        let bench = BenchFile::from_results(
-            &run_sweep_repeated(&jobs, 1, CommModel::OnePortBidir, 1).unwrap(),
-            1,
-            None,
-        );
+        let jobs = paper_jobs(&[Testbed::ForkJoin], &[10]).unwrap();
+        let bench = BenchFile::from_results(&run_sweep_repeated(&jobs, 1, 1), 1, None);
         let mut hist = BenchHistory::new();
         assert!(hist.validate().is_empty(), "empty history is valid");
         hist.entries.push(BenchHistoryEntry {
@@ -574,8 +513,8 @@ mod tests {
 
     #[test]
     fn baseline_times_carry_over() {
-        let jobs = paper_jobs(&[Testbed::ForkJoin], &[10]);
-        let results = run_sweep_repeated(&jobs, 1, CommModel::OnePortBidir, 1).unwrap();
+        let jobs = paper_jobs(&[Testbed::ForkJoin], &[10]).unwrap();
+        let results = run_sweep_repeated(&jobs, 1, 1);
         let mut seed = BenchFile::from_results(&results, 1, None);
         for e in &mut seed.entries {
             e.construct_ms = 42.0;

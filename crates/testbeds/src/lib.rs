@@ -18,7 +18,8 @@
 //!
 //! The paper shows the graph shapes only as miniature raster figures; the
 //! shapes here are reconstructed from the standard elimination-DAG
-//! literature the paper cites (see DESIGN.md, "Substitutions").
+//! literature the paper cites; each generator's documentation states the
+//! task and edge structure it builds.
 
 #![warn(missing_docs)]
 // Burn-down: pre-existing unwrap/expect/panic sites are grandfathered

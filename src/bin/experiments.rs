@@ -17,7 +17,8 @@
 //!   ablations      the §4.4 design choices (insertion, message order,
 //!                  ILHA scan depth, communication rescheduling), one
 //!                  fixed instance each, every schedule validated
-//!   baselines      every scheduler on every testbed at one size
+//!   baselines      every scheduler on every testbed at one size, every
+//!                  schedule validated
 //!   routed [--procs P]
 //!                  HEFT + ILHA on star/ring/line topologies (§4.3
 //!                  routing extension), plus a full-catalog portfolio per
@@ -31,7 +32,8 @@
 //!                  two same-seed runs byte-identically)
 //!   stress [--tasks N] [--seed S]
 //!                  random-layered stress point beyond the paper sizes
-//!                  (default ~100k tasks), HEFT + ILHA construction times
+//!                  (default ~100k tasks; intake's admission limit holds),
+//!                  HEFT + ILHA construction times
 //!   perturb [--seed S]
 //!                  discrete-event noise sweep: replay HEFT/ILHA schedules
 //!                  on every testbed under increasing runtime perturbation
@@ -44,27 +46,31 @@
 //!                  under the same perturbation seeds; records mean/p95
 //!                  degradation per cell plus an aggregate ranking
 //!                  (seed-deterministic; CI diffs two same-seed runs)
-//!   record-baseline [--fixture PATH] [--profile]
+//!   record-baseline [--fixture PATH]
 //!                  refresh tests/fixtures/schedule_baseline.json (or write
 //!                  to PATH — CI's fixture-drift gate records into a temp
-//!                  file and diffs against the committed fixture); with
-//!                  --profile, also record an onesched-bench/v2 file
-//!                  (alloc counters + prune rates) to --bench-json
-//!   bench-history [--history PATH] [--date YYYY-MM-DD] [--label L]
-//!                  append a dated datapoint to the committed perf
+//!                  file and diffs against the committed fixture)
+//!   bench-history --bench-json FILE [--history PATH] [--date YYYY-MM-DD]
+//!                 [--label L]
+//!                  append the bench file FILE (written by a figure sweep's
+//!                  --bench-json) as a dated datapoint to the committed perf
 //!                  trajectory BENCH_HISTORY.json (schema-validated on
-//!                  read and write); --bench-json FILE appends an existing
-//!                  bench file instead of running a fresh sweep
+//!                  read and write)
 //!   bench-compare <current> <baseline> [--max-ratio R]
 //!                  fail (exit 1) if construction time regressed
 //!   all            everything above
 //! ```
 //!
-//! The figure sweeps, `routed-figs` and `league` fan out over the
-//! workspace's one ordered fan-out, `heuristics::par_map` (`--threads`,
-//! default: all cores); output never depends on the thread count.
-//! `--bench-json` additionally writes the per-(testbed, size, scheduler)
-//! schedule-construction times as JSON — the machine-readable perf
+//! Every run of a catalog scheduler — the figure sweeps, `models`,
+//! `baselines`, `routed`, `routed-figs`, `stress`, `probe` and
+//! `record-baseline` — is a service `JobSpec`, resolved by the daemon's
+//! intake and built by its construction step (`service::cache`), so the
+//! harness and the daemon exercise the same code path. The sweeps and
+//! `league` fan out over the workspace's one ordered fan-out,
+//! `heuristics::par_map` (`--threads`, default: all cores); output never
+//! depends on the thread count. A failed read or write, or a job intake
+//! refuses, exits 2 with a message. `--bench-json` additionally writes the
+//! per-(testbed, size, scheduler) schedule-construction times as JSON — the machine-readable perf
 //! trajectory committed as `BENCH_2.json`;
 //! `--bench-baseline` carries the matching times of a previous bench file
 //! into the `seed_construct_ms` fields for before/after comparisons.
@@ -74,16 +80,19 @@
 mod cli;
 
 use cli::{die, parse_or_die, take_flag, take_parsed};
-use onesched::heuristics::{default_threads, par_map, NoProbe};
+use onesched::heuristics::{default_threads, par_map};
 use onesched::prelude::*;
-use onesched::runner::{self, BenchFile, SweepResult};
+use onesched::runner::{self, BenchFile};
+use onesched::service::cache::{self, JobOutcome};
+use onesched::service::protocol::{DagSpec, JobSpec, PlatformSpec, ResolvedJob, SchedulerSpec};
+use onesched::trace::Scope;
 use onesched_heuristics::bsweep;
 use onesched_sim::stats::ScheduleStats;
 use onesched_sim::{gantt, validate};
 use std::fmt::Write as _;
 
 /// With `--features profiling`, count every allocation so bench entries
-/// (`--profile`) carry alloc columns. Counting changes no allocation
+/// (`--bench-json`) carry alloc columns. Counting changes no allocation
 /// decisions, so recorded fixtures and fingerprints are unaffected.
 #[cfg(feature = "profiling")]
 #[global_allocator]
@@ -101,7 +110,6 @@ struct Opts {
     seed: u64,
     procs: usize,
     fixture: Option<String>,
-    profile: bool,
     history: String,
     date: Option<String>,
     label: String,
@@ -120,7 +128,6 @@ impl Default for Opts {
             seed: 0,
             procs: 8,
             fixture: None,
-            profile: false,
             history: "BENCH_HISTORY.json".into(),
             date: None,
             label: "local".into(),
@@ -131,8 +138,6 @@ impl Default for Opts {
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let defaults = Opts::default();
-    let profile = args.iter().any(|a| a == "--profile");
-    args.retain(|a| a != "--profile");
     let opts = Opts {
         sizes: take_flag(&mut args, "--sizes").map_or(defaults.sizes, |v| {
             v.split(',').map(|n| parse_or_die("--sizes", n)).collect()
@@ -146,7 +151,6 @@ fn main() {
         seed: take_parsed(&mut args, "--seed").unwrap_or(defaults.seed),
         procs: take_parsed(&mut args, "--procs").unwrap_or(defaults.procs),
         fixture: take_flag(&mut args, "--fixture"),
-        profile,
         history: take_flag(&mut args, "--history").unwrap_or(defaults.history),
         date: take_flag(&mut args, "--date"),
         label: take_flag(&mut args, "--label").unwrap_or(defaults.label),
@@ -159,7 +163,7 @@ fn main() {
         "probe" => return probe(&args[1..]),
         _ => {}
     }
-    std::fs::create_dir_all(&opts.out).expect("create output directory");
+    create_dir(&opts.out);
     match cmd {
         "fig1" => fig1(&opts),
         "toy" => toy_example(&opts),
@@ -212,50 +216,19 @@ fn record_baseline(opts: &Opts) {
     } else {
         opts.sizes.clone()
     };
-    let file = onesched::regress::record_baseline(&sizes).expect("heft and ilha build");
+    let file = onesched::regress::record_baseline(&sizes).unwrap_or_else(|e| die(e));
     let path = opts
         .fixture
         .as_deref()
         .unwrap_or("tests/fixtures/schedule_baseline.json");
     if let Some(dir) = std::path::Path::new(path).parent() {
         if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create fixture directory");
+            create_dir(dir);
         }
     }
     let json = serde_json::to_string(&file).expect("serialize baseline");
-    std::fs::write(path, pretty_json(&json)).expect("write baseline fixture");
+    write_file(path, &pretty_json(&json));
     println!("recorded {} schedules -> {path}", file.entries.len());
-    if opts.profile {
-        // --profile: additionally record an onesched-bench/v2 file with
-        // alloc counters and prune-rate columns over the same sizes
-        let bench = profiled_bench(opts, &sizes);
-        let path = opts
-            .bench_json
-            .clone()
-            .unwrap_or_else(|| format!("{}/bench_profile.json", opts.out));
-        let json = serde_json::to_string(&bench).expect("serialize bench file");
-        std::fs::write(&path, pretty_json(&json)).expect("write bench JSON");
-        println!("recorded {} bench entries -> {path}", bench.entries.len());
-    }
-}
-
-/// Run the full paper-jobs sweep serially and package it as a
-/// `onesched-bench/v2` file. Alloc columns are populated only when the
-/// binary was built with `--features profiling` (which registers the
-/// counting allocator); prune rates are deterministic and always present.
-fn profiled_bench(opts: &Opts, sizes: &[usize]) -> BenchFile {
-    if !onesched_prof::enabled() {
-        eprintln!(
-            "note: profiling allocator not registered (build with --features profiling); \
-             alloc columns will be absent"
-        );
-    }
-    let jobs = runner::paper_jobs(&Testbed::ALL, sizes);
-    // threads = 1: allocation counters are process-global, so concurrent
-    // jobs would attribute each other's allocations
-    let results = runner::run_sweep_repeated(&jobs, 1, CommModel::OnePortBidir, opts.bench_repeats)
-        .expect("paper jobs build");
-    BenchFile::from_results(&results, 1, None)
 }
 
 /// Today's date as `YYYY-MM-DD` (UTC), via the Howard Hinnant
@@ -278,32 +251,20 @@ fn today_utc() -> String {
     format!("{y:04}-{m:02}-{d:02}")
 }
 
-/// `bench-history`: append a dated datapoint to the committed perf
-/// trajectory (`BENCH_HISTORY.json`). The datapoint is either an existing
-/// bench file (`--bench-json FILE`, what CI appends) or a fresh serial
-/// sweep at `--sizes` (default n = 60). The file is schema-validated on
-/// read and on write; a malformed history fails the run.
+/// `bench-history`: append the bench file `--bench-json FILE` (what a
+/// figure sweep's `--bench-json` writes) as a dated datapoint to the
+/// committed perf trajectory (`BENCH_HISTORY.json`). The file is
+/// schema-validated on read and on write; a malformed history fails the
+/// run.
 fn bench_history(opts: &Opts) {
-    let bench = match &opts.bench_json {
-        Some(p) => {
-            let text = std::fs::read_to_string(p).unwrap_or_else(|e| panic!("read {p}: {e}"));
-            serde_json::from_str::<BenchFile>(&text).unwrap_or_else(|e| panic!("parse {p}: {e}"))
-        }
-        None => {
-            let sizes = if opts.sizes == Opts::default().sizes {
-                vec![60]
-            } else {
-                opts.sizes.clone()
-            };
-            profiled_bench(opts, &sizes)
-        }
+    let Some(bench_path) = &opts.bench_json else {
+        die("bench-history needs --bench-json FILE (write one with `--threads 1 --bench-json FILE figs`)");
     };
+    let bench: BenchFile = read_json(bench_path);
     let path = &opts.history;
-    let mut history = match std::fs::read_to_string(path) {
-        Ok(text) => serde_json::from_str::<runner::BenchHistory>(&text)
-            .unwrap_or_else(|e| panic!("parse {path}: {e}")),
+    let mut history = match std::fs::metadata(path) {
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => runner::BenchHistory::new(),
-        Err(e) => panic!("read {path}: {e}"),
+        _ => read_json(path),
     };
     let bad = history.validate();
     if !bad.is_empty() {
@@ -325,7 +286,7 @@ fn bench_history(opts: &Opts) {
         std::process::exit(1);
     }
     let json = serde_json::to_string(&history).expect("serialize history");
-    std::fs::write(path, pretty_json_depth(&json, 5)).expect("write history");
+    write_file(path, &pretty_json_depth(&json, 5));
     let last = history.entries.last().expect("just appended");
     println!(
         "appended {} ({}, {} bench entries) -> {path} [{} datapoints]",
@@ -343,12 +304,8 @@ fn bench_compare(args: &[String], max_ratio: f64) {
     let [cur_path, base_path] = args else {
         die("usage: experiments bench-compare <current.json> <baseline.json> [--max-ratio R]");
     };
-    let read = |p: &String| -> BenchFile {
-        let text = std::fs::read_to_string(p).unwrap_or_else(|e| panic!("read {p}: {e}"));
-        serde_json::from_str(&text).unwrap_or_else(|e| panic!("parse {p}: {e}"))
-    };
-    let current = read(cur_path);
-    let baseline = read(base_path);
+    let current: BenchFile = read_json(cur_path);
+    let baseline: BenchFile = read_json(base_path);
     if current.threads != baseline.threads {
         eprintln!(
             "warning: comparing a {}-thread run against a {}-thread baseline; \
@@ -385,9 +342,8 @@ fn probe(args: &[String]) {
     };
     let tb = onesched::service::protocol::parse_testbed(tb).unwrap_or_else(|e| die(e));
     let n: usize = parse_or_die("size", n);
-    let g = tb.generate(n, PAPER_C);
-    let p = Platform::paper();
-    let m = CommModel::OnePortBidir;
+    let jobs = runner::paper_jobs(&[tb], &[n]).unwrap_or_else(|e| die(e));
+    let (g, p) = (jobs[0].build_graph(), jobs[0].build_platform());
     println!(
         "{tb} n={n}: {} tasks, {} edges, work {}, data {}",
         g.num_tasks(),
@@ -395,16 +351,13 @@ fn probe(args: &[String]) {
         g.total_work(),
         g.total_data()
     );
-    for s in [
-        &Heft::new() as &dyn Scheduler,
-        &Ilha::new(tb.paper_best_b()) as &dyn Scheduler,
-    ] {
-        let sched = s.schedule(&g, &p, m);
+    for job in &jobs {
+        let (outcome, sched) = cache::construct(job, &g, &p, None, &Scope::off());
         let st = ScheduleStats::of(&g, &p, &sched);
         let busy = sched.proc_busy_times(&p);
         println!(
             "{:<12} speedup {:.3} makespan {:.0} comms {} commtime {:.0} util {:.3} imb {:.3}",
-            s.name(),
+            outcome.scheduler,
             st.speedup,
             st.makespan,
             st.effective_comms,
@@ -421,8 +374,79 @@ fn probe(args: &[String]) {
 
 fn write_csv(opts: &Opts, name: &str, content: &str) {
     let path = format!("{}/{}", opts.out, name);
-    std::fs::write(&path, content).expect("write CSV");
+    write_file(&path, content);
     println!("  -> {path}");
+}
+
+/// Create `dir` and its parents, or exit 2 naming it.
+fn create_dir(dir: impl AsRef<std::path::Path>) {
+    let dir = dir.as_ref();
+    std::fs::create_dir_all(dir)
+        .unwrap_or_else(|e| die(format_args!("create {}: {e}", dir.display())));
+}
+
+/// Write `content` to `path`, or exit 2 naming it.
+fn write_file(path: &str, content: &str) {
+    std::fs::write(path, content).unwrap_or_else(|e| die(format_args!("write {path}: {e}")));
+}
+
+/// Read and parse the JSON file at `path`, or exit 2 naming it.
+fn read_json<T: serde::Deserialize>(path: &str) -> T {
+    let text =
+        std::fs::read_to_string(path).unwrap_or_else(|e| die(format_args!("read {path}: {e}")));
+    serde_json::from_str(&text).unwrap_or_else(|e| die(format_args!("parse {path}: {e}")))
+}
+
+/// A validated job: testbed `tb` at size `n` under `scheduler` and `model`,
+/// on `platform` (default: the paper's).
+fn validated_job(
+    tb: Testbed,
+    n: usize,
+    platform: Option<PlatformSpec>,
+    scheduler: SchedulerSpec,
+    model: CommModel,
+) -> JobSpec {
+    JobSpec {
+        dag: DagSpec::testbed(tb, n),
+        platform,
+        scheduler: Some(scheduler),
+        model: Some(model.name().to_string()),
+        validate: true,
+    }
+}
+
+/// Resolve every spec through the daemon's intake, or exit 2 with intake's
+/// message before any job runs.
+fn resolve_all(specs: impl IntoIterator<Item = JobSpec>) -> Vec<ResolvedJob> {
+    specs
+        .into_iter()
+        .map(|spec| spec.resolve().unwrap_or_else(|e| die(e)))
+        .collect()
+}
+
+/// Resolve every spec ([`resolve_all`]), then build the jobs through the
+/// daemon's construction step over `par_map`; outcomes come back in job
+/// order, next to their jobs.
+fn run_specs(
+    specs: impl IntoIterator<Item = JobSpec>,
+    threads: usize,
+) -> Vec<(ResolvedJob, JobOutcome)> {
+    let jobs = resolve_all(specs);
+    let outcomes = par_map(&jobs, threads, |job| {
+        cache::run_job(job, None, &Scope::off())
+    });
+    jobs.into_iter().zip(outcomes).collect()
+}
+
+/// The platform kind, testbed and size a testbed job names, for CSV rows.
+fn job_cell(job: &ResolvedJob) -> (&str, &str, usize) {
+    let (dag, platform) = (&job.spec.dag, job.spec.platform.as_ref());
+    let testbed = dag.testbed.as_deref().unwrap_or_default();
+    (
+        platform.map_or("paper", |p| &p.kind),
+        testbed,
+        dag.n.unwrap_or_default(),
+    )
 }
 
 /// §2.3 / Figure 1: fork with six unit children on five unit processors.
@@ -489,27 +513,16 @@ fn toy_example(opts: &Opts) {
 /// The testbed size sweeps (Figures 7–12): speedup of HEFT and ILHA under
 /// the one-port model, with the paper's per-testbed best B. All
 /// (testbed, size, scheduler) jobs fan out over the worker pool at once;
-/// results are then regrouped per testbed so CSVs are identical to the
-/// serial harness's.
+/// results come back in job order (testbed × size × HEFT, ILHA), so CSVs
+/// are identical to the serial harness's.
 fn figure_sweeps(opts: &Opts, testbeds: &[Testbed]) {
-    let jobs = runner::paper_jobs(testbeds, &opts.sizes);
+    let jobs = runner::paper_jobs(testbeds, &opts.sizes).unwrap_or_else(|e| die(e));
+    let baseline: Option<BenchFile> = opts.bench_baseline.as_deref().map(read_json);
     let t0 = std::time::Instant::now();
-    let results = runner::run_sweep_repeated(
-        &jobs,
-        opts.threads,
-        CommModel::OnePortBidir,
-        opts.bench_repeats,
-    )
-    .expect("paper jobs build");
+    let results = runner::run_sweep_repeated(&jobs, opts.threads, opts.bench_repeats);
     let wall = t0.elapsed();
 
-    let find = |tb: Testbed, n: usize, kind: &str| -> &SweepResult {
-        results
-            .iter()
-            .find(|r| r.job.testbed == tb && r.job.size == n && r.job.sched.kind == kind)
-            .expect("every (testbed, size, scheduler) job ran")
-    };
-
+    let mut pairs = results.chunks_exact(2);
     for &tb in testbeds {
         println!(
             "== fig{}: {} sweep (B = {}, c = {}, one-port-bidir) ==",
@@ -525,9 +538,8 @@ fn figure_sweeps(opts: &Opts, testbeds: &[Testbed]) {
             "{:>6} {:>9} {:>14} {:>14} {:>9}",
             "size", "tasks", "HEFT speedup", "ILHA speedup", "gain"
         );
-        for &n in &opts.sizes {
-            let heft = find(tb, n, "heft");
-            let ilha = find(tb, n, "ilha");
+        for (&n, pair) in opts.sizes.iter().zip(pairs.by_ref()) {
+            let (heft, ilha) = (&pair[0].outcome, &pair[1].outcome);
             let (hs, is) = (heft.speedup, ilha.speedup);
             let _ = writeln!(
                 csv,
@@ -556,23 +568,19 @@ fn figure_sweeps(opts: &Opts, testbeds: &[Testbed]) {
             &csv,
         );
     }
-    let total_construct: f64 = results.iter().map(|r| r.construct.as_secs_f64()).sum();
+    let total_construct: std::time::Duration = results.iter().map(|r| r.outcome.construct).sum();
     println!(
         "[sweep] {} jobs on {} threads: {:.1?} wall, {:.1?} total construction",
         jobs.len(),
         opts.threads,
         wall,
-        std::time::Duration::from_secs_f64(total_construct)
+        total_construct
     );
 
     if let Some(path) = &opts.bench_json {
-        let baseline = opts.bench_baseline.as_ref().map(|p| {
-            let text = std::fs::read_to_string(p).unwrap_or_else(|e| panic!("read {p}: {e}"));
-            serde_json::from_str::<BenchFile>(&text).unwrap_or_else(|e| panic!("parse {p}: {e}"))
-        });
         let file = BenchFile::from_results(&results, opts.threads, baseline.as_ref());
         let json = serde_json::to_string(&file).expect("serialize bench file");
-        std::fs::write(path, pretty_json(&json)).expect("write bench JSON");
+        write_file(path, &pretty_json(&json));
         println!("  -> {path}");
     }
 }
@@ -656,33 +664,30 @@ fn b_sensitivity(opts: &Opts) {
     write_csv(opts, "bsweep.csv", &csv);
 }
 
-/// HEFT and ILHA under all four communication models.
+/// HEFT and ILHA under all four communication models, every schedule
+/// validated; jobs fan out over `par_map`, rows come back in job order.
 fn model_ablation(opts: &Opts) {
     println!("== models: communication-model ablation ==");
-    let p = Platform::paper();
     let n = *opts.sizes.iter().min().unwrap_or(&100);
-    let mut csv = String::from("testbed,model,scheduler,makespan,speedup\n");
+    let mut specs = Vec::new();
     for tb in Testbed::ALL {
-        let g = tb.generate(n, PAPER_C);
         for m in CommModel::ALL {
-            for s in [
-                &Heft::new() as &dyn Scheduler,
-                &Ilha::new(tb.paper_best_b()) as &dyn Scheduler,
+            for sched in [
+                SchedulerSpec::heft(),
+                SchedulerSpec::ilha(tb.paper_best_b()),
             ] {
-                let sched = s.schedule(&g, &p, m);
-                assert!(
-                    validate(&g, &p, m, &sched).is_empty(),
-                    "{tb}/{m}/{}",
-                    s.name()
-                );
-                let _ = writeln!(
-                    csv,
-                    "{tb},{m},{},{},{}",
-                    s.name(),
-                    sched.makespan(),
-                    sched.speedup(&g, &p)
-                );
+                specs.push(validated_job(tb, n, None, sched, m));
             }
+        }
+    }
+    let mut csv = String::from("testbed,model,scheduler,makespan,speedup\n");
+    let results = run_specs(specs, opts.threads);
+    let mut rows = results.iter();
+    for tb in Testbed::ALL {
+        for (job, o) in rows.by_ref().take(CommModel::ALL.len() * 2) {
+            let m = job.model();
+            assert_eq!(o.violations, 0, "{tb}/{m}/{}", o.scheduler);
+            let _ = writeln!(csv, "{tb},{m},{},{},{}", o.scheduler, o.makespan, o.speedup);
         }
         println!("{tb:>10} done");
     }
@@ -772,24 +777,23 @@ fn ablations(opts: &Opts) {
 }
 
 /// Routed scheduling (the §4.3 store-and-forward extension) on every
-/// non-fully-connected topology the service knows, driven through the
-/// service's own workload generator and job executor so the harness and the
-/// daemon exercise the same code path. Every schedule is validated.
+/// non-fully-connected topology the service knows, driven by the
+/// service's own workload generator. Jobs fan out over `par_map`; every
+/// schedule is validated.
 fn routed_sweep(opts: &Opts) {
-    use onesched::service::{cache, workloads};
+    use onesched::service::workloads;
     let n = (*opts.sizes.iter().min().unwrap_or(&100)).min(24);
     println!(
         "== routed: HEFT/ILHA and the full portfolio on star/ring/line ({} heterogeneous procs, n = {n}) ==",
         opts.procs
     );
+    let specs = workloads::routed_requests(opts.procs, n, 0)
+        .into_iter()
+        .filter_map(|req| req.job);
     let mut csv =
         String::from("topology,testbed,n,scheduler,tasks,makespan,speedup,comms,violations\n");
-    for req in workloads::routed_requests(opts.procs, n, 0) {
-        let Some(spec) = req.job else { continue };
-        let job = spec.resolve().expect("generated routed specs are valid");
-        let topology = job.spec.platform.as_ref().unwrap().kind.clone();
-        let testbed = job.spec.dag.testbed.clone().unwrap();
-        let r = cache::run_job(&job, None, &onesched::trace::Scope::off());
+    for (job, r) in run_specs(specs, opts.threads) {
+        let (topology, testbed, _) = job_cell(&job);
         assert_eq!(r.violations, 0, "{topology}/{testbed}: invalid schedule");
         let _ = writeln!(
             csv,
@@ -808,154 +812,100 @@ fn routed_sweep(opts: &Opts) {
 /// non-fully-connected topology (star, ring, line, and a seeded
 /// random-connected graph) × every testbed × `--sizes` (capped at 24 —
 /// routed placement pays per-hop evaluation, and the §4.3 story needs
-/// relays, not scale). Jobs fan out over `par_map` exactly like `figs`;
-/// results are emitted in job order, so two same-seed runs produce
-/// byte-identical CSVs at any `--threads` — the CI routed determinism
-/// gate. Every schedule passes the independent validator, and the CSV
-/// records each schedule's placement fingerprint.
+/// relays, not scale). ILHA is the `routed-ilha` alias, whose chunk size
+/// is the platform's perfect-balance chunk. Jobs fan out over `par_map`
+/// exactly like `figs`; results are emitted in job order, so two same-seed
+/// runs produce byte-identical CSVs at any `--threads` — the CI routed
+/// determinism gate. Every schedule passes the independent validator, and
+/// the CSV records each schedule's placement fingerprint.
 fn routed_figs(opts: &Opts) {
-    use onesched::platform::topology;
-    use onesched_sim::placement_fingerprint;
-
     let mut sizes: Vec<usize> = opts.sizes.iter().map(|&n| n.min(24)).collect();
     sizes.sort_unstable();
     sizes.dedup();
-    let cts: Vec<f64> = (0..opts.procs).map(|i| [6.0, 10.0, 15.0][i % 3]).collect();
-    let platforms: Vec<(&str, Platform)> = vec![
-        ("star", topology::star(cts.clone(), 1.0).expect("valid")),
-        ("ring", topology::ring(cts.clone(), 1.0).expect("valid")),
-        ("line", topology::line(cts.clone(), 1.0).expect("valid")),
-        (
-            "random-connected",
-            topology::random_connected(cts.clone(), 1.0, 0.3, opts.seed).expect("valid"),
-        ),
-    ];
     println!(
         "== routed-figs: routed HEFT/ILHA sweeps ({} heterogeneous procs, sizes {:?}, seed {}) ==",
         opts.procs, sizes, opts.seed
     );
-
     // job list in deterministic order: topology × testbed × size × scheduler
-    struct Job<'a> {
-        topology: &'a str,
-        platform: &'a Platform,
-        tb: Testbed,
-        n: usize,
-        ilha: bool,
+    let (m, procs) = (CommModel::OnePortBidir, opts.procs);
+    let platforms = ["star", "ring", "line"].map(|kind| PlatformSpec::routed(kind, procs, 1.0));
+    let random = PlatformSpec::random_connected(procs, 1.0, 0.3, opts.seed);
+    let mut specs = Vec::new();
+    for platform in platforms.iter().chain([&random]) {
+        for tb in Testbed::ALL {
+            for &n in &sizes {
+                for sched in [SchedulerSpec::heft(), SchedulerSpec::routed_ilha()] {
+                    specs.push(validated_job(tb, n, Some(platform.clone()), sched, m));
+                }
+            }
+        }
     }
-    let jobs: Vec<Job> = platforms
-        .iter()
-        .flat_map(|(name, p)| {
-            let sizes = &sizes;
-            Testbed::ALL.into_iter().flat_map(move |tb| {
-                sizes.iter().flat_map(move |&n| {
-                    [false, true].map(|ilha| Job {
-                        topology: name,
-                        platform: p,
-                        tb,
-                        n,
-                        ilha,
-                    })
-                })
-            })
-        })
-        .collect();
-
-    let m = CommModel::OnePortBidir;
-    let rows: Vec<(String, String)> = par_map(&jobs, opts.threads, |j| {
-        let g = j.tb.generate(j.n, PAPER_C);
-        let sched: Box<dyn Scheduler> = if j.ilha {
-            Box::new(Ilha::auto(j.platform))
-        } else {
-            Box::new(Heft::new())
-        };
-        let (s, construct) = runner::schedule_timed(&g, j.platform, sched.as_ref(), m, &NoProbe);
-        let v = validate(&g, j.platform, m, &s);
-        assert!(
-            v.is_empty(),
-            "{}/{} n={} {}: invalid schedule: {v:?}",
-            j.topology,
-            j.tb,
-            j.n,
-            sched.name()
-        );
-        let line = format!(
-            "{},{},{},{},{},{},{},{:016x}\n",
-            j.topology,
-            j.tb,
-            j.n,
-            sched.name(),
-            g.num_tasks(),
-            s.makespan(),
-            s.speedup(&g, j.platform),
-            placement_fingerprint(&s)
-        );
-        let summary = format!(
-            "{:>16} {:>10} n={:<3} {:<16} speedup {:>7.3}  comms {:>5}  ({:.1?})",
-            j.topology,
-            j.tb,
-            j.n,
-            sched.name(),
-            s.speedup(&g, j.platform),
-            s.num_effective_comms(),
-            construct
-        );
-        (line, summary)
-    });
-
     let mut csv = String::from("topology,testbed,n,scheduler,tasks,makespan,speedup,fingerprint\n");
-    for (line, summary) in &rows {
-        csv.push_str(line);
-        println!("{summary}");
+    for (job, r) in run_specs(specs, opts.threads) {
+        let (topology, tb, n) = job_cell(&job);
+        assert_eq!(
+            r.violations, 0,
+            "{topology}/{tb} n={n} {}: invalid schedule",
+            r.scheduler
+        );
+        let _ = writeln!(
+            csv,
+            "{topology},{tb},{n},{},{},{},{},{:016x}",
+            r.scheduler, r.tasks, r.makespan, r.speedup, r.fingerprint
+        );
+        println!(
+            "{topology:>16} {tb:>10} n={n:<3} {:<16} speedup {:>7.3}  comms {:>5}  ({:.1?})",
+            r.scheduler, r.speedup, r.effective_comms, r.construct
+        );
     }
     write_csv(opts, "routed_figs.csv", &csv);
 }
 
 /// One random-layered stress point beyond the paper sizes (default target
 /// ~100k tasks): schedule-construction time for HEFT and ILHA on the paper
-/// platform. The datapoints recorded in EXPERIMENTS.md come from here.
+/// platform, as `onesched-svc gen stress` jobs — so above about 1M target
+/// tasks intake's admission limit refuses the run. The datapoints recorded
+/// in EXPERIMENTS.md come from here.
 fn stress_sweep(opts: &Opts) {
     use onesched::service::workloads;
-    let cfg = workloads::stress_config(opts.tasks);
     println!(
         "== stress: random layered DAG, target {} tasks (seed {}) ==",
         opts.tasks, opts.seed
     );
-    let g = onesched::testbeds::random_layered(&cfg, opts.seed);
+    let jobs = resolve_all(
+        [SchedulerSpec::heft(), SchedulerSpec::named("ilha")]
+            .into_iter()
+            .filter_map(|sched| workloads::stress_request(opts.tasks, opts.seed, sched).job),
+    );
+    // both jobs name the same DAG and platform: build them once
+    let (g, p) = (jobs[0].build_graph(), jobs[0].build_platform());
+    let d = &jobs[0].spec.dag;
     println!(
         "generated {} tasks, {} edges ({} layers, max width {}, edge prob {:.4})",
         g.num_tasks(),
         g.num_edges(),
-        cfg.layers,
-        cfg.max_width,
-        cfg.edge_prob
+        d.layers.unwrap_or_default(),
+        d.max_width.unwrap_or_default(),
+        d.edge_prob.unwrap_or_default()
     );
-    let p = Platform::paper();
-    let m = CommModel::OnePortBidir;
     let mut csv = String::from("scheduler,tasks,edges,construct_ms,makespan,speedup,comms\n");
-    for s in [
-        &Heft::new() as &dyn Scheduler,
-        &Ilha::auto(&p) as &dyn Scheduler,
-    ] {
-        let (sched, construct) = runner::schedule_timed(&g, &p, s, m, &NoProbe);
+    for job in &jobs {
+        let (r, sched) = cache::construct(job, &g, &p, None, &Scope::off());
         assert!(sched.is_complete());
-        let speedup = sched.speedup(&g, &p);
         let _ = writeln!(
             csv,
-            "{},{},{},{},{},{speedup},{}",
-            s.name(),
-            g.num_tasks(),
+            "{},{},{},{},{},{},{}",
+            r.scheduler,
+            r.tasks,
             g.num_edges(),
-            construct.as_secs_f64() * 1e3,
-            sched.makespan(),
-            sched.num_effective_comms()
+            r.construct.as_secs_f64() * 1e3,
+            r.makespan,
+            r.speedup,
+            r.effective_comms
         );
         println!(
-            "{:<12} construct {:>8.1?}  makespan {:>12.0}  speedup {speedup:>7.3}  comms {}",
-            s.name(),
-            construct,
-            sched.makespan(),
-            sched.num_effective_comms()
+            "{:<12} construct {:>8.1?}  makespan {:>12.0}  speedup {:>7.3}  comms {}",
+            r.scheduler, r.construct, r.makespan, r.speedup, r.effective_comms
         );
     }
     write_csv(opts, &format!("stress_{}.csv", g.num_tasks()), &csv);
@@ -1057,7 +1007,7 @@ fn perturb_sweep(opts: &Opts) {
 /// CSVs at any `--threads` — the CI league determinism gate.
 fn league(opts: &Opts) {
     use onesched::exec::{execute, DispatchPolicy, ExecConfig, Perturbation};
-    use onesched::registry::{catalog, concrete_specs, SchedulerSpec};
+    use onesched::registry::{catalog, concrete_specs};
     use std::collections::BTreeMap;
 
     /// Perturbation seeds per league cell (mean/p95 population).
@@ -1204,35 +1154,38 @@ fn league(opts: &Opts) {
 
 /// Every concrete catalog kind (heuristics + baselines) on every testbed
 /// at one size: ILHA with the testbed's paper-best chunk size, `random`
-/// with seed 42.
+/// with seed 42. Jobs fan out over `par_map`; every schedule is validated.
 fn baseline_comparison(opts: &Opts) {
     println!("== baselines: full scheduler comparison ==");
-    let p = Platform::paper();
-    let m = CommModel::OnePortBidir;
     let n = (*opts.sizes.iter().min().unwrap_or(&100)).min(30);
+    let jobs = resolve_all(Testbed::ALL.into_iter().flat_map(|tb| {
+        onesched::registry::concrete_specs(tb.paper_best_b(), 42)
+            .into_iter()
+            .map(move |sched| validated_job(tb, n, None, sched, CommModel::OnePortBidir))
+    }));
+    // the imbalance column needs the schedule itself, not just its outcome
+    let rows = par_map(&jobs, opts.threads, |job| {
+        let (g, p) = (job.build_graph(), job.build_platform());
+        let (outcome, sched) = cache::construct(job, &g, &p, None, &Scope::off());
+        (outcome, ScheduleStats::of(&g, &p, &sched).imbalance)
+    });
     let mut csv = String::from("testbed,scheduler,makespan,speedup,comms,imbalance\n");
-    for tb in Testbed::ALL {
-        let g = tb.generate(n, PAPER_C);
-        println!("-- {tb} (n = {n}, {} tasks) --", g.num_tasks());
-        for spec in onesched::registry::concrete_specs(tb.paper_best_b(), 42) {
-            let s = onesched::registry::build(&spec).expect("catalog specs build");
-            let sched = s.schedule(&g, &p, m);
-            assert!(validate(&g, &p, m, &sched).is_empty(), "{}", s.name());
-            let st = ScheduleStats::of(&g, &p, &sched);
+    for (tb, rows) in Testbed::ALL
+        .iter()
+        .zip(rows.chunks(rows.len() / Testbed::ALL.len()))
+    {
+        let tasks = rows.first().map_or(0, |(o, _)| o.tasks);
+        println!("-- {tb} (n = {n}, {tasks} tasks) --");
+        for (o, imbalance) in rows {
+            assert_eq!(o.violations, 0, "{}", o.scheduler);
             let _ = writeln!(
                 csv,
-                "{tb},{},{},{},{},{}",
-                s.name(),
-                st.makespan,
-                st.speedup,
-                st.effective_comms,
-                st.imbalance
+                "{tb},{},{},{},{},{imbalance}",
+                o.scheduler, o.makespan, o.speedup, o.effective_comms
             );
             println!(
                 "  {:<14} speedup {:>7.3}  comms {:>6}",
-                s.name(),
-                st.speedup,
-                st.effective_comms
+                o.scheduler, o.speedup, o.effective_comms
             );
         }
     }

@@ -14,10 +14,12 @@
 //! compares. Regenerate the fixture (only after an *intentional* schedule
 //! change) with `experiments record-baseline`.
 
-use onesched_heuristics::registry::{SchedulerSpec, UnknownScheduler};
-use onesched_platform::{topology, Platform};
-use onesched_sim::CommModel;
-use onesched_testbeds::{Testbed, PAPER_C};
+use onesched_heuristics::registry::SchedulerSpec;
+use onesched_platform::Platform;
+use onesched_service::cache;
+use onesched_service::protocol::{DagSpec, JobSpec, PlatformSpec, ResolveError};
+use onesched_testbeds::Testbed;
+use onesched_trace::Scope;
 use serde::{Deserialize, Serialize};
 
 // The fingerprint lives in `onesched-sim` (the scheduling service reports it
@@ -71,48 +73,57 @@ pub const ROUTED_BASELINE_N: usize = 12;
 /// Processor count of the routed baseline topologies.
 pub const ROUTED_BASELINE_PROCS: usize = 8;
 
-/// The platform a baseline entry's `topology` key names: the paper's
-/// complete 10-processor machine, or an 8-processor star/ring/line with
-/// cycle-times cycling through the paper's speeds and unit links (the same
-/// heterogeneous pattern the service's routed platform specs default to).
-pub fn baseline_platform(topology: &str) -> Platform {
-    const PATTERN: [f64; 3] = [6.0, 10.0, 15.0];
-    let ct: Vec<f64> = (0..ROUTED_BASELINE_PROCS)
-        .map(|i| PATTERN[i % PATTERN.len()])
-        .collect();
-    match topology {
-        "paper" => Platform::paper(),
-        "star" => topology::star(ct, 1.0).expect("valid"),
-        "ring" => topology::ring(ct, 1.0).expect("valid"),
-        "line" => topology::line(ct, 1.0).expect("valid"),
-        other => panic!("unknown baseline topology key {other:?}"),
+/// The job a baseline entry records: `dag` under one-port-bidir on the
+/// platform its `topology` key names — the paper's complete 10-processor
+/// machine, or an 8-processor routed topology of that kind with unit links
+/// and the service's default heterogeneous cycle-times.
+fn baseline_job(topology: &str, dag: DagSpec, scheduler: Option<SchedulerSpec>) -> JobSpec {
+    let platform = match topology {
+        "paper" => PlatformSpec::paper(),
+        kind => PlatformSpec::routed(kind, ROUTED_BASELINE_PROCS, 1.0),
+    };
+    JobSpec {
+        dag,
+        platform: Some(platform),
+        scheduler,
+        model: None,
+        validate: false,
     }
+}
+
+/// The platform a baseline entry's `topology` key names, resolved by the
+/// service's intake (a platform resolves as part of a job; the toy DAG is
+/// the cheapest carrier). An unknown key is intake's `unknown platform
+/// kind` error.
+pub fn baseline_platform(topology: &str) -> Result<Platform, ResolveError> {
+    Ok(baseline_job(topology, DagSpec::toy(), None)
+        .resolve()?
+        .build_platform())
 }
 
 /// Schedule HEFT and ILHA on every testbed at each size (paper platform,
 /// bi-directional one-port model), then HEFT and ILHA (`B = 8`) on
 /// every testbed at [`ROUTED_BASELINE_N`] over each
-/// [`BASELINE_TOPOLOGIES`] entry, and record the outcomes. Every scheduler
-/// is built through the workspace catalog.
-pub fn record_baseline(sizes: &[usize]) -> Result<BaselineFile, UnknownScheduler> {
-    let model = CommModel::OnePortBidir;
+/// [`BASELINE_TOPOLOGIES`] entry, and record the outcomes. Every entry is
+/// a [`JobSpec`] resolved by the service's intake and built by its
+/// construction step ([`cache::run_job`]); a size intake refuses fails
+/// the recording.
+pub fn record_baseline(sizes: &[usize]) -> Result<BaselineFile, ResolveError> {
     let mut entries = Vec::new();
     let mut record = |topology: &str, tb: Testbed, n: usize, spec: SchedulerSpec| {
-        let g = tb.generate(n, PAPER_C);
-        let platform = baseline_platform(topology);
-        let sched = onesched_baselines::registry::build(&spec)?.schedule(&g, &platform, model);
-        assert!(sched.is_complete());
+        let job = baseline_job(topology, DagSpec::testbed(tb, n), Some(spec)).resolve()?;
+        let r = cache::run_job(&job, None, &Scope::off());
         entries.push(BaselineEntry {
             testbed: tb.name().to_string(),
             n,
             topology: topology.to_string(),
-            scheduler: spec.canonical(),
-            tasks: g.num_tasks(),
-            makespan: sched.makespan(),
-            fingerprint: format!("{:016x}", placement_fingerprint(&sched)),
-            effective_comms: sched.num_effective_comms(),
+            scheduler: job.scheduler_spec().canonical(),
+            tasks: r.tasks,
+            makespan: r.makespan,
+            fingerprint: format!("{:016x}", r.fingerprint),
+            effective_comms: r.effective_comms,
         });
-        Ok(())
+        Ok::<(), ResolveError>(())
     };
     for tb in Testbed::ALL {
         for &n in sizes {
@@ -175,12 +186,19 @@ mod tests {
     #[test]
     fn baseline_platforms_and_schedulers_resolve() {
         for t in BASELINE_TOPOLOGIES {
-            let p = baseline_platform(t);
+            let p = baseline_platform(t).unwrap();
             assert_eq!(p.num_procs(), ROUTED_BASELINE_PROCS);
             assert!(!p.is_fully_connected(), "{t} must need routing");
             assert!(p.first_unreachable().is_none(), "{t} must be connected");
+            // the paper's three speeds, cycled, as the fixture was recorded
+            assert_eq!(
+                p.cycle_times(),
+                [6.0, 10.0, 15.0, 6.0, 10.0, 15.0, 6.0, 10.0]
+            );
         }
-        assert_eq!(baseline_platform("paper").num_procs(), 10);
+        assert_eq!(baseline_platform("paper").unwrap().num_procs(), 10);
+        let err = baseline_platform("mesh").unwrap_err();
+        assert!(err.message.contains("unknown platform kind"), "{err}");
         let build = |label: &str| {
             let spec = SchedulerSpec::parse(label).unwrap();
             assert_eq!(spec.canonical(), label);

@@ -25,6 +25,26 @@ fn experiments_rejects_malformed_command_lines() {
         &["--threads", "x", "fig1"],
         &["--sizes", "12,x", "fig8"],
         &["bench-compare", "only-one.json"],
+        &["bench-history"],
+    ] {
+        assert_usage_error(bin, "experiments", args);
+    }
+}
+
+/// An I/O failure or a job the daemon's intake refuses also exits 2 with a
+/// message naming the path or the limit, never with a panic.
+#[test]
+fn experiments_reports_io_failures_and_refused_jobs() {
+    let bin = env!("CARGO_BIN_EXE_experiments");
+    // a directory cannot be created below a regular file
+    let below_file = format!("{bin}/x");
+    let out = concat!(env!("CARGO_TARGET_TMPDIR"), "/refused");
+    for args in [
+        &["--out", below_file.as_str(), "fig1"][..],
+        &["bench-compare", "/nonexistent.json", "/nonexistent2.json"],
+        &["--bench-json", "/nonexistent.json", "bench-history"],
+        &["--out", out, "--sizes", "100000", "fig8"],
+        &["--out", out, "--tasks", "5000000", "stress"],
     ] {
         assert_usage_error(bin, "experiments", args);
     }

@@ -38,7 +38,7 @@ fn zero_perturbation_replay_is_bit_exact_on_every_fixture() {
             .find(|t| t.name() == e.testbed)
             .expect("fixture testbed");
         let g = tb.generate(e.n, PAPER_C);
-        let platform = baseline_platform(&e.topology);
+        let platform = baseline_platform(&e.topology).expect("fixture topology resolves");
         let spec = SchedulerSpec::parse(&e.scheduler).expect("fixture labels are specs");
         let sched = registry::build(&spec)
             .expect("fixture specs build")

@@ -48,7 +48,7 @@ fn schedules_bit_identical_with_profiling_allocator() {
             .find(|t| t.name() == e.testbed)
             .unwrap_or_else(|| panic!("unknown testbed {:?}", e.testbed));
         let g = tb.generate(e.n, PAPER_C);
-        let platform = baseline_platform(&e.topology);
+        let platform = baseline_platform(&e.topology).expect("fixture topology resolves");
         let spec = SchedulerSpec::parse(&e.scheduler).expect("fixture labels are specs");
         let sched = registry::build(&spec)
             .expect("fixture specs build")

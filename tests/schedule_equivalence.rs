@@ -72,7 +72,7 @@ fn schedules_match_recorded_seed_fixture() {
             [SchedulerSpec::heft(), SchedulerSpec::ilha(ilha_b)].contains(&spec),
             "{ctx}: unexpected scheduler"
         );
-        let platform = baseline_platform(&e.topology);
+        let platform = baseline_platform(&e.topology).expect("fixture topology resolves");
         let sched = registry::build(&spec)
             .unwrap_or_else(|err| panic!("{ctx}: {err}"))
             .schedule(&g, &platform, model);
