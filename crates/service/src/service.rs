@@ -22,6 +22,9 @@
 //! With `--ledger PATH` every accepted job is written ahead to an
 //! append-only NDJSON event log ([`crate::ledger`]) *before* it enters the
 //! queue, and its outcome is recorded *before* the response line goes out.
+//! Each record reaches the kernel at once (SIGKILL-safe); the batched
+//! `sync_data` runs only after intake releases the queue lock or after a
+//! worker writes its answer, so a disk flush delays neither.
 //! On startup [`Service::with_ledger`] replays the log: acknowledged
 //! outcomes rehydrate the schedule/sim caches, unacknowledged jobs
 //! re-enter the queue in their original priority/FIFO order, and jobs that
@@ -45,7 +48,7 @@ use crate::cache::{
     ServiceStats, SimOutcome, SimRunError, StatsGauges, PHASES,
 };
 use crate::ledger::{
-    key_hash, Ledger, LedgerError, LedgerOutcome, LedgerRecord, Replay, LEDGER_SCHEMA,
+    key_hash, DueSync, Ledger, LedgerError, LedgerOutcome, LedgerRecord, Replay, LEDGER_SCHEMA,
 };
 use crate::protocol::{
     AckResponse, ErrorResponse, MetricsResponse, ReadyResponse, Request, ResolvedJob, ResolvedSim,
@@ -479,14 +482,28 @@ impl Service {
         report
     }
 
-    /// Append one record to the ledger, if the service has one. Append
-    /// failures degrade durability, not availability: the daemon logs and
-    /// keeps serving.
+    /// Append one record to the ledger, if the service has one. The
+    /// record reaches the kernel before this returns; a batch sync it
+    /// makes due waits for [`Service::ledger_sync_due`]. Append failures
+    /// degrade durability, not availability: the daemon logs and keeps
+    /// serving.
     fn ledger_append(&self, rec: &LedgerRecord) {
         if let Some(l) = &self.ledger {
-            if let Err(e) = lock(l).append(rec) {
+            if let Err(e) = lock(l).append_unsynced(rec) {
                 eprintln!("onesched-svc: ledger append failed (durability degraded): {e}");
             }
+        }
+    }
+
+    /// Run the ledger's due batch sync, if any, holding no lock: intake
+    /// calls this once the queue lock is released, a worker once its
+    /// answer is written, so an fsync stalls neither the queue nor an
+    /// answer. A failed sync degrades durability like a failed append.
+    fn ledger_sync_due(&self) {
+        let Some(l) = &self.ledger else { return };
+        let due = lock(l).take_due_sync();
+        if let Some(Err(e)) = due.map(DueSync::run) {
+            eprintln!("onesched-svc: ledger sync failed (durability degraded): {e}");
         }
     }
 
@@ -668,7 +685,7 @@ impl Service {
     /// mid-line simply never completes that line — the partial request is
     /// discarded, accepted jobs are unaffected.
     fn handle_conn(&self, stream: TcpStream) -> io::Result<()> {
-        stream.set_read_timeout(Some(POLL))?;
+        setup_stream(&stream)?;
         let out: SharedWriter = Arc::new(Mutex::new(Box::new(stream.try_clone()?)));
         let mut stream = stream;
         let mut buf: Vec<u8> = Vec::new();
@@ -711,7 +728,10 @@ impl Service {
             }
         };
         match req.op.as_str() {
-            "submit" | "simulate" => self.handle_submission(req, out),
+            "submit" | "simulate" => {
+                self.handle_submission(req, out);
+                self.ledger_sync_due();
+            }
             "stats" => {
                 let (gauges, uptime) = (self.gauges(), self.uptime());
                 let mut w = lock(out); // see `Service::write_counted`
@@ -1067,6 +1087,7 @@ impl Service {
             };
             self.busy.fetch_add(1, Ordering::Relaxed);
             self.run_ticket(ticket, worker);
+            self.ledger_sync_due();
             self.busy.fetch_sub(1, Ordering::Relaxed);
         }
     }
@@ -1460,6 +1481,16 @@ enum Ended {
     Panicked,
 }
 
+/// Set up an accepted connection: Nagle off, so an answer line leaves the
+/// moment it is written instead of waiting for the client to acknowledge
+/// the previous one, and the read timeout that lets the reader poll for
+/// shutdown. Both are socket options, so they cover every clone of the
+/// stream, the answer writer included.
+fn setup_stream(stream: &TcpStream) -> io::Result<()> {
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(POLL))
+}
+
 /// A `Duration` as saturating whole microseconds.
 fn duration_us(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
@@ -1635,6 +1666,23 @@ mod tests {
             assert!(text.ends_with('\n'), "a whole line per write: {text}");
             assert_eq!(text.matches('\n').count(), 1, "one line per write: {text}");
         }
+    }
+
+    #[test]
+    fn accepted_streams_send_without_nagle_and_poll_for_shutdown() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        assert!(!accepted.nodelay().unwrap(), "Nagle is the socket default");
+        setup_stream(&accepted).unwrap();
+        assert!(accepted.nodelay().unwrap());
+        let timeout = accepted.read_timeout().unwrap().expect("a read timeout");
+        // the kernel rounds the timeout up to its clock tick
+        assert!(timeout >= POLL && timeout < 2 * POLL, "{timeout:?}");
+        // a socket option, so the answer writer's clone shares it
+        let writer = accepted.try_clone().unwrap();
+        assert!(writer.nodelay().unwrap());
+        drop(client);
     }
 
     #[test]

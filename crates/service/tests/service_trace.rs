@@ -415,6 +415,16 @@ fn portfolio_member_spans_lie_within_the_race() {
                 portfolio(vec![SchedulerSpec::heft(), SchedulerSpec::ilha(8)]),
             ),
         ),
+        // both members constructed in the race, at once when threads allow
+        Request::submit(
+            Some("fresh".into()),
+            0,
+            job(
+                Testbed::Lu,
+                12,
+                portfolio(vec![SchedulerSpec::ilha(2), SchedulerSpec::ilha(3)]),
+            ),
+        ),
     ];
     let (_, lines) = run_batch(&reqs, Some(&trace_path));
     assert_eq!(lines.len(), reqs.len());
@@ -422,7 +432,7 @@ fn portfolio_member_spans_lie_within_the_race() {
     let replay = parse_trace(&std::fs::read(&trace_path).expect("trace file written"));
     let report = onesched_trace::build_report(&replay);
 
-    for id in ["all-cached", "mixed"] {
+    for id in ["all-cached", "mixed", "fresh"] {
         let spans: Vec<&TraceEvent> = replay
             .events
             .iter()
@@ -457,7 +467,12 @@ fn portfolio_member_spans_lie_within_the_race() {
             .iter()
             .filter(|m| m.field_value("cached") == Some(1.0))
             .count();
-        assert_eq!(cached, if id == "all-cached" { 2 } else { 1 }, "{id}");
+        let want = match id {
+            "all-cached" => 2,
+            "mixed" => 1,
+            _ => 0,
+        };
+        assert_eq!(cached, want, "{id}");
         assert_eq!(
             members
                 .iter()
@@ -468,19 +483,43 @@ fn portfolio_member_spans_lie_within_the_race() {
         );
     }
 
-    // With no concurrent children left, the all-cached job's self-times
-    // sum back to its root exactly.
-    let all_cached = report
+    // Every job reconciles, concurrent members included: the race's
+    // self-time is its duration minus the union of the member intervals,
+    // and the time the members overlap is reported, not lost.
+    for job in &report.jobs {
+        assert!(job.reconciles(), "{}: span tree does not reconcile", job.id);
+    }
+    let fresh = report
         .jobs
         .iter()
-        .find(|j| j.id == "all-cached")
+        .find(|j| j.id == "fresh")
         .expect("profiled");
-    let root = all_cached.job_root().expect("root span");
-    assert_eq!(
-        all_cached.self_total_us(),
-        all_cached.spans[root].dur_us,
-        "all-cached portfolio reconciles exactly"
-    );
+    let race = fresh
+        .spans
+        .iter()
+        .find(|s| s.name == "construct.portfolio")
+        .expect("the race span");
+    let mut members: Vec<(u64, u64)> = race
+        .children
+        .iter()
+        .map(|&c| {
+            (
+                fresh.spans[c].start_us,
+                fresh.spans[c].start_us + fresh.spans[c].dur_us,
+            )
+        })
+        .collect();
+    members.sort_unstable();
+    let [(a0, a1), (b0, b1)] = members[..] else {
+        panic!("two member spans");
+    };
+    let union = if b0 >= a1 {
+        (a1 - a0) + (b1 - b0)
+    } else {
+        a1.max(b1) - a0
+    };
+    assert_eq!(race.self_us, race.dur_us - union, "race self-time is exact");
+    assert_eq!(race.overlap_us, (a1 - a0) + (b1 - b0) - union);
 
     let _ = std::fs::remove_file(&trace_path);
 }

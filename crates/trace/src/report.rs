@@ -5,8 +5,8 @@
 //! the time and memory go". It rebuilds the per-job span trees that the
 //! daemon emitted flat (parent links are by name within a `(seq,
 //! attempt)` scope), splits every span's duration into *self* time (not
-//! covered by a child) and child time, aggregates by span name across
-//! jobs, and walks the heaviest root-to-leaf chain of each tree — the
+//! covered by any child's interval) and child time, aggregates by span
+//! name across jobs, and walks the heaviest root-to-leaf chain of each tree — the
 //! critical path an optimizer should look at first.
 //!
 //! Everything is a pure function over parsed events, so the analysis
@@ -33,8 +33,12 @@ pub struct SpanNode {
     pub start_us: u64,
     /// Span duration, microseconds.
     pub dur_us: u64,
-    /// Duration not covered by this span's children (saturating).
+    /// Duration not covered by the union of this span's child intervals.
     pub self_us: u64,
+    /// Time this span's children ran at once: their summed durations
+    /// minus the length of their union (0 when they run one after
+    /// another, as the `construct.*` phases do).
+    pub overlap_us: u64,
     /// The span's `allocs` field, when attached (profiling runs).
     pub allocs: u64,
     /// The span's `alloc_bytes` field, when attached.
@@ -66,11 +70,23 @@ impl JobProfile {
             .find(|&i| self.spans.get(i).is_some_and(|s| s.name == "job"))
     }
 
-    /// Sum of `self_us` over every span — equals the summed root
-    /// durations by construction, which is the reconciliation invariant
-    /// `trace report` prints and the integration tests pin.
+    /// Sum of `self_us` over every span.
     pub fn self_total_us(&self) -> u64 {
         self.spans.iter().map(|s| s.self_us).sum()
+    }
+
+    /// Sum of `overlap_us` over every span: the time counted more than
+    /// once because concurrent children (portfolio members) each claim it.
+    pub fn overlap_total_us(&self) -> u64 {
+        self.spans.iter().map(|s| s.overlap_us).sum()
+    }
+
+    /// The reconciliation invariant `trace report` prints and the tests
+    /// pin: the self-times sum to the summed root durations plus the
+    /// concurrent children's overlap. It fails only when a child's
+    /// interval reaches outside its parent's.
+    pub fn reconciles(&self) -> bool {
+        self.self_total_us() == self.root_total_us().saturating_add(self.overlap_total_us())
     }
 
     /// Sum of root-span durations (one `job` span in the common case).
@@ -218,9 +234,26 @@ pub fn build_report(replay: &TraceReplay) -> Report {
     }
 }
 
+/// Total length of the union of `intervals` (`[start, end)` pairs), each
+/// clipped to `[lo, hi)`. Sorts `intervals` in place.
+fn union_us(intervals: &mut [(u64, u64)], lo: u64, hi: u64) -> u64 {
+    intervals.sort_unstable();
+    let mut total = 0;
+    let mut reached = lo;
+    for &(start, end) in intervals.iter() {
+        let (start, end) = (start.max(reached), end.min(hi));
+        if end > start {
+            total += end - start;
+            reached = end;
+        }
+    }
+    total
+}
+
 /// Build one scope's tree: spans in emit order, parents resolved by
 /// name (last emitted span of that name wins, matching the recorder's
-/// names-unique-per-scope contract), self-time subtracted bottom-up.
+/// names-unique-per-scope contract), then each span's self-time is its
+/// duration minus the union of its children's intervals.
 fn build_job(seq: u64, attempt: u64, events: &[&TraceEvent]) -> JobProfile {
     let mut spans: Vec<SpanNode> = events
         .iter()
@@ -230,7 +263,8 @@ fn build_job(seq: u64, attempt: u64, events: &[&TraceEvent]) -> JobProfile {
             children: Vec::new(),
             start_us: ev.start_us.unwrap_or(0),
             dur_us: ev.dur_us.unwrap_or(0),
-            self_us: ev.dur_us.unwrap_or(0),
+            self_us: 0,
+            overlap_us: 0,
             allocs: ev.field_value("allocs").unwrap_or(0.0) as u64,
             alloc_bytes: ev.field_value("alloc_bytes").unwrap_or(0.0) as u64,
         })
@@ -258,10 +292,8 @@ fn build_job(seq: u64, attempt: u64, events: &[&TraceEvent]) -> JobProfile {
     for (i, link) in links.iter().enumerate() {
         match link {
             Some(pi) => {
-                let child_dur = spans.get(i).map(|s| s.dur_us).unwrap_or(0);
                 if let Some(parent) = spans.get_mut(*pi) {
                     parent.children.push(i);
-                    parent.self_us = parent.self_us.saturating_sub(child_dur);
                 }
                 if let Some(child) = spans.get_mut(i) {
                     child.parent = Some(*pi);
@@ -269,6 +301,22 @@ fn build_job(seq: u64, attempt: u64, events: &[&TraceEvent]) -> JobProfile {
             }
             None => roots.push(i),
         }
+    }
+    let intervals: Vec<(u64, u64)> = spans
+        .iter()
+        .map(|s| (s.start_us, s.start_us.saturating_add(s.dur_us)))
+        .collect();
+    for (span, &(lo, hi)) in spans.iter_mut().zip(&intervals) {
+        let mut kids: Vec<(u64, u64)> = span
+            .children
+            .iter()
+            .filter_map(|&c| intervals.get(c).copied())
+            .collect();
+        let summed = kids
+            .iter()
+            .fold(0u64, |acc, &(start, end)| acc.saturating_add(end - start));
+        span.overlap_us = summed.saturating_sub(union_us(&mut kids, 0, u64::MAX));
+        span.self_us = span.dur_us.saturating_sub(union_us(&mut kids, lo, hi));
     }
     JobProfile {
         seq,
@@ -320,7 +368,10 @@ pub fn render_report(report: &Report, max_jobs: usize) -> String {
             .filter_map(|&i| job.spans.get(i))
             .map(|s| format!("{} {}ms", s.name, fmt_ms(s.dur_us)))
             .collect();
-        let delta = job.root_total_us().abs_diff(job.self_total_us());
+        let delta = job
+            .root_total_us()
+            .saturating_add(job.overlap_total_us())
+            .abs_diff(job.self_total_us());
         out.push_str(&format!(
             "  seq {} id {} attempt {}: {} [spans {}, self-sum delta {}us]\n",
             job.seq,
@@ -337,11 +388,7 @@ pub fn render_report(report: &Report, max_jobs: usize) -> String {
             report.jobs.len() - max_jobs
         ));
     }
-    let reconciled = report
-        .jobs
-        .iter()
-        .filter(|j| j.self_total_us() == j.root_total_us())
-        .count();
+    let reconciled = report.jobs.iter().filter(|j| j.reconciles()).count();
     out.push_str(&format!(
         "\njobs {} (reconciled {}), spans {}, counters {}, unscoped spans {}, torn tail: {}\n",
         report.jobs.len(),
@@ -411,6 +458,54 @@ mod tests {
         assert_eq!(by_name("construct").alloc_bytes, 4096);
         assert_eq!(job.self_total_us(), job.root_total_us());
         assert_eq!(job.root_total_us(), 70);
+    }
+
+    #[test]
+    fn concurrent_children_subtract_their_union_and_reconcile() {
+        // two portfolio members constructed at once, overlapping by 30us,
+        // under a race that spans them with 10us to spare
+        let events = vec![
+            scoped(
+                "construct.portfolio.heft",
+                12,
+                50,
+                Some("construct.portfolio"),
+            ),
+            scoped(
+                "construct.portfolio.ilha",
+                32,
+                40,
+                Some("construct.portfolio"),
+            ),
+            scoped("construct.portfolio", 10, 70, Some("job.attempt")),
+            scoped("job.attempt", 5, 80, Some("job")),
+            scoped("job", 0, 90, None),
+        ];
+        let report = build_report(&replay_of(&events));
+        let job = &report.jobs[0];
+        let by_name = |n: &str| job.spans.iter().find(|s| s.name == n).unwrap();
+        let race = by_name("construct.portfolio");
+        // the union of [12, 62) and [32, 72) is [12, 72): 60us
+        assert_eq!(race.self_us, 70 - 60);
+        assert_eq!(race.overlap_us, 50 + 40 - 60);
+        assert_eq!(by_name("job.attempt").self_us, 10);
+        assert_eq!(job.overlap_total_us(), 30);
+        assert_eq!(job.self_total_us(), 90 + 30);
+        assert!(job.reconciles());
+        let text = render_report(&report, 10);
+        assert!(text.contains("jobs 1 (reconciled 1)"), "{text}");
+        assert!(text.contains("self-sum delta 0us"), "{text}");
+    }
+
+    #[test]
+    fn a_child_outside_its_parent_does_not_reconcile() {
+        let events = vec![
+            scoped("construct", 40, 30, Some("job")), // ends 10us after job
+            scoped("job", 0, 60, None),
+        ];
+        let job = &build_report(&replay_of(&events)).jobs[0];
+        assert_eq!(job.spans[1].self_us, 60 - 20, "only the inside counts");
+        assert!(!job.reconciles());
     }
 
     #[test]

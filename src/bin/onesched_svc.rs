@@ -189,12 +189,9 @@ fn submit(args: &[String]) -> i32 {
             }
         }
     };
-    let stream = match TcpStream::connect(&addr) {
+    let stream = match connect(&addr) {
         Ok(s) => s,
-        Err(e) => {
-            eprintln!("onesched-svc: connect {addr}: {e}");
-            return 1;
-        }
+        Err(code) => return code,
     };
     let requests: Vec<String> = match input
         .lines()
@@ -220,10 +217,9 @@ fn submit(args: &[String]) -> i32 {
         }
     };
     let sender = std::thread::spawn(move || -> std::io::Result<()> {
-        for line in &requests {
-            writeln!(writer, "{line}")?;
-        }
-        writer.flush()
+        requests
+            .iter()
+            .try_for_each(|line| send_line(&mut writer, line))
     });
     // every request line yields exactly one response line
     let reader = BufReader::new(stream);
@@ -264,71 +260,70 @@ fn submit(args: &[String]) -> i32 {
     i32::from(failures > 0)
 }
 
-/// Send a single control request and print the one response.
-fn send_one(args: &[String], req: Request) -> i32 {
+/// Connect to the daemon at `addr` with Nagle off, so each request line
+/// leaves at once instead of waiting for the previous one's ACK. Prints
+/// the failure and returns the exit code on error.
+fn connect(addr: &str) -> Result<TcpStream, i32> {
+    TcpStream::connect(addr)
+        .and_then(|s| s.set_nodelay(true).map(|()| s))
+        .map_err(|e| {
+            eprintln!("onesched-svc: connect {addr}: {e}");
+            1
+        })
+}
+
+/// Send one request line, newline included, in a single write, as the
+/// daemon sends its answers: no lone `\n` trails the line.
+fn send_line(w: &mut impl Write, line: &str) -> std::io::Result<()> {
+    let mut buf = String::with_capacity(line.len() + 1);
+    buf.push_str(line);
+    buf.push('\n');
+    w.write_all(buf.as_bytes())
+}
+
+/// Send one control request to the daemon at `--tcp ADDR` and return its
+/// one answer line: the connect/send/read of `stats`, `shutdown` and
+/// `metrics`. Prints the failure and returns the exit code on error.
+fn request_one(args: &[String], req: &Request) -> Result<String, i32> {
     let mut args = args.to_vec();
     let Some(addr) = take_flag(&mut args, "--tcp") else {
         eprintln!("onesched-svc: this command needs --tcp ADDR\n{USAGE}");
-        return 2;
+        return Err(2);
     };
-    let mut stream = match TcpStream::connect(&addr) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("onesched-svc: connect {addr}: {e}");
-            return 1;
-        }
-    };
-    let line = serde_json::to_string(&req).expect("serialize request");
-    if writeln!(stream, "{line}")
-        .and_then(|()| stream.flush())
-        .is_err()
-    {
+    let mut stream = connect(&addr)?;
+    let line = serde_json::to_string(req).expect("serialize request");
+    if send_line(&mut stream, &line).is_err() {
         eprintln!("onesched-svc: send failed");
-        return 1;
+        return Err(1);
     }
-    let mut reader = BufReader::new(stream);
     let mut resp = String::new();
-    match reader.read_line(&mut resp) {
-        Ok(_) => {
+    match BufReader::new(stream).read_line(&mut resp) {
+        Ok(_) => Ok(resp),
+        Err(e) => {
+            eprintln!("onesched-svc: receive: {e}");
+            Err(1)
+        }
+    }
+}
+
+/// Send a single control request and print the one response.
+fn send_one(args: &[String], req: Request) -> i32 {
+    match request_one(args, &req) {
+        Ok(resp) => {
             print!("{resp}");
             0
         }
-        Err(e) => {
-            eprintln!("onesched-svc: receive: {e}");
-            1
-        }
+        Err(code) => code,
     }
 }
 
 /// Scrape the daemon's metrics endpoint and print the Prometheus text
 /// exposition (not the NDJSON envelope it travels in).
 fn metrics(args: &[String]) -> i32 {
-    let mut args = args.to_vec();
-    let Some(addr) = take_flag(&mut args, "--tcp") else {
-        eprintln!("onesched-svc: metrics needs --tcp ADDR\n{USAGE}");
-        return 2;
+    let resp = match request_one(args, &Request::metrics()) {
+        Ok(resp) => resp,
+        Err(code) => return code,
     };
-    let mut stream = match TcpStream::connect(&addr) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("onesched-svc: connect {addr}: {e}");
-            return 1;
-        }
-    };
-    let line = serde_json::to_string(&Request::metrics()).expect("serialize request");
-    if writeln!(stream, "{line}")
-        .and_then(|()| stream.flush())
-        .is_err()
-    {
-        eprintln!("onesched-svc: send failed");
-        return 1;
-    }
-    let mut reader = BufReader::new(stream);
-    let mut resp = String::new();
-    if let Err(e) = reader.read_line(&mut resp) {
-        eprintln!("onesched-svc: receive: {e}");
-        return 1;
-    }
     match serde_json::from_str::<MetricsResponse>(&resp) {
         Ok(m) => {
             print!("{}", m.text);
@@ -581,4 +576,52 @@ fn gen(args: &[String]) -> i32 {
         let _ = writeln!(out, "{}", serde_json::to_string(&r).expect("serialize"));
     }
     0
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A writer that keeps the bytes of each `write` call as one chunk.
+    #[derive(Default)]
+    struct ChunkWriter(Vec<Vec<u8>>);
+
+    impl Write for ChunkWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_request_line_leaves_in_one_write() {
+        let mut w = ChunkWriter::default();
+        let lines = [
+            serde_json::to_string(&Request::stats()).unwrap(),
+            serde_json::to_string(&Request::metrics()).unwrap(),
+            serde_json::to_string(&Request::shutdown()).unwrap(),
+        ];
+        for line in &lines {
+            send_line(&mut w, line).unwrap();
+        }
+        let sent: Vec<String> =
+            w.0.iter()
+                .map(|c| String::from_utf8(c.clone()).unwrap())
+                .collect();
+        let want: Vec<String> = lines.iter().map(|l| format!("{l}\n")).collect();
+        assert_eq!(sent, want, "one write per line, newline included");
+    }
+
+    #[test]
+    fn client_connections_send_without_nagle() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let stream = connect(&addr).unwrap();
+        assert!(stream.nodelay().unwrap());
+        // the submit sender's clone shares the socket option
+        assert!(stream.try_clone().unwrap().nodelay().unwrap());
+    }
 }
