@@ -17,9 +17,6 @@
 //! `SIGKILL` of the daemon; `sync_data` runs every
 //! [`Ledger::DEFAULT_SYNC_EVERY`] appends and on graceful shutdown to
 //! bound data loss on host power failure without paying an fsync per job.
-//! The daemon appends with [`Ledger::append_unsynced`] and runs the batch's
-//! [`DueSync`] only once it holds no lock others wait on and owes no
-//! answer, so a disk flush never stalls the queue or a client.
 //!
 //! Torn tails are expected, not errors: a crash mid-`write` leaves a
 //! partial last line, and [`parse_ledger`] recovers the longest valid
@@ -34,7 +31,6 @@ use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Ledger schema tag, recorded in every `submitted` record. Recovery
@@ -487,9 +483,7 @@ impl std::error::Error for LedgerError {
 /// prefix, with fsync batching.
 #[derive(Debug)]
 pub struct Ledger {
-    /// Shared with every [`DueSync`] handed out, which flushes it without
-    /// the ledger's lock.
-    file: Arc<File>,
+    file: File,
     path: PathBuf,
     sync_every: u64,
     unsynced: u64,
@@ -532,7 +526,7 @@ impl Ledger {
             .map_err(|e| LedgerError::new("seek", path, e))?;
         Ok((
             Ledger {
-                file: Arc::new(file),
+                file,
                 path: path.to_path_buf(),
                 sync_every: sync_every.max(1),
                 unsynced: 0,
@@ -546,17 +540,6 @@ impl Ledger {
     /// Append one record as a complete NDJSON line, writing it through to
     /// the kernel before returning.
     pub fn append(&mut self, record: &LedgerRecord) -> Result<(), LedgerError> {
-        self.append_unsynced(record)?;
-        if self.unsynced >= self.sync_every {
-            self.sync()?;
-        }
-        Ok(())
-    }
-
-    /// [`Ledger::append`] without the batched `sync_data`: the record
-    /// reaches the kernel before this returns (SIGKILL-safe), and a full
-    /// batch waits for [`Ledger::take_due_sync`].
-    pub fn append_unsynced(&mut self, record: &LedgerRecord) -> Result<(), LedgerError> {
         let mut line = serde_json::to_string(record).map_err(|e| {
             LedgerError::new(
                 "serialize",
@@ -565,27 +548,16 @@ impl Ledger {
             )
         })?;
         line.push('\n');
-        (&*self.file)
+        self.file
             .write_all(line.as_bytes())
             .map_err(|e| LedgerError::new("append", &self.path, e))?;
         self.bytes += line.len() as u64;
         self.appended += 1;
         self.unsynced += 1;
-        Ok(())
-    }
-
-    /// The `sync_data` a full batch of [`Ledger::append_unsynced`] records
-    /// owes, handed out once: run it after releasing this ledger's lock.
-    /// `None` while the batch is not full.
-    pub fn take_due_sync(&mut self) -> Option<DueSync> {
-        if self.unsynced < self.sync_every {
-            return None;
+        if self.unsynced >= self.sync_every {
+            self.sync()?;
         }
-        self.unsynced = 0;
-        Some(DueSync {
-            file: Arc::clone(&self.file),
-            path: self.path.clone(),
-        })
+        Ok(())
     }
 
     /// Flush pending appends to stable storage (`sync_data`).
@@ -611,24 +583,6 @@ impl Ledger {
     /// The ledger file path.
     pub fn path(&self) -> &Path {
         &self.path
-    }
-}
-
-/// A batch sync taken from [`Ledger::take_due_sync`]: it flushes every
-/// record written so far, and needs no lock on the ledger to do it.
-#[derive(Debug)]
-#[must_use = "a due sync does nothing until it is run"]
-pub struct DueSync {
-    file: Arc<File>,
-    path: PathBuf,
-}
-
-impl DueSync {
-    /// Run the `sync_data`.
-    pub fn run(self) -> Result<(), LedgerError> {
-        self.file
-            .sync_data()
-            .map_err(|e| LedgerError::new("sync", &self.path, e))
     }
 }
 
@@ -713,29 +667,6 @@ mod tests {
         let clean_len = std::fs::metadata(&path).unwrap().len();
         assert_eq!(clean_len, replay.valid_bytes, "tail truncated on open");
         assert_eq!(ledger.bytes(), replay.valid_bytes);
-        drop(ledger);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn unsynced_appends_reach_the_file_and_owe_one_sync_per_batch() {
-        let path = temp_path("deferred");
-        let rec = LedgerRecord::submitted(0, "x", "deadbeef", 0, spec(), None);
-        let (mut ledger, _) = Ledger::open_with(&path, 3).unwrap();
-        let mut due = Vec::new();
-        for i in 1..=7 {
-            ledger.append_unsynced(&rec).unwrap();
-            // every record is in the file before any sync runs
-            let written = parse_ledger(&std::fs::read(&path).unwrap());
-            assert_eq!(written.records.len(), i);
-            if let Some(sync) = ledger.take_due_sync() {
-                due.push(i);
-                sync.run().unwrap();
-            }
-            assert!(ledger.take_due_sync().is_none(), "handed out once");
-        }
-        assert_eq!(due, vec![3, 6], "the batch cadence is unchanged");
-        assert_eq!(ledger.appended(), 7);
         drop(ledger);
         let _ = std::fs::remove_file(&path);
     }

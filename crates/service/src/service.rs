@@ -22,9 +22,6 @@
 //! With `--ledger PATH` every accepted job is written ahead to an
 //! append-only NDJSON event log ([`crate::ledger`]) *before* it enters the
 //! queue, and its outcome is recorded *before* the response line goes out.
-//! Each record reaches the kernel at once (SIGKILL-safe); the batched
-//! `sync_data` runs only after intake releases the queue lock or after a
-//! worker writes its answer, so a disk flush delays neither.
 //! On startup [`Service::with_ledger`] replays the log: acknowledged
 //! outcomes rehydrate the schedule/sim caches, unacknowledged jobs
 //! re-enter the queue in their original priority/FIFO order, and jobs that
@@ -48,7 +45,7 @@ use crate::cache::{
     ServiceStats, SimOutcome, SimRunError, StatsGauges, PHASES,
 };
 use crate::ledger::{
-    key_hash, DueSync, Ledger, LedgerError, LedgerOutcome, LedgerRecord, Replay, LEDGER_SCHEMA,
+    key_hash, Ledger, LedgerError, LedgerOutcome, LedgerRecord, Replay, LEDGER_SCHEMA,
 };
 use crate::protocol::{
     AckResponse, ErrorResponse, MetricsResponse, ReadyResponse, Request, ResolvedJob, ResolvedSim,
@@ -482,28 +479,14 @@ impl Service {
         report
     }
 
-    /// Append one record to the ledger, if the service has one. The
-    /// record reaches the kernel before this returns; a batch sync it
-    /// makes due waits for [`Service::ledger_sync_due`]. Append failures
-    /// degrade durability, not availability: the daemon logs and keeps
-    /// serving.
+    /// Append one record to the ledger, if the service has one. Append
+    /// failures degrade durability, not availability: the daemon logs and
+    /// keeps serving.
     fn ledger_append(&self, rec: &LedgerRecord) {
         if let Some(l) = &self.ledger {
-            if let Err(e) = lock(l).append_unsynced(rec) {
+            if let Err(e) = lock(l).append(rec) {
                 eprintln!("onesched-svc: ledger append failed (durability degraded): {e}");
             }
-        }
-    }
-
-    /// Run the ledger's due batch sync, if any, holding no lock: intake
-    /// calls this once the queue lock is released, a worker once its
-    /// answer is written, so an fsync stalls neither the queue nor an
-    /// answer. A failed sync degrades durability like a failed append.
-    fn ledger_sync_due(&self) {
-        let Some(l) = &self.ledger else { return };
-        let due = lock(l).take_due_sync();
-        if let Some(Err(e)) = due.map(DueSync::run) {
-            eprintln!("onesched-svc: ledger sync failed (durability degraded): {e}");
         }
     }
 
@@ -728,10 +711,7 @@ impl Service {
             }
         };
         match req.op.as_str() {
-            "submit" | "simulate" => {
-                self.handle_submission(req, out);
-                self.ledger_sync_due();
-            }
+            "submit" | "simulate" => self.handle_submission(req, out),
             "stats" => {
                 let (gauges, uptime) = (self.gauges(), self.uptime());
                 let mut w = lock(out); // see `Service::write_counted`
@@ -1087,7 +1067,6 @@ impl Service {
             };
             self.busy.fetch_add(1, Ordering::Relaxed);
             self.run_ticket(ticket, worker);
-            self.ledger_sync_due();
             self.busy.fetch_sub(1, Ordering::Relaxed);
         }
     }

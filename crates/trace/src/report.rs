@@ -35,14 +35,17 @@ pub struct SpanNode {
     pub dur_us: u64,
     /// Duration not covered by the union of this span's child intervals.
     pub self_us: u64,
-    /// Time this span's children ran at once: their summed durations
-    /// minus the length of their union (0 when they run one after
-    /// another, as the `construct.*` phases do).
-    pub overlap_us: u64,
     /// The span's `allocs` field, when attached (profiling runs).
     pub allocs: u64,
     /// The span's `alloc_bytes` field, when attached.
     pub alloc_bytes: u64,
+}
+
+impl SpanNode {
+    /// Span end, microseconds on the emitting clock.
+    pub fn end_us(&self) -> u64 {
+        self.start_us.saturating_add(self.dur_us)
+    }
 }
 
 /// The reconstructed tree of one `(seq, attempt)` job scope.
@@ -70,23 +73,24 @@ impl JobProfile {
             .find(|&i| self.spans.get(i).is_some_and(|s| s.name == "job"))
     }
 
-    /// Sum of `self_us` over every span.
+    /// Sum of `self_us` over every span. In a job that reconciles it
+    /// equals the summed root durations unless siblings ran at once:
+    /// concurrent children
+    /// (portfolio members) each claim the time they share.
     pub fn self_total_us(&self) -> u64 {
         self.spans.iter().map(|s| s.self_us).sum()
     }
 
-    /// Sum of `overlap_us` over every span: the time counted more than
-    /// once because concurrent children (portfolio members) each claim it.
-    pub fn overlap_total_us(&self) -> u64 {
-        self.spans.iter().map(|s| s.overlap_us).sum()
-    }
-
     /// The reconciliation invariant `trace report` prints and the tests
-    /// pin: the self-times sum to the summed root durations plus the
-    /// concurrent children's overlap. It fails only when a child's
-    /// interval reaches outside its parent's.
+    /// pin: every child's interval lies within its parent's, so each
+    /// span's duration is exactly its self-time plus its children's union.
     pub fn reconciles(&self) -> bool {
-        self.self_total_us() == self.root_total_us().saturating_add(self.overlap_total_us())
+        self.spans
+            .iter()
+            .all(|s| match s.parent.and_then(|p| self.spans.get(p)) {
+                Some(p) => p.start_us <= s.start_us && s.end_us() <= p.end_us(),
+                None => true,
+            })
     }
 
     /// Sum of root-span durations (one `job` span in the common case).
@@ -264,7 +268,6 @@ fn build_job(seq: u64, attempt: u64, events: &[&TraceEvent]) -> JobProfile {
             start_us: ev.start_us.unwrap_or(0),
             dur_us: ev.dur_us.unwrap_or(0),
             self_us: 0,
-            overlap_us: 0,
             allocs: ev.field_value("allocs").unwrap_or(0.0) as u64,
             alloc_bytes: ev.field_value("alloc_bytes").unwrap_or(0.0) as u64,
         })
@@ -302,20 +305,13 @@ fn build_job(seq: u64, attempt: u64, events: &[&TraceEvent]) -> JobProfile {
             None => roots.push(i),
         }
     }
-    let intervals: Vec<(u64, u64)> = spans
-        .iter()
-        .map(|s| (s.start_us, s.start_us.saturating_add(s.dur_us)))
-        .collect();
+    let intervals: Vec<(u64, u64)> = spans.iter().map(|s| (s.start_us, s.end_us())).collect();
     for (span, &(lo, hi)) in spans.iter_mut().zip(&intervals) {
         let mut kids: Vec<(u64, u64)> = span
             .children
             .iter()
             .filter_map(|&c| intervals.get(c).copied())
             .collect();
-        let summed = kids
-            .iter()
-            .fold(0u64, |acc, &(start, end)| acc.saturating_add(end - start));
-        span.overlap_us = summed.saturating_sub(union_us(&mut kids, 0, u64::MAX));
         span.self_us = span.dur_us.saturating_sub(union_us(&mut kids, lo, hi));
     }
     JobProfile {
@@ -368,10 +364,7 @@ pub fn render_report(report: &Report, max_jobs: usize) -> String {
             .filter_map(|&i| job.spans.get(i))
             .map(|s| format!("{} {}ms", s.name, fmt_ms(s.dur_us)))
             .collect();
-        let delta = job
-            .root_total_us()
-            .saturating_add(job.overlap_total_us())
-            .abs_diff(job.self_total_us());
+        let delta = job.root_total_us().abs_diff(job.self_total_us());
         out.push_str(&format!(
             "  seq {} id {} attempt {}: {} [spans {}, self-sum delta {}us]\n",
             job.seq,
@@ -487,14 +480,13 @@ mod tests {
         let race = by_name("construct.portfolio");
         // the union of [12, 62) and [32, 72) is [12, 72): 60us
         assert_eq!(race.self_us, 70 - 60);
-        assert_eq!(race.overlap_us, 50 + 40 - 60);
         assert_eq!(by_name("job.attempt").self_us, 10);
-        assert_eq!(job.overlap_total_us(), 30);
+        // both members claim the 30us they share
         assert_eq!(job.self_total_us(), 90 + 30);
         assert!(job.reconciles());
         let text = render_report(&report, 10);
         assert!(text.contains("jobs 1 (reconciled 1)"), "{text}");
-        assert!(text.contains("self-sum delta 0us"), "{text}");
+        assert!(text.contains("self-sum delta 30us"), "{text}");
     }
 
     #[test]
