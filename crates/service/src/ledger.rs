@@ -7,7 +7,8 @@
 //! error) *before* the response line is written to the client. Because all
 //! jobs are deterministic — generators are seeded, schedulers are pure,
 //! the engine derives noise from the request seed — recovery is cheap:
-//! [`parse_ledger`] replays the event log, acknowledged outcomes rehydrate
+//! [`parse_ledger`] replays the event log, [`fold_ledger`] joins each
+//! submission to its lifecycle events, acknowledged outcomes rehydrate
 //! the caches, and unacknowledged specs are simply re-run, producing
 //! bit-identical fingerprints (see `Service::recover` in
 //! [`crate::service`]).
@@ -26,7 +27,9 @@
 
 use crate::cache::{JobOutcome, SimOutcome};
 use crate::protocol::{JobSpec, SimSpec};
+use onesched_trace::read_ndjson_prefix;
 use serde::{Deserialize, Serialize};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
@@ -311,39 +314,12 @@ pub struct Replay {
     pub torn: bool,
 }
 
-/// Parse ledger bytes tolerantly: complete, well-formed NDJSON lines are
-/// records; everything at and after the first malformed or unterminated
-/// line is discarded (`torn`). Never panics, never errors — a corrupt
-/// ledger yields the longest valid prefix, possibly empty.
+/// Parse ledger bytes tolerantly: the longest valid prefix of records
+/// (the reader the trace parser shares, [`read_ndjson_prefix`]). Never
+/// panics, never errors — a corrupt ledger yields the longest valid
+/// prefix, possibly empty.
 pub fn parse_ledger(bytes: &[u8]) -> Replay {
-    let mut records = Vec::new();
-    let mut valid_bytes: u64 = 0;
-    let mut torn = false;
-    for chunk in bytes.split_inclusive(|&b| b == b'\n') {
-        // An unterminated final chunk is a torn write: the record was cut
-        // mid-line, so its bytes cannot parse as a complete JSON object.
-        let Some((&last, body)) = chunk.split_last() else {
-            break;
-        };
-        if last != b'\n' {
-            torn = true;
-            break;
-        }
-        let parsed = std::str::from_utf8(body)
-            .ok()
-            .map(|text| text.strip_suffix('\r').unwrap_or(text))
-            .and_then(|text| serde_json::from_str::<LedgerRecord>(text).ok());
-        match parsed {
-            Some(record) => {
-                records.push(record);
-                valid_bytes += chunk.len() as u64;
-            }
-            None => {
-                torn = true;
-                break;
-            }
-        }
-    }
+    let (records, valid_bytes, torn) = read_ndjson_prefix(bytes);
     Replay {
         records,
         valid_bytes,
@@ -351,11 +327,93 @@ pub fn parse_ledger(bytes: &[u8]) -> Replay {
     }
 }
 
+/// The prefix of a `failed` record's message that tombstones its job as
+/// poison: it crashed every attempt, and its spec stays rejected.
+pub const POISON: &str = "poison:";
+
+/// How a submission ended, as far as the ledger knows.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Ending {
+    /// No `done` or `failed` record: the work a recovery re-queues.
+    Open,
+    /// Answered by the first `done` or `failed` record: with its recorded
+    /// outcome, or without one for a tombstone or a failure.
+    Answered(Option<Box<LedgerOutcome>>),
+    /// A `failed` record carrying the [`POISON`] marker. It wins over
+    /// every other ending, as the daemon's poison set does at intake.
+    Poisoned,
+}
+
+/// A `submitted` record folded together with its lifecycle events.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Submission {
+    /// The job id the response carries.
+    pub id: String,
+    /// The recorded canonical-spec digest.
+    pub key: String,
+    /// Submission priority.
+    pub priority: i64,
+    /// The normalized job spec.
+    pub job: JobSpec,
+    /// The normalized sim spec, for `simulate` submissions.
+    pub sim: Option<SimSpec>,
+    /// Whether the submission carries the current [`LEDGER_SCHEMA`]: only
+    /// then may its recorded outcome answer the re-resolved key.
+    pub current: bool,
+    /// `started` records: construction attempts, across restarts.
+    pub starts: u32,
+    /// How it ended.
+    pub ending: Ending,
+}
+
+/// Fold lifecycle events onto their submissions by `seq` (ids are
+/// client-chosen and may repeat across restarts) — the one fold behind
+/// both recovery and [`summarize_ledger`]. Events of a seq with no
+/// well-formed `submitted` record before them, and unknown events, are
+/// skipped.
+pub fn fold_ledger(records: &[LedgerRecord]) -> BTreeMap<u64, Submission> {
+    let mut subs = BTreeMap::new();
+    for rec in records {
+        if rec.event == "submitted" {
+            if let (Some(id), Some(job)) = (&rec.id, &rec.job) {
+                let sub = Submission {
+                    id: id.clone(),
+                    key: rec.key.clone().unwrap_or_default(),
+                    priority: rec.priority.unwrap_or(0),
+                    job: job.clone(),
+                    sim: rec.sim.clone(),
+                    current: rec.schema.as_deref() == Some(LEDGER_SCHEMA),
+                    starts: 0,
+                    ending: Ending::Open,
+                };
+                subs.insert(rec.seq, sub);
+            }
+            continue;
+        }
+        let Some(sub) = subs.get_mut(&rec.seq) else {
+            continue;
+        };
+        let poison = rec
+            .message
+            .as_deref()
+            .is_some_and(|m| m.starts_with(POISON));
+        match rec.event.as_str() {
+            "started" => sub.starts = sub.starts.saturating_add(1),
+            "failed" if poison => sub.ending = Ending::Poisoned,
+            "done" | "failed" if sub.ending == Ending::Open => {
+                sub.ending = Ending::Answered(rec.outcome.clone().map(Box::new));
+            }
+            _ => {}
+        }
+    }
+    subs
+}
+
 /// An offline digest of a ledger file (`onesched-svc ledger inspect`):
 /// event counts, the jobs still owed an answer, poison tombstones, and
 /// where the valid prefix ends. Serializable so the inspector prints one
 /// machine-readable JSON object.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct LedgerSummary {
     /// Records in the valid prefix.
     pub records: u64,
@@ -381,40 +439,27 @@ pub struct LedgerSummary {
     /// Submission seqs with no `done`/`failed` record — the work a
     /// recovery would re-queue.
     pub unacknowledged: Vec<u64>,
-    /// Canonical-spec digests tombstoned as poison (crash-looping jobs).
+    /// Recorded canonical-spec digests of the submissions tombstoned as
+    /// poison (crash-looping jobs), sorted.
     pub poisoned: Vec<String>,
     /// Highest seq seen (0 for an empty ledger).
     pub max_seq: u64,
 }
 
-/// Summarize a replayed ledger. Pure accounting over
-/// [`parse_ledger`]'s output — reads nothing, never fails.
+/// Summarize a replayed ledger: a per-record tally plus [`fold_ledger`].
+/// Pure accounting over [`parse_ledger`]'s output — reads nothing, never
+/// fails.
 pub fn summarize_ledger(replay: &Replay) -> LedgerSummary {
-    use std::collections::BTreeSet;
     let mut s = LedgerSummary {
         records: replay.records.len() as u64,
         valid_bytes: replay.valid_bytes,
         torn: replay.torn,
-        submitted: 0,
-        started: 0,
-        done: 0,
-        failed: 0,
-        other: 0,
-        outcomes: 0,
-        tombstones: 0,
-        unacknowledged: Vec::new(),
-        poisoned: Vec::new(),
-        max_seq: 0,
+        ..LedgerSummary::default()
     };
-    let mut waiting: BTreeSet<u64> = BTreeSet::new();
-    let mut poisoned: BTreeSet<String> = BTreeSet::new();
     for rec in &replay.records {
         s.max_seq = s.max_seq.max(rec.seq);
         match rec.event.as_str() {
-            "submitted" => {
-                s.submitted += 1;
-                waiting.insert(rec.seq);
-            }
+            "submitted" => s.submitted += 1,
             "started" => s.started += 1,
             "done" => {
                 s.done += 1;
@@ -423,20 +468,21 @@ pub fn summarize_ledger(replay: &Replay) -> LedgerSummary {
                 } else {
                     s.tombstones += 1;
                 }
-                waiting.remove(&rec.seq);
             }
-            "failed" => {
-                s.failed += 1;
-                waiting.remove(&rec.seq);
-                let is_poison = rec.message.as_deref().is_some_and(|m| m.contains("poison"));
-                if let (true, Some(key)) = (is_poison, rec.key.as_deref()) {
-                    poisoned.insert(key.to_string());
-                }
-            }
+            "failed" => s.failed += 1,
             _ => s.other += 1,
         }
     }
-    s.unacknowledged = waiting.into_iter().collect();
+    let mut poisoned = BTreeSet::new();
+    for (seq, sub) in fold_ledger(&replay.records) {
+        match sub.ending {
+            Ending::Open => s.unacknowledged.push(seq),
+            Ending::Poisoned => {
+                poisoned.insert(sub.key);
+            }
+            Ending::Answered(_) => {}
+        }
+    }
     s.poisoned = poisoned.into_iter().collect();
     s
 }
@@ -733,6 +779,46 @@ mod tests {
         let line = serde_json::to_string(&rec).unwrap();
         let back: LedgerOutcome = serde_json::from_str(&line).unwrap();
         assert_eq!(back.to_sim().unwrap().events_processed, 0);
+    }
+
+    #[test]
+    fn fold_lets_poison_win_and_skips_orphan_events() {
+        let hash = key_hash("k");
+        let job = JobOutcome {
+            scheduler: "HEFT".into(),
+            tasks: 1,
+            makespan: 1.0,
+            speedup: 1.0,
+            effective_comms: 0,
+            fingerprint: 1,
+            construct: Duration::from_millis(1),
+            violations: 0,
+        };
+        let outcome = LedgerOutcome::from_job(&job);
+        let records = [
+            LedgerRecord::started(0, "orphan", &hash),
+            LedgerRecord::submitted(0, "a", &hash, 4, spec(), None),
+            LedgerRecord::started(0, "a", &hash),
+            LedgerRecord::done(0, "a", &hash, Some(outcome.clone()), None),
+            LedgerRecord::failed(0, "a", &hash, format!("{POISON} 3 attempts panicked")),
+            LedgerRecord::submitted(1, "b", &hash, 0, spec(), None),
+            LedgerRecord::failed(1, "b", &hash, "timeout".into()),
+            LedgerRecord::done(1, "b", &hash, Some(outcome), None),
+            LedgerRecord::failed(2, "never-submitted", &hash, format!("{POISON} x")),
+            LedgerRecord::submitted(3, "c", &hash, 0, spec(), None),
+        ];
+        let subs = fold_ledger(&records);
+        assert_eq!(subs.keys().copied().collect::<Vec<_>>(), vec![0, 1, 3]);
+        let a = &subs[&0];
+        assert_eq!((a.id.as_str(), a.priority, a.starts), ("a", 4, 1));
+        assert!(a.current);
+        assert_eq!(a.ending, Ending::Poisoned, "poison wins over the answer");
+        assert_eq!(
+            subs[&1].ending,
+            Ending::Answered(None),
+            "the first answer stands"
+        );
+        assert_eq!(subs[&3].ending, Ending::Open);
     }
 
     #[test]

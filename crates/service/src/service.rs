@@ -45,7 +45,7 @@ use crate::cache::{
     ServiceStats, SimOutcome, SimRunError, StatsGauges, PHASES,
 };
 use crate::ledger::{
-    key_hash, Ledger, LedgerError, LedgerOutcome, LedgerRecord, Replay, LEDGER_SCHEMA,
+    fold_ledger, key_hash, Ending, Ledger, LedgerError, LedgerOutcome, LedgerRecord, Replay, POISON,
 };
 use crate::protocol::{
     AckResponse, ErrorResponse, MetricsResponse, ReadyResponse, Request, ResolvedJob, ResolvedSim,
@@ -54,8 +54,9 @@ use crate::protocol::{
 use crate::queue::PriorityQueue;
 use onesched_trace::{prometheus_text, Clock, Gauge, MetricsHub, Scope, Tracer, WallClock};
 use serde::Serialize;
-use std::collections::{BTreeMap, BTreeSet};
-use std::io::{self, BufRead, Write};
+use std::borrow::Cow;
+use std::collections::BTreeSet;
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -156,12 +157,19 @@ enum Work {
 }
 
 impl Work {
+    /// The cache key: the job's canonical key, plus the resolved sim spec
+    /// for a simulation (the same schedule under a different seed or
+    /// policy is a different deterministic experiment).
+    fn key(&self) -> Cow<'_, str> {
+        match self {
+            Work::Job(job) => Cow::Borrowed(&job.key),
+            Work::Sim(job, sim) => Cow::Owned(format!("{}|{}", job.key, sim.key)),
+        }
+    }
+
     /// The canonical-spec digest joining this work's ledger events.
     fn hash(&self) -> String {
-        match self {
-            Work::Job(job) => key_hash(&job.key),
-            Work::Sim(job, sim) => key_hash(&format!("{}|{}", job.key, sim.key)),
-        }
+        key_hash(&self.key())
     }
 }
 
@@ -199,27 +207,11 @@ pub struct RecoveryReport {
     pub jobs_requeued: usize,
     /// Acknowledged outcomes rehydrated into the schedule/sim caches.
     pub results_rehydrated: usize,
-    /// Jobs tombstoned as poison (`started` more than `max_retries`
-    /// times without completing).
+    /// Jobs tombstoned as poison: by an earlier session, or now, for
+    /// being `started` more than `max_retries` times without completing.
     pub poisoned: usize,
     /// Submitted records whose spec no longer resolves (tombstoned).
     pub skipped: usize,
-}
-
-/// A `submitted` record folded together with its lifecycle events during
-/// recovery.
-struct PendingSub {
-    id: String,
-    hash: String,
-    priority: i64,
-    job: crate::protocol::JobSpec,
-    sim: Option<crate::protocol::SimSpec>,
-    starts: u32,
-    resolved: bool,
-    /// Whether the submission carries the current [`LEDGER_SCHEMA`]: only
-    /// then may its recorded outcome answer the re-resolved key.
-    current: bool,
-    outcome: Option<LedgerOutcome>,
 }
 
 /// The scheduling service. Create one with [`Service::new`] (in-memory
@@ -341,138 +333,91 @@ impl Service {
             torn_tail: replay.torn,
             ..RecoveryReport::default()
         };
-        // Fold lifecycle events onto their submissions, keyed by seq (ids
-        // are client-chosen and may repeat across restarts).
-        let mut subs: BTreeMap<u64, PendingSub> = BTreeMap::new();
-        let mut next_seq: u64 = 0;
-        for rec in &replay.records {
-            next_seq = next_seq.max(rec.seq.saturating_add(1));
-            match rec.event.as_str() {
-                "submitted" => {
-                    if let (Some(id), Some(job)) = (rec.id.clone(), rec.job.clone()) {
-                        subs.insert(
-                            rec.seq,
-                            PendingSub {
-                                id,
-                                hash: rec.key.clone().unwrap_or_default(),
-                                priority: rec.priority.unwrap_or(0),
-                                job,
-                                sim: rec.sim.clone(),
-                                starts: 0,
-                                resolved: false,
-                                current: rec.schema.as_deref() == Some(LEDGER_SCHEMA),
-                                outcome: None,
-                            },
-                        );
-                    }
-                }
-                "started" => {
-                    if let Some(s) = subs.get_mut(&rec.seq) {
-                        s.starts = s.starts.saturating_add(1);
-                    }
-                }
-                "done" | "failed" => {
-                    if let Some(s) = subs.get_mut(&rec.seq) {
-                        s.resolved = true;
-                        if s.outcome.is_none() && s.current {
-                            s.outcome.clone_from(&rec.outcome);
-                        }
-                    }
-                }
-                // Unknown events: a newer schema's extras, skipped.
-                _ => {}
-            }
-        }
-        self.next_seq.store(next_seq, Ordering::Relaxed);
-
+        let next_seq = replay.records.iter().map(|r| r.seq.saturating_add(1)).max();
+        self.next_seq
+            .store(next_seq.unwrap_or(0), Ordering::Relaxed);
         // BTreeMap iteration is in seq order, so re-queued jobs keep their
         // original FIFO order within each priority class.
-        for (seq, sub) in subs {
-            let resolved_job = match sub.job.resolve() {
-                Ok(j) => j,
+        for (seq, sub) in fold_ledger(&replay.records) {
+            let resolved = sub.job.resolve().map_err(|e| e.message).and_then(|job| {
+                Ok(match &sub.sim {
+                    Some(sim) => Work::Sim(job, sim.resolve()?),
+                    None => Work::Job(job),
+                })
+            });
+            let work = match resolved {
+                Ok(work) => work,
                 Err(e) => {
                     // Accepted by a previous (incompatible?) build: answer
                     // the ledger, not the long-gone client.
                     let msg = format!("unresolvable after restart: {e}");
-                    let _ = ledger.append(&LedgerRecord::failed(seq, &sub.id, &sub.hash, msg));
+                    let _ = ledger.append(&LedgerRecord::failed(seq, &sub.id, &sub.key, msg));
                     report.skipped += 1;
                     continue;
                 }
             };
-            let resolved_sim = match &sub.sim {
-                Some(s) => match s.resolve() {
-                    Ok(r) => Some(r),
-                    Err(e) => {
-                        let msg = format!("unresolvable after restart: {e}");
-                        let _ = ledger.append(&LedgerRecord::failed(seq, &sub.id, &sub.hash, msg));
-                        report.skipped += 1;
-                        continue;
-                    }
-                },
-                None => None,
-            };
-            if sub.resolved {
+            let hash = work.hash();
+            match sub.ending {
                 // Acknowledged: rehydrate the recorded outcome so repeat
                 // submissions are cache hits, bit-identical to pre-crash.
                 // An older schema's outcome is dropped instead: its spec
                 // may resolve to a key that now names different work.
-                if let Some(out_rec) = &sub.outcome {
-                    match &resolved_sim {
-                        Some(sim) => {
-                            if let Some(o) = out_rec.to_sim() {
-                                let key = format!("{}|{}", resolved_job.key, sim.key);
-                                lock(&self.sim_registry).insert(key, o);
-                                report.results_rehydrated += 1;
-                            }
-                        }
-                        None => {
-                            if let Some(o) = out_rec.to_job() {
-                                lock(&self.registry).insert(resolved_job.key.clone(), o);
-                                report.results_rehydrated += 1;
-                            }
+                Ending::Answered(Some(outcome)) if sub.current => match &work {
+                    Work::Job(job) => {
+                        if let Some(o) = outcome.to_job() {
+                            lock(&self.registry).insert(job.key.clone(), o);
+                            report.results_rehydrated += 1;
                         }
                     }
+                    Work::Sim(..) => {
+                        if let Some(o) = outcome.to_sim() {
+                            lock(&self.sim_registry).insert(work.key().into_owned(), o);
+                            report.results_rehydrated += 1;
+                        }
+                    }
+                },
+                Ending::Answered(_) => {}
+                // Tombstoned by an earlier session: keep rejecting it.
+                Ending::Poisoned => {
+                    lock(&self.poisoned).insert(hash);
+                    report.poisoned += 1;
                 }
-                continue;
-            }
-            let work = match resolved_sim {
-                Some(sim) => Work::Sim(resolved_job, sim),
-                None => Work::Job(resolved_job),
-            };
-            let hash = work.hash();
-            if sub.starts > self.cfg.max_retries {
                 // This job took a previous daemon down on every attempt:
                 // tombstone it instead of crash-looping forever.
-                lock(&self.poisoned).insert(hash.clone());
-                let msg = format!(
-                    "poison: started {} times without completing (max-retries {})",
-                    sub.starts, self.cfg.max_retries
-                );
-                let _ = ledger.append(&LedgerRecord::failed(seq, &sub.id, &hash, msg));
-                report.poisoned += 1;
-                continue;
+                Ending::Open if sub.starts > self.cfg.max_retries => {
+                    let msg = format!(
+                        "{POISON} started {} times without completing (max-retries {})",
+                        sub.starts, self.cfg.max_retries
+                    );
+                    let _ = ledger.append(&LedgerRecord::failed(seq, &sub.id, &hash, msg));
+                    lock(&self.poisoned).insert(hash);
+                    report.poisoned += 1;
+                }
+                // Unacknowledged: re-queue for execution. The original
+                // client is gone, so results stream to a sink — the caches
+                // and the ledger keep the outcome for when the client
+                // resubmits.
+                Ending::Open => {
+                    let accepted_us = self.clock.now_micros();
+                    let ticket = Ticket {
+                        seq,
+                        id: sub.id,
+                        priority: sub.priority,
+                        attempts: sub.starts,
+                        deadline: self
+                            .cfg
+                            .timeout
+                            .map(|t| accepted_us.saturating_add(duration_us(t))),
+                        accepted_us,
+                        key: hash,
+                        work,
+                        out: sink_writer(),
+                    };
+                    let effective = sub.priority.saturating_sub(i64::from(sub.starts));
+                    lock(&self.queue).push(effective, ticket);
+                    report.jobs_requeued += 1;
+                }
             }
-            // Unacknowledged: re-queue for execution. The original client
-            // is gone, so results stream to a sink — the caches and the
-            // ledger keep the outcome for when the client resubmits.
-            let accepted_us = self.clock.now_micros();
-            let ticket = Ticket {
-                seq,
-                id: sub.id,
-                priority: sub.priority,
-                attempts: sub.starts,
-                deadline: self
-                    .cfg
-                    .timeout
-                    .map(|t| accepted_us.saturating_add(duration_us(t))),
-                accepted_us,
-                key: hash,
-                work,
-                out: sink_writer(),
-            };
-            let effective = sub.priority.saturating_sub(i64::from(sub.starts));
-            lock(&self.queue).push(effective, ticket);
-            report.jobs_requeued += 1;
         }
         lock(&self.stats).jobs_recovered =
             (report.jobs_requeued + report.results_rehydrated) as u64;
@@ -592,7 +537,9 @@ impl Service {
             for _ in 0..self.cfg.workers {
                 scope.spawn(|| self.worker());
             }
-            self.serve_reader(reader, out);
+            if let Err(e) = self.serve_reader(reader, out) {
+                eprintln!("onesched-svc: {label} read error: {e}");
+            }
             self.drain_queue();
             self.begin_shutdown();
         });
@@ -637,18 +584,39 @@ impl Service {
         })
     }
 
-    /// Feed request lines from any reader, writing each response to `out`.
-    /// Returns at EOF or shutdown (queued jobs may still be in flight —
-    /// callers own the worker lifecycle, as [`Service::serve_stdio`] does).
-    pub fn serve_reader<R: BufRead>(&self, reader: R, out: &SharedWriter) {
-        for line in reader.lines() {
-            let Ok(line) = line else { break };
-            if line.trim().is_empty() {
-                continue;
+    /// Feed request lines from any reader, writing each response to `out`:
+    /// the one intake loop, for stdio and TCP alike. Lines split at `\n`
+    /// (one trailing `\r` trimmed) and decode lossily, so bytes that are
+    /// not UTF-8 get a `bad-request` answer and intake carries on; blank
+    /// lines are skipped; EOF ends an unterminated last line. A read that
+    /// times out is a shutdown poll that keeps the partial line. Returns
+    /// at EOF, once shutdown has begun (checked after every line and every
+    /// poll, so nothing after the line that starts it is read), or with
+    /// any other read error. Queued jobs may still be in flight — callers
+    /// own the worker lifecycle, as [`Service::serve_batch`] does.
+    pub fn serve_reader<R: BufRead>(&self, mut reader: R, out: &SharedWriter) -> io::Result<()> {
+        let mut line = Vec::new();
+        loop {
+            match reader.read_until(b'\n', &mut line) {
+                Ok(_) if line.is_empty() => return Ok(()), // EOF
+                Ok(_) => {
+                    let text = String::from_utf8_lossy(&line);
+                    let text = text.strip_suffix('\n').unwrap_or(&text);
+                    let text = text.strip_suffix('\r').unwrap_or(text);
+                    if !text.trim().is_empty() {
+                        self.handle_line(text, out);
+                    }
+                    line.clear();
+                }
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) => {}
+                Err(e) => return Err(e),
             }
-            self.handle_line(&line, out);
             if self.is_shutdown() {
-                break;
+                return Ok(());
             }
         }
     }
@@ -663,40 +631,13 @@ impl Service {
         }
     }
 
-    /// One TCP connection: read request lines (polling so shutdown can
-    /// interrupt), answer on the same stream. A connection that drops
-    /// mid-line simply never completes that line — the partial request is
-    /// discarded, accepted jobs are unaffected.
+    /// One TCP connection: request lines in through [`Service::serve_reader`]
+    /// (its read timeout is the shutdown poll), answers out on a clone of
+    /// the same stream.
     fn handle_conn(&self, stream: TcpStream) -> io::Result<()> {
         setup_stream(&stream)?;
         let out: SharedWriter = Arc::new(Mutex::new(Box::new(stream.try_clone()?)));
-        let mut stream = stream;
-        let mut buf: Vec<u8> = Vec::new();
-        let mut chunk = [0u8; 4096];
-        loop {
-            if self.is_shutdown() {
-                return Ok(());
-            }
-            match io::Read::read(&mut stream, &mut chunk) {
-                Ok(0) => return Ok(()), // client closed
-                Ok(n) => {
-                    buf.extend_from_slice(chunk.get(..n).unwrap_or_default());
-                    // process every complete line in the buffer
-                    while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-                        let mut line: Vec<u8> = buf.drain(..=pos).collect();
-                        line.pop(); // the newline itself
-                        let line = String::from_utf8_lossy(&line);
-                        if !line.trim().is_empty() {
-                            self.handle_line(line.trim_end_matches('\r'), &out);
-                        }
-                    }
-                }
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut => {}
-                Err(e) => return Err(e),
-            }
-        }
+        self.serve_reader(BufReader::new(stream), &out)
     }
 
     /// Parse and dispatch one request line; every line gets exactly one
@@ -1164,7 +1105,7 @@ impl Service {
         let _ = catch_unwind(AssertUnwindSafe(|| {
             self.fail(
                 ticket,
-                format!("poison: {attempts} attempts panicked (max-retries {max})"),
+                format!("{POISON} {attempts} attempts panicked (max-retries {max})"),
                 format!("job failed: {attempts} attempts panicked; poisoned"),
                 "poisoned",
             )
@@ -1348,10 +1289,7 @@ impl Service {
         sim: &ResolvedSim,
         scope: &Scope<'_>,
     ) -> Ended {
-        // The sim cache key is the job key plus the resolved sim spec:
-        // the same schedule under a different seed or policy is a
-        // different deterministic experiment.
-        let key = format!("{}|{}", job.key, sim.key);
+        let key = ticket.work.key().into_owned();
         let cached = lock(&self.sim_registry).get(&key).cloned();
         let (outcome, cache_hit) = match cached {
             Some(outcome) => (outcome, true),
@@ -1535,7 +1473,7 @@ mod tests {
             for _ in 0..workers {
                 scope.spawn(|| svc.worker());
             }
-            svc.serve_reader(input.as_bytes(), &out);
+            svc.serve_reader(input.as_bytes(), &out).unwrap();
             svc.drain_queue();
             svc.begin_shutdown();
         });
@@ -1578,9 +1516,9 @@ mod tests {
     #[test]
     fn dropped_trace_events_surface_in_stats_and_metrics() {
         let mut svc = Service::new(ServiceConfig::default());
-        // A tiny sinkless ring: 1 shard × capacity 4, so a handful of
-        // records forces the drop-oldest overflow path.
-        let tracer = Tracer::with_config(Arc::new(onesched_trace::ManualClock::new()), 1, 4);
+        // A tiny sinkless ring of capacity 4, so a handful of records
+        // forces the drop-oldest overflow path.
+        let tracer = Tracer::with_capacity(Arc::new(onesched_trace::ManualClock::new()), 4);
         for i in 0..32 {
             tracer.record(TraceEvent::counter("spill", f64::from(i)));
         }
@@ -1634,7 +1572,7 @@ mod tests {
             for _ in 0..2 {
                 scope.spawn(|| svc.worker());
             }
-            svc.serve_reader(input.as_bytes(), &out);
+            svc.serve_reader(input.as_bytes(), &out).unwrap();
             svc.drain_queue();
             svc.begin_shutdown();
         });
@@ -1662,6 +1600,48 @@ mod tests {
         let writer = accepted.try_clone().unwrap();
         assert!(writer.nodelay().unwrap());
         drop(client);
+    }
+
+    #[test]
+    fn invalid_utf8_line_is_answered_and_intake_carries_on() {
+        let svc = Service::new(ServiceConfig::default());
+        let sink = MemWriter::default();
+        let out: SharedWriter = Arc::new(Mutex::new(Box::new(sink.clone())));
+        let input: &[u8] = b"{\"op\":\"stats\"}\n\xff\xfe{\"op\":\"stats\"}\r\n{\"op\":\"stats\"}";
+        svc.serve_reader(input, &out).unwrap();
+        let lines = sink.lines();
+        let ops: Vec<String> = lines
+            .iter()
+            .map(|l| serde_json::from_str::<OpProbe>(l).unwrap().op)
+            .collect();
+        assert_eq!(ops, ["stats", "error", "stats"], "{lines:?}");
+        let e: ErrorResponse = serde_json::from_str(&lines[1]).unwrap();
+        assert_eq!(e.kind.as_deref(), Some("bad-request"));
+    }
+
+    #[test]
+    fn tcp_line_torn_by_a_closing_client_is_answered() {
+        let svc = Service::new(ServiceConfig::default());
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        // two writes without a newline, the second after a read timeout
+        // has polled, then the client closes its half
+        client.write_all(b"{\"op\":").unwrap();
+        std::thread::scope(|scope| {
+            let conn = scope.spawn(|| svc.handle_conn(accepted));
+            std::thread::sleep(2 * POLL);
+            client.write_all(b"\"stats\"}").unwrap();
+            client.shutdown(std::net::Shutdown::Write).unwrap();
+            conn.join().unwrap().unwrap();
+        });
+        let mut answers = String::new();
+        io::Read::read_to_string(&mut client, &mut answers).unwrap();
+        let ops: Vec<String> = answers
+            .lines()
+            .map(|l| serde_json::from_str::<OpProbe>(l).unwrap().op)
+            .collect();
+        assert_eq!(ops, ["stats"], "{answers}");
     }
 
     #[test]
@@ -2484,7 +2464,7 @@ mod tests {
             max_retries: 2,
             ..ServiceConfig::default()
         };
-        let (svc, report) = Service::with_ledger(cfg, &path).unwrap();
+        let (svc, report) = Service::with_ledger(cfg.clone(), &path).unwrap();
         assert_eq!(report.poisoned, 1, "3 starts > max-retries 2");
         assert_eq!(report.jobs_requeued, 0);
         assert!(svc.poisoned.lock().unwrap().contains(&resolved_key));
@@ -2492,12 +2472,26 @@ mod tests {
         let sink = MemWriter::default();
         let out: SharedWriter = Arc::new(Mutex::new(Box::new(sink.clone())));
         svc.handle_line(
-            &serde_json::to_string(&submit("looper-again", 0, spec)).unwrap(),
+            &serde_json::to_string(&submit("looper-again", 0, spec.clone())).unwrap(),
             &out,
         );
         let e: ErrorResponse = serde_json::from_str(&sink.lines()[0]).unwrap();
         assert_eq!(e.kind.as_deref(), Some("poisoned"));
-        // the tombstone is durable: the next session poisons it again
+        drop(svc);
+        // the tombstone is durable: the next session poisons it again,
+        // without journaling it twice, and the offline summary agrees
+        let (svc, report) = Service::with_ledger(cfg, &path).unwrap();
+        assert_eq!(report.poisoned, 1, "the tombstone survives a restart");
+        assert_eq!(report.events_replayed, 5);
+        assert!(svc.poisoned.lock().unwrap().contains(&resolved_key));
+        let lines = drive_svc(&svc, &[submit("looper-third", 0, spec)], 1);
+        let e: ErrorResponse = serde_json::from_str(&lines[0]).unwrap();
+        assert_eq!(e.kind.as_deref(), Some("poisoned"));
+        drop(svc);
+        let bytes = std::fs::read(&path).unwrap();
+        let summary = crate::ledger::summarize_ledger(&crate::ledger::parse_ledger(&bytes));
+        assert_eq!(summary.poisoned, vec![resolved_key]);
+        assert_eq!(summary.failed, 1, "one poison record, not one per session");
         let _ = std::fs::remove_file(&path);
     }
 

@@ -16,7 +16,7 @@
 //! recorder emits never do, and [`fold_jobs`] replaces any that slip
 //! through.
 
-use crate::report::{JobProfile, Report};
+use crate::report::JobProfile;
 use std::collections::BTreeMap;
 
 /// One folded stack: `root;child;…;leaf` plus its accumulated self-time
@@ -232,11 +232,6 @@ fn emit_frame(
         ));
     }
     out.push_str("</g>\n");
-}
-
-/// Convenience: fold a report's jobs and render the SVG in one step.
-pub fn report_flamegraph_svg(report: &Report) -> String {
-    flamegraph_svg(&fold_jobs(&report.jobs))
 }
 
 #[cfg(test)]

@@ -9,13 +9,13 @@
 //!   [`WallClock`] lives here, [`ManualClock`]/[`DisabledClock`] serve
 //!   tests and replays.
 //! - [`TraceEvent`] ([`record`]): the flat `onesched-trace/v1` NDJSON
-//!   record — completed spans and counter samples — with the same
-//!   torn-tail-tolerant parser contract as the job ledger
-//!   ([`parse_trace`]).
-//! - [`Tracer`] / [`MetricsHub`] ([`recorder`]): lock-sharded bounded
-//!   recorders. Spans ring-buffer in memory and stream to an NDJSON
-//!   sink; counters and fixed-bucket histograms merge into deterministic
-//!   snapshots.
+//!   record — completed spans and counter samples — and
+//!   [`read_ndjson_prefix`], the torn-tail-tolerant NDJSON reader behind
+//!   both [`parse_trace`] and the service's job ledger parser.
+//! - [`Tracer`] / [`MetricsHub`] ([`recorder`]): the recorders, one mutex
+//!   each. Spans ring-buffer in memory (bounded) and stream to an NDJSON
+//!   sink; counters and fixed-bucket histograms copy out as
+//!   deterministic snapshots.
 //! - [`Scope`] / [`SpanGuard`] ([`scope`]): one job attempt's handle on
 //!   a tracer. Spans are recorded where the work happens, by guards that
 //!   read their real end on drop; an untraced scope does nothing.
@@ -41,8 +41,8 @@ pub mod scope;
 
 pub use clock::{Clock, DisabledClock, ManualClock, WallClock};
 pub use export::{chrome_trace_json, prometheus_text, Gauge};
-pub use flame::{flamegraph_svg, fold_jobs, folded_text, report_flamegraph_svg, FoldedLine};
-pub use record::{parse_trace, Field, TraceEvent, TraceReplay, TRACE_SCHEMA};
+pub use flame::{flamegraph_svg, fold_jobs, folded_text, FoldedLine};
+pub use record::{parse_trace, read_ndjson_prefix, Field, TraceEvent, TraceReplay, TRACE_SCHEMA};
 pub use recorder::{Hist, MetricsHub, MetricsSnapshot, Tracer, HIST_BOUNDS_MS};
 pub use report::{build_report, render_report, JobProfile, NameAgg, Report, SpanNode};
 pub use scope::{Scope, SpanGuard};

@@ -7,7 +7,8 @@
 //! greppable, forward-compatible (unknown fields are rejected by the
 //! strict shim parser, but unknown *kinds* parse fine and are skipped by
 //! exporters), and torn-tail tolerant: a crash mid-write costs exactly
-//! the last line, recovered by [`parse_trace`].
+//! the last line, recovered by [`parse_trace`] through the reader it shares
+//! with the job ledger, [`read_ndjson_prefix`].
 
 use serde::{Deserialize, Serialize};
 
@@ -190,37 +191,35 @@ pub struct TraceReplay {
     pub torn: bool,
 }
 
-/// Parse trace bytes tolerantly: complete, well-formed NDJSON lines are
-/// events; everything at and after the first malformed or unterminated
-/// line is discarded (`torn`). Never panics, never errors — the same
-/// longest-valid-prefix contract as the ledger parser.
-pub fn parse_trace(bytes: &[u8]) -> TraceReplay {
-    let mut events = Vec::new();
-    let mut valid_bytes: u64 = 0;
-    let mut torn = false;
+/// Read the longest valid prefix of an NDJSON stream of `T` records: the
+/// one torn-tail reader behind both [`parse_trace`] and the service's job
+/// ledger parser. Complete, well-formed lines (one trailing `\r`
+/// tolerated) are records; everything at and after the first malformed
+/// or unterminated line is discarded. Never panics, never errors. Returns
+/// the records, the byte length of the prefix they came from, and whether
+/// anything followed it (a torn write or corruption).
+pub fn read_ndjson_prefix<T: Deserialize>(bytes: &[u8]) -> (Vec<T>, u64, bool) {
+    let mut records = Vec::new();
+    let mut valid = 0;
     for chunk in bytes.split_inclusive(|&b| b == b'\n') {
-        let Some((&last, body)) = chunk.split_last() else {
-            break;
-        };
-        if last != b'\n' {
-            torn = true;
-            break;
-        }
-        let parsed = std::str::from_utf8(body)
-            .ok()
+        // An unterminated final chunk is a torn write: the record was cut
+        // mid-line, so it is discarded even if its bytes happen to parse.
+        let record = chunk
+            .strip_suffix(b"\n")
+            .and_then(|body| std::str::from_utf8(body).ok())
             .map(|text| text.strip_suffix('\r').unwrap_or(text))
-            .and_then(|text| serde_json::from_str::<TraceEvent>(text).ok());
-        match parsed {
-            Some(event) => {
-                events.push(event);
-                valid_bytes += chunk.len() as u64;
-            }
-            None => {
-                torn = true;
-                break;
-            }
-        }
+            .and_then(|text| serde_json::from_str(text).ok());
+        let Some(record) = record else { break };
+        records.push(record);
+        valid += chunk.len();
     }
+    (records, valid as u64, valid < bytes.len())
+}
+
+/// Parse trace bytes tolerantly: the longest valid prefix of events
+/// ([`read_ndjson_prefix`]), the same contract as the ledger parser.
+pub fn parse_trace(bytes: &[u8]) -> TraceReplay {
+    let (events, valid_bytes, torn) = read_ndjson_prefix(bytes);
     TraceReplay {
         events,
         valid_bytes,

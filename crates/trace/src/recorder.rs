@@ -1,13 +1,10 @@
-//! Lock-sharded recorders: the span ring buffer / NDJSON emitter and the
-//! counter/histogram hub.
+//! The recorders: the span ring buffer / NDJSON emitter and the
+//! counter/histogram hub, one mutex each.
 //!
-//! Both recorders shard their state across several mutexes so worker
-//! threads recording concurrently rarely contend: spans shard by job
-//! sequence (one job's events serialize anyway), metrics by FNV hash of
-//! the metric name. Each shard is a bounded ring — when a sink is
-//! attached the shard drains to it at the high-water mark, otherwise the
-//! oldest events are dropped and counted, so tracing can never grow
-//! memory without bound or block the data path on disk.
+//! The span ring is bounded: when a sink is attached it drains to the
+//! sink at the high-water mark, otherwise the oldest events are dropped
+//! and counted, so tracing can never grow memory without bound or block
+//! the data path on disk.
 
 use crate::clock::Clock;
 use crate::record::TraceEvent;
@@ -22,31 +19,26 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// FNV-1a 64-bit, used to spread metric names across shards.
-fn fnv(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// The buffered events and where they go.
+#[derive(Default)]
+struct Ring {
+    events: VecDeque<TraceEvent>,
+    sink: Option<Box<dyn Write + Send>>,
 }
 
-/// The span recorder: a clock, sharded bounded ring buffers, and an
-/// optional NDJSON sink.
+/// The span recorder: a clock, one bounded ring buffer, and an optional
+/// NDJSON sink.
 pub struct Tracer {
     clock: Arc<dyn Clock>,
-    shards: Vec<Mutex<VecDeque<TraceEvent>>>,
-    /// Per-shard high-water mark: drain (or drop) beyond this.
+    ring: Mutex<Ring>,
+    /// High-water mark: drain (or drop) beyond this.
     capacity: usize,
     dropped: AtomicU64,
-    sink: Mutex<Option<Box<dyn Write + Send>>>,
 }
 
 impl std::fmt::Debug for Tracer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Tracer")
-            .field("shards", &self.shards.len())
             .field("capacity", &self.capacity)
             .field("dropped", &self.dropped.load(Ordering::Relaxed))
             .finish_non_exhaustive()
@@ -54,35 +46,30 @@ impl std::fmt::Debug for Tracer {
 }
 
 impl Tracer {
-    /// Default number of ring shards.
-    pub const DEFAULT_SHARDS: usize = 8;
-    /// Default per-shard event capacity (so the default in-memory bound
-    /// is `8 × 1024` events).
-    pub const DEFAULT_CAPACITY: usize = 1024;
+    /// Default ring capacity in events.
+    pub const DEFAULT_CAPACITY: usize = 8 * 1024;
 
     /// A sinkless tracer (events accumulate in memory, oldest dropped at
-    /// capacity) with default sharding.
+    /// capacity) with the default capacity.
     pub fn new(clock: Arc<dyn Clock>) -> Tracer {
-        Tracer::with_config(clock, Tracer::DEFAULT_SHARDS, Tracer::DEFAULT_CAPACITY)
+        Tracer::with_capacity(clock, Tracer::DEFAULT_CAPACITY)
     }
 
-    /// A sinkless tracer with explicit shard count and per-shard
-    /// capacity (both clamped to at least 1).
-    pub fn with_config(clock: Arc<dyn Clock>, shards: usize, capacity: usize) -> Tracer {
-        let shards = shards.max(1);
+    /// A sinkless tracer with an explicit ring capacity (clamped to at
+    /// least 1).
+    pub fn with_capacity(clock: Arc<dyn Clock>, capacity: usize) -> Tracer {
         Tracer {
             clock,
-            shards: (0..shards).map(|_| Mutex::new(VecDeque::new())).collect(),
+            ring: Mutex::new(Ring::default()),
             capacity: capacity.max(1),
             dropped: AtomicU64::new(0),
-            sink: Mutex::new(None),
         }
     }
 
-    /// Attach an NDJSON sink: full shards flush to it instead of
+    /// Attach an NDJSON sink: a full ring flushes to it instead of
     /// dropping, and [`Tracer::flush`] writes everything through.
     pub fn set_sink(&self, sink: Box<dyn Write + Send>) {
-        *lock(&self.sink) = Some(sink);
+        lock(&self.ring).sink = Some(sink);
     }
 
     /// Current time on the tracer's clock, microseconds.
@@ -95,51 +82,28 @@ impl Tracer {
         &self.clock
     }
 
-    /// Record one event. Shards by the event's `seq` when present (one
-    /// job's events stay together) else by name hash. Never blocks on
-    /// I/O unless the shard hit its high-water mark with a sink
-    /// attached.
+    /// Record one event. Never blocks on I/O unless the ring hit its
+    /// high-water mark with a sink attached: then the ring drains to the
+    /// sink; without one, the oldest events are dropped down to half
+    /// capacity (keeping the newest, which are the ones a post-mortem
+    /// wants).
     pub fn record(&self, event: TraceEvent) {
-        let key = match event.seq {
-            Some(seq) => seq,
-            None => fnv(&event.name),
-        };
-        let n = self.shards.len() as u64;
-        let idx = usize::try_from(key % n.max(1)).unwrap_or(0);
-        let full = {
-            let Some(shard) = self.shards.get(idx) else {
-                return;
-            };
-            let mut q = lock(shard);
-            q.push_back(event);
-            q.len() >= self.capacity
-        };
-        if full {
-            self.drain_shard(idx);
-        }
-    }
-
-    /// Drain one shard: to the sink if attached, else drop-oldest down
-    /// to half capacity (keeping the newest events, which are the ones a
-    /// post-mortem wants).
-    fn drain_shard(&self, idx: usize) {
-        let Some(shard) = self.shards.get(idx) else {
+        let mut ring = lock(&self.ring);
+        ring.events.push_back(event);
+        if ring.events.len() < self.capacity {
             return;
-        };
-        let mut sink = lock(&self.sink);
-        let mut q = lock(shard);
-        match sink.as_mut() {
+        }
+        let Ring { events, sink } = &mut *ring;
+        match sink {
             Some(w) => {
-                for ev in q.drain(..) {
+                for ev in events.drain(..) {
                     write_event(w.as_mut(), &ev);
                 }
             }
             None => {
-                let keep = self.capacity / 2;
-                while q.len() > keep {
-                    q.pop_front();
-                    self.dropped.fetch_add(1, Ordering::Relaxed);
-                }
+                let excess = events.len() - self.capacity / 2;
+                events.drain(..excess);
+                self.dropped.fetch_add(excess as u64, Ordering::Relaxed);
             }
         }
     }
@@ -148,28 +112,22 @@ impl Tracer {
     /// Without a sink this is a no-op (events stay buffered for
     /// [`Tracer::drain`]).
     pub fn flush(&self) {
-        let mut sink = lock(&self.sink);
-        let Some(w) = sink.as_mut() else {
+        let mut ring = lock(&self.ring);
+        let Ring { events, sink } = &mut *ring;
+        let Some(w) = sink else {
             return;
         };
-        for shard in &self.shards {
-            let mut q = lock(shard);
-            for ev in q.drain(..) {
-                write_event(w.as_mut(), &ev);
-            }
+        for ev in events.drain(..) {
+            write_event(w.as_mut(), &ev);
         }
         let _ = w.flush();
     }
 
-    /// Take every buffered event out of the rings (in-memory mode;
-    /// sink-attached events that already flushed are gone). Events are
-    /// returned shard-by-shard; order within a shard is emit order.
+    /// Take every buffered event out of the ring, in emit order
+    /// (in-memory mode; sink-attached events that already flushed are
+    /// gone).
     pub fn drain(&self) -> Vec<TraceEvent> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            out.extend(lock(shard).drain(..));
-        }
-        out
+        lock(&self.ring).events.drain(..).collect()
     }
 
     /// Events dropped because a sinkless ring hit capacity.
@@ -234,14 +192,8 @@ impl Hist {
     }
 }
 
-#[derive(Debug, Default)]
-struct MetricShard {
-    counters: BTreeMap<String, u64>,
-    hists: BTreeMap<String, Hist>,
-}
-
-/// A point-in-time copy of every counter and histogram, merged across
-/// shards. `BTreeMap` keeps exposition order deterministic.
+/// A point-in-time copy of every counter and histogram. `BTreeMap` keeps
+/// exposition order deterministic.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// Monotone counters by name (labels are encoded in the name, e.g.
@@ -251,75 +203,38 @@ pub struct MetricsSnapshot {
     pub hists: BTreeMap<String, Hist>,
 }
 
-/// The counter/histogram recorder, sharded by metric-name hash.
-#[derive(Debug)]
+/// The counter/histogram recorder: one map of each behind one mutex.
+#[derive(Debug, Default)]
 pub struct MetricsHub {
-    shards: Vec<Mutex<MetricShard>>,
-}
-
-impl Default for MetricsHub {
-    fn default() -> MetricsHub {
-        MetricsHub::new()
-    }
+    metrics: Mutex<MetricsSnapshot>,
 }
 
 impl MetricsHub {
-    /// Default shard count.
-    pub const DEFAULT_SHARDS: usize = 8;
-
-    /// A hub with default sharding.
+    /// An empty hub.
     pub fn new() -> MetricsHub {
-        MetricsHub::with_shards(MetricsHub::DEFAULT_SHARDS)
-    }
-
-    /// A hub with an explicit shard count (clamped to at least 1).
-    pub fn with_shards(n: usize) -> MetricsHub {
-        MetricsHub {
-            shards: (0..n.max(1))
-                .map(|_| Mutex::new(MetricShard::default()))
-                .collect(),
-        }
-    }
-
-    fn shard(&self, name: &str) -> Option<&Mutex<MetricShard>> {
-        let n = self.shards.len() as u64;
-        self.shards
-            .get(usize::try_from(fnv(name) % n.max(1)).unwrap_or(0))
+        MetricsHub::default()
     }
 
     /// Add `by` to the counter `name` (creating it at zero).
     pub fn incr(&self, name: &str, by: u64) {
-        if let Some(shard) = self.shard(name) {
-            *lock(shard).counters.entry(name.to_string()).or_insert(0) += by;
-        }
+        *lock(&self.metrics)
+            .counters
+            .entry(name.to_string())
+            .or_insert(0) += by;
     }
 
     /// Record one observation into the histogram `name`.
     pub fn observe_ms(&self, name: &str, ms: f64) {
-        if let Some(shard) = self.shard(name) {
-            lock(shard)
-                .hists
-                .entry(name.to_string())
-                .or_default()
-                .observe(ms);
-        }
+        lock(&self.metrics)
+            .hists
+            .entry(name.to_string())
+            .or_default()
+            .observe(ms);
     }
 
-    /// Merge every shard into one deterministic snapshot.
+    /// Copy every counter and histogram into one deterministic snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut snap = MetricsSnapshot::default();
-        for shard in &self.shards {
-            let s = lock(shard);
-            for (k, v) in &s.counters {
-                *snap.counters.entry(k.clone()).or_insert(0) += v;
-            }
-            for (k, h) in &s.hists {
-                // Names shard consistently, so each hist lives in exactly
-                // one shard; clone is the merge.
-                snap.hists.insert(k.clone(), h.clone());
-            }
-        }
-        snap
+        lock(&self.metrics).clone()
     }
 }
 
@@ -378,7 +293,7 @@ mod tests {
 
     #[test]
     fn sinkless_ring_drops_oldest_and_counts() {
-        let tracer = Tracer::with_config(Arc::new(ManualClock::new()), 1, 4);
+        let tracer = Tracer::with_capacity(Arc::new(ManualClock::new()), 4);
         for i in 0..10 {
             tracer.record(TraceEvent::counter("c", f64::from(i)));
         }
@@ -390,8 +305,8 @@ mod tests {
     }
 
     #[test]
-    fn full_shard_drains_to_sink_without_dropping() {
-        let tracer = Tracer::with_config(Arc::new(ManualClock::new()), 1, 4);
+    fn full_ring_drains_to_sink_without_dropping() {
+        let tracer = Tracer::with_capacity(Arc::new(ManualClock::new()), 4);
         let (tx, rx) = mpsc::channel();
         tracer.set_sink(Box::new(ChanWriter(tx)));
         for i in 0..10 {
@@ -405,7 +320,7 @@ mod tests {
 
     #[test]
     fn metrics_hub_counts_and_snapshots() {
-        let hub = MetricsHub::with_shards(4);
+        let hub = MetricsHub::new();
         hub.incr("jobs_total", 1);
         hub.incr("jobs_total", 2);
         hub.incr("cache_hits", 1);
