@@ -69,7 +69,7 @@ impl RoutedError {
 ///
 /// Schedulers are immutable configuration (`Send + Sync`): one instance may
 /// construct schedules from several threads at once — the portfolio fan-out
-/// and the sweep runner both rely on that.
+/// relies on that.
 pub trait Scheduler: Send + Sync {
     /// Stable display name (used in experiment CSVs and bench labels).
     fn name(&self) -> String;

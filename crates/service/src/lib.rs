@@ -22,11 +22,7 @@
 //!   besides `onesched_heuristics::par_map`, the one fan-out);
 //! * [`workloads`] — generators for service-scale scenarios: random
 //!   layered DAGs targeted at 100k+ tasks and routed workloads on
-//!   non-fully-connected topologies;
-//! * [`runner`] — the sweep runner behind `experiments figs` and the
-//!   machine-readable perf baseline (`BENCH_2.json`): resolved jobs fanned
-//!   out by `par_map` and built by [`cache::construct`], the daemon's own
-//!   construction step.
+//!   non-fully-connected topologies.
 //!
 //! Schedulers stay pure (`onesched-heuristics`); this crate owns jobs,
 //! queues, caches, and results — the scheduler/runner separation the dslab
@@ -69,7 +65,6 @@ pub mod cache;
 pub mod ledger;
 pub mod protocol;
 pub mod queue;
-pub mod runner;
 pub mod service;
 pub mod workloads;
 

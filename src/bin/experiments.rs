@@ -4,8 +4,7 @@
 //!
 //! ```text
 //! experiments [--sizes 100,200,300,400,500] [--out results]
-//!             [--threads N] [--bench-json FILE] [--bench-baseline FILE]
-//!             [--bench-repeats N] <command>
+//!             [--threads N] <command>
 //!
 //! commands:
 //!   fig1           the §2.3 fork example (macro-dataflow vs one-port)
@@ -50,14 +49,6 @@
 //!                  refresh tests/fixtures/schedule_baseline.json (or write
 //!                  to PATH — CI's fixture-drift gate records into a temp
 //!                  file and diffs against the committed fixture)
-//!   bench-history --bench-json FILE [--history PATH] [--date YYYY-MM-DD]
-//!                 [--label L]
-//!                  append the bench file FILE (written by a figure sweep's
-//!                  --bench-json) as a dated datapoint to the committed perf
-//!                  trajectory BENCH_HISTORY.json (schema-validated on
-//!                  read and write)
-//!   bench-compare <current> <baseline> [--max-ratio R]
-//!                  fail (exit 1) if construction time regressed
 //!   all            everything above
 //! ```
 //!
@@ -68,12 +59,9 @@
 //! harness and the daemon exercise the same code path. The sweeps and
 //! `league` fan out over the workspace's one ordered fan-out,
 //! `heuristics::par_map` (`--threads`, default: all cores); output never
-//! depends on the thread count. A failed read or write, or a job intake
-//! refuses, exits 2 with a message. `--bench-json` additionally writes the
-//! per-(testbed, size, scheduler) schedule-construction times as JSON — the machine-readable perf
-//! trajectory committed as `BENCH_2.json`;
-//! `--bench-baseline` carries the matching times of a previous bench file
-//! into the `seed_construct_ms` fields for before/after comparisons.
+//! depends on the thread count. An unknown command, a failed write, or a
+//! job intake refuses exits 2 with a message. Construction timing is the
+//! benchmark's job (`perfbench/`); the sweeps print theirs for the log only.
 //!
 //! Run in release mode: `cargo run --release --bin experiments -- all`.
 
@@ -82,7 +70,6 @@ mod cli;
 use cli::{die, parse_or_die, take_flag, take_parsed};
 use onesched::heuristics::{default_threads, par_map};
 use onesched::prelude::*;
-use onesched::runner::{self, BenchFile};
 use onesched::service::cache::{self, JobOutcome};
 use onesched::service::protocol::{DagSpec, JobSpec, PlatformSpec, ResolvedJob, SchedulerSpec};
 use onesched::trace::Scope;
@@ -91,28 +78,15 @@ use onesched_sim::stats::ScheduleStats;
 use onesched_sim::{gantt, validate};
 use std::fmt::Write as _;
 
-/// With `--features profiling`, count every allocation so bench entries
-/// (`--bench-json`) carry alloc columns. Counting changes no allocation
-/// decisions, so recorded fixtures and fingerprints are unaffected.
-#[cfg(feature = "profiling")]
-#[global_allocator]
-static COUNTING_ALLOC: onesched_prof::CountingAlloc = onesched_prof::CountingAlloc::new();
-
 #[derive(Clone)]
 struct Opts {
     sizes: Vec<usize>,
     out: String,
     threads: usize,
-    bench_json: Option<String>,
-    bench_baseline: Option<String>,
-    bench_repeats: usize,
     tasks: usize,
     seed: u64,
     procs: usize,
     fixture: Option<String>,
-    history: String,
-    date: Option<String>,
-    label: String,
 }
 
 impl Default for Opts {
@@ -121,16 +95,10 @@ impl Default for Opts {
             sizes: vec![100, 200, 300, 400, 500],
             out: "results".into(),
             threads: default_threads(),
-            bench_json: None,
-            bench_baseline: None,
-            bench_repeats: 1,
             tasks: 100_000,
             seed: 0,
             procs: 8,
             fixture: None,
-            history: "BENCH_HISTORY.json".into(),
-            date: None,
-            label: "local".into(),
         }
     }
 }
@@ -144,65 +112,54 @@ fn main() {
         }),
         out: take_flag(&mut args, "--out").unwrap_or(defaults.out),
         threads: take_parsed(&mut args, "--threads").unwrap_or(defaults.threads),
-        bench_json: take_flag(&mut args, "--bench-json"),
-        bench_baseline: take_flag(&mut args, "--bench-baseline"),
-        bench_repeats: take_parsed(&mut args, "--bench-repeats").unwrap_or(defaults.bench_repeats),
         tasks: take_parsed(&mut args, "--tasks").unwrap_or(defaults.tasks),
         seed: take_parsed(&mut args, "--seed").unwrap_or(defaults.seed),
         procs: take_parsed(&mut args, "--procs").unwrap_or(defaults.procs),
         fixture: take_flag(&mut args, "--fixture"),
-        history: take_flag(&mut args, "--history").unwrap_or(defaults.history),
-        date: take_flag(&mut args, "--date"),
-        label: take_flag(&mut args, "--label").unwrap_or(defaults.label),
     };
-    let max_ratio: f64 = take_parsed(&mut args, "--max-ratio").unwrap_or(2.0);
     let cmd = args.first().map(String::as_str).unwrap_or("all");
-    // the two commands that write no files
-    match cmd {
-        "bench-compare" => return bench_compare(&args[1..], max_ratio),
-        "probe" => return probe(&args[1..]),
-        _ => {}
+    // the one command that writes no files
+    if cmd == "probe" {
+        return probe(&args[1..]);
     }
+    let run: fn(&Opts) = match cmd {
+        "fig1" => fig1,
+        "toy" => toy_example,
+        "fig7" => |o| figure_sweeps(o, &[Testbed::ForkJoin]),
+        "fig8" => |o| figure_sweeps(o, &[Testbed::Lu]),
+        "fig9" => |o| figure_sweeps(o, &[Testbed::Laplace]),
+        "fig10" => |o| figure_sweeps(o, &[Testbed::Ldmt]),
+        "fig11" => |o| figure_sweeps(o, &[Testbed::Doolittle]),
+        "fig12" => |o| figure_sweeps(o, &[Testbed::Stencil]),
+        "figs" => |o| figure_sweeps(o, &Testbed::ALL),
+        "bsweep" => b_sensitivity,
+        "models" => model_ablation,
+        "ablations" => ablations,
+        "baselines" => baseline_comparison,
+        "routed" => routed_sweep,
+        "routed-figs" => routed_figs,
+        "stress" => stress_sweep,
+        "perturb" => perturb_sweep,
+        "league" => league,
+        "record-baseline" => record_baseline,
+        "all" => |o| {
+            fig1(o);
+            toy_example(o);
+            figure_sweeps(o, &Testbed::ALL);
+            b_sensitivity(o);
+            model_ablation(o);
+            ablations(o);
+            baseline_comparison(o);
+            routed_sweep(o);
+            routed_figs(o);
+            perturb_sweep(o);
+            league(o);
+        },
+        other => die(format_args!("unknown command: {other}")),
+    };
+    // only a known command creates the output directory
     create_dir(&opts.out);
-    match cmd {
-        "fig1" => fig1(&opts),
-        "toy" => toy_example(&opts),
-        "fig7" => figure_sweeps(&opts, &[Testbed::ForkJoin]),
-        "fig8" => figure_sweeps(&opts, &[Testbed::Lu]),
-        "fig9" => figure_sweeps(&opts, &[Testbed::Laplace]),
-        "fig10" => figure_sweeps(&opts, &[Testbed::Ldmt]),
-        "fig11" => figure_sweeps(&opts, &[Testbed::Doolittle]),
-        "fig12" => figure_sweeps(&opts, &[Testbed::Stencil]),
-        "figs" => figure_sweeps(&opts, &Testbed::ALL),
-        "bsweep" => b_sensitivity(&opts),
-        "models" => model_ablation(&opts),
-        "ablations" => ablations(&opts),
-        "baselines" => baseline_comparison(&opts),
-        "routed" => routed_sweep(&opts),
-        "routed-figs" => routed_figs(&opts),
-        "stress" => stress_sweep(&opts),
-        "perturb" => perturb_sweep(&opts),
-        "league" => league(&opts),
-        "record-baseline" => record_baseline(&opts),
-        "bench-history" => bench_history(&opts),
-        "all" => {
-            fig1(&opts);
-            toy_example(&opts);
-            figure_sweeps(&opts, &Testbed::ALL);
-            b_sensitivity(&opts);
-            model_ablation(&opts);
-            ablations(&opts);
-            baseline_comparison(&opts);
-            routed_sweep(&opts);
-            routed_figs(&opts);
-            perturb_sweep(&opts);
-            league(&opts);
-        }
-        other => {
-            eprintln!("unknown command: {other}");
-            std::process::exit(2);
-        }
-    }
+    run(&opts);
 }
 
 /// `record-baseline`: regenerate the schedule-equivalence fixture (direct
@@ -231,110 +188,6 @@ fn record_baseline(opts: &Opts) {
     println!("recorded {} schedules -> {path}", file.entries.len());
 }
 
-/// Today's date as `YYYY-MM-DD` (UTC), via the Howard Hinnant
-/// days-to-civil algorithm — the vendored tree has no date crate.
-fn today_utc() -> String {
-    let secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .expect("system clock before 1970")
-        .as_secs();
-    let z = (secs / 86_400) as i64 + 719_468;
-    let era = z.div_euclid(146_097);
-    let doe = z.rem_euclid(146_097);
-    let yoe = (doe - doe / 1460 + doe / 36_524 - doe / 146_096) / 365;
-    let y = yoe + era * 400;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let d = doy - (153 * mp + 2) / 5 + 1;
-    let m = if mp < 10 { mp + 3 } else { mp - 9 };
-    let y = if m <= 2 { y + 1 } else { y };
-    format!("{y:04}-{m:02}-{d:02}")
-}
-
-/// `bench-history`: append the bench file `--bench-json FILE` (what a
-/// figure sweep's `--bench-json` writes) as a dated datapoint to the
-/// committed perf trajectory (`BENCH_HISTORY.json`). The file is
-/// schema-validated on read and on write; a malformed history fails the
-/// run.
-fn bench_history(opts: &Opts) {
-    let Some(bench_path) = &opts.bench_json else {
-        die("bench-history needs --bench-json FILE (write one with `--threads 1 --bench-json FILE figs`)");
-    };
-    let bench: BenchFile = read_json(bench_path);
-    let path = &opts.history;
-    let mut history = match std::fs::metadata(path) {
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => runner::BenchHistory::new(),
-        _ => read_json(path),
-    };
-    let bad = history.validate();
-    if !bad.is_empty() {
-        for b in &bad {
-            eprintln!("INVALID {path}: {b}");
-        }
-        std::process::exit(1);
-    }
-    history.entries.push(runner::BenchHistoryEntry {
-        date: opts.date.clone().unwrap_or_else(today_utc),
-        label: opts.label.clone(),
-        bench,
-    });
-    let bad = history.validate();
-    if !bad.is_empty() {
-        for b in &bad {
-            eprintln!("INVALID after append: {b}");
-        }
-        std::process::exit(1);
-    }
-    let json = serde_json::to_string(&history).expect("serialize history");
-    write_file(path, &pretty_json_depth(&json, 5));
-    let last = history.entries.last().expect("just appended");
-    println!(
-        "appended {} ({}, {} bench entries) -> {path} [{} datapoints]",
-        last.date,
-        last.label,
-        last.bench.entries.len(),
-        history.entries.len()
-    );
-}
-
-/// `bench-compare <current> <baseline>`: gate on construction-time
-/// regressions (the CI perf smoke step). A run with no entry comparable
-/// to the baseline fails too: it would gate nothing.
-fn bench_compare(args: &[String], max_ratio: f64) {
-    let [cur_path, base_path] = args else {
-        die("usage: experiments bench-compare <current.json> <baseline.json> [--max-ratio R]");
-    };
-    let current: BenchFile = read_json(cur_path);
-    let baseline: BenchFile = read_json(base_path);
-    if current.threads != baseline.threads {
-        eprintln!(
-            "warning: comparing a {}-thread run against a {}-thread baseline; \
-             construction times include worker contention",
-            current.threads, baseline.threads
-        );
-    }
-    // Entries faster than 1 ms are dominated by scheduler-start noise.
-    let bad = runner::bench_regressions(&current, &baseline, max_ratio, 1.0);
-    let compared = current
-        .entries
-        .iter()
-        .filter(|c| baseline.entries.iter().any(|b| b.same_job(c)))
-        .count();
-    println!("bench-compare: {compared} comparable entries, max ratio {max_ratio}");
-    if compared == 0 {
-        eprintln!("NOTHING COMPARED: no entry of {cur_path} times a job of {base_path}");
-        std::process::exit(1);
-    }
-    if bad.is_empty() {
-        println!("OK: no construction-time regressions");
-    } else {
-        for line in &bad {
-            eprintln!("REGRESSION: {line}");
-        }
-        std::process::exit(1);
-    }
-}
-
 /// Diagnostic: `probe <testbed> <n>` prints detailed stats for HEFT/ILHA.
 fn probe(args: &[String]) {
     let [tb, n] = args else {
@@ -342,7 +195,7 @@ fn probe(args: &[String]) {
     };
     let tb = onesched::service::protocol::parse_testbed(tb).unwrap_or_else(|e| die(e));
     let n: usize = parse_or_die("size", n);
-    let jobs = runner::paper_jobs(&[tb], &[n]).unwrap_or_else(|e| die(e));
+    let jobs = resolve_all(paper_jobs(&[tb], &[n]));
     let (g, p) = (jobs[0].build_graph(), jobs[0].build_platform());
     println!(
         "{tb} n={n}: {} tasks, {} edges, work {}, data {}",
@@ -390,13 +243,6 @@ fn write_file(path: &str, content: &str) {
     std::fs::write(path, content).unwrap_or_else(|e| die(format_args!("write {path}: {e}")));
 }
 
-/// Read and parse the JSON file at `path`, or exit 2 naming it.
-fn read_json<T: serde::Deserialize>(path: &str) -> T {
-    let text =
-        std::fs::read_to_string(path).unwrap_or_else(|e| die(format_args!("read {path}: {e}")));
-    serde_json::from_str(&text).unwrap_or_else(|e| die(format_args!("parse {path}: {e}")))
-}
-
 /// A validated job: testbed `tb` at size `n` under `scheduler` and `model`,
 /// on `platform` (default: the paper's).
 fn validated_job(
@@ -436,6 +282,30 @@ fn run_specs(
         cache::run_job(job, None, &Scope::off())
     });
     jobs.into_iter().zip(outcomes).collect()
+}
+
+/// The standard figure-sweep job list: for each testbed and size, one HEFT
+/// job and one ILHA job (with the testbed's paper-best chunk size), on the
+/// paper platform under the one-port-bidir model.
+fn paper_jobs(testbeds: &[Testbed], sizes: &[usize]) -> Vec<JobSpec> {
+    let mut jobs = Vec::with_capacity(testbeds.len() * sizes.len() * 2);
+    for &tb in testbeds {
+        for &n in sizes {
+            for sched in [
+                SchedulerSpec::heft(),
+                SchedulerSpec::ilha(tb.paper_best_b()),
+            ] {
+                jobs.push(JobSpec {
+                    dag: DagSpec::testbed(tb, n),
+                    platform: None,
+                    scheduler: Some(sched),
+                    model: None,
+                    validate: false,
+                });
+            }
+        }
+    }
+    jobs
 }
 
 /// The platform kind, testbed and size a testbed job names, for CSV rows.
@@ -516,10 +386,8 @@ fn toy_example(opts: &Opts) {
 /// results come back in job order (testbed × size × HEFT, ILHA), so CSVs
 /// are identical to the serial harness's.
 fn figure_sweeps(opts: &Opts, testbeds: &[Testbed]) {
-    let jobs = runner::paper_jobs(testbeds, &opts.sizes).unwrap_or_else(|e| die(e));
-    let baseline: Option<BenchFile> = opts.bench_baseline.as_deref().map(read_json);
     let t0 = std::time::Instant::now();
-    let results = runner::run_sweep_repeated(&jobs, opts.threads, opts.bench_repeats);
+    let results = run_specs(paper_jobs(testbeds, &opts.sizes), opts.threads);
     let wall = t0.elapsed();
 
     let mut pairs = results.chunks_exact(2);
@@ -539,7 +407,7 @@ fn figure_sweeps(opts: &Opts, testbeds: &[Testbed]) {
             "size", "tasks", "HEFT speedup", "ILHA speedup", "gain"
         );
         for (&n, pair) in opts.sizes.iter().zip(pairs.by_ref()) {
-            let (heft, ilha) = (&pair[0].outcome, &pair[1].outcome);
+            let (heft, ilha) = (&pair[0].1, &pair[1].1);
             let (hs, is) = (heft.speedup, ilha.speedup);
             let _ = writeln!(
                 csv,
@@ -568,34 +436,20 @@ fn figure_sweeps(opts: &Opts, testbeds: &[Testbed]) {
             &csv,
         );
     }
-    let total_construct: std::time::Duration = results.iter().map(|r| r.outcome.construct).sum();
+    let total_construct: std::time::Duration = results.iter().map(|(_, o)| o.construct).sum();
     println!(
         "[sweep] {} jobs on {} threads: {:.1?} wall, {:.1?} total construction",
-        jobs.len(),
+        results.len(),
         opts.threads,
         wall,
         total_construct
     );
-
-    if let Some(path) = &opts.bench_json {
-        let file = BenchFile::from_results(&results, opts.threads, baseline.as_ref());
-        let json = serde_json::to_string(&file).expect("serialize bench file");
-        write_file(path, &pretty_json(&json));
-        println!("  -> {path}");
-    }
 }
 
-/// Line-break a one-line JSON document at the entry level so committed bench
-/// and fixture files diff readably. (The serde_json shim has no
-/// pretty-printer; this keeps one object per line.)
+/// Line-break a one-line JSON document at the entry level so the committed
+/// fixture diffs readably. (The serde_json shim has no pretty-printer; this
+/// keeps one object per line.)
 fn pretty_json(json: &str) -> String {
-    pretty_json_depth(json, 2)
-}
-
-/// [`pretty_json`] breaking commas up to `max_depth` levels deep — the
-/// history file nests a bench file per datapoint, so it needs deeper
-/// breaks to stay one-entry-per-line.
-fn pretty_json_depth(json: &str, max_depth: usize) -> String {
     let mut out = String::with_capacity(json.len() + 64);
     let mut depth = 0usize;
     let mut in_str = false;
@@ -624,7 +478,7 @@ fn pretty_json_depth(json: &str, max_depth: usize) -> String {
                 depth = depth.saturating_sub(1);
                 out.push(ch);
             }
-            ',' if depth <= max_depth => {
+            ',' if depth <= 2 => {
                 out.push(ch);
                 out.push('\n');
             }

@@ -31,7 +31,9 @@
 //!   (`onesched-trace/v1`) covering intake → queue wait → attempt →
 //!   construct phases → execute → respond; tracing never changes results.
 //! * `submit` sends request lines from a file (or stdin with `-`) to a
-//!   running daemon and prints one response line per request.
+//!   running daemon and prints one response line per request. Like `gen`,
+//!   it exits 1 at the first failed write to stdout, so a reader that
+//!   closes early (`| head -n 1`) ends it.
 //! * `metrics` scrapes the daemon's Prometheus text exposition.
 //! * `trace export` converts a span log to Chrome/Perfetto trace JSON;
 //!   `trace validate` checks schema conformance and reports torn tails;
@@ -222,25 +224,17 @@ fn submit(args: &[String]) -> i32 {
             .try_for_each(|line| send_line(&mut writer, line))
     });
     // every request line yields exactly one response line
-    let reader = BufReader::new(stream);
-    let stdout = std::io::stdout();
-    let mut failures = 0usize;
-    let mut received = 0usize;
-    for line in reader.lines().take(expected) {
-        let line = match line {
-            Ok(l) => l,
-            Err(e) => {
-                eprintln!("onesched-svc: receive: {e}");
-                return 1;
-            }
-        };
-        received += 1;
-        if serde_json::from_str::<OpProbe>(&line).is_ok_and(|p| p.op == "error") {
-            failures += 1;
+    let (received, failures) = match relay_answers(
+        BufReader::new(stream),
+        &mut std::io::stdout().lock(),
+        expected,
+    ) {
+        Ok(counts) => counts,
+        Err(e) => {
+            eprintln!("onesched-svc: {e}");
+            return 1;
         }
-        let mut out = stdout.lock();
-        let _ = writeln!(out, "{line}");
-    }
+    };
     if received < expected {
         // connection EOF before every request was answered (daemon died?)
         eprintln!("onesched-svc: connection closed after {received}/{expected} responses");
@@ -258,6 +252,28 @@ fn submit(args: &[String]) -> i32 {
         }
     }
     i32::from(failures > 0)
+}
+
+/// Copy up to `expected` answer lines from `answers` to `out`, and return
+/// how many were copied and how many of those were error answers. The
+/// first failed read or write ends the copy with an error, so a reader
+/// that has gone away (`submit … | head -n 1`) stops the client instead of
+/// leaving it to wait for every answer.
+fn relay_answers(
+    answers: impl BufRead,
+    out: &mut impl Write,
+    expected: usize,
+) -> Result<(usize, usize), String> {
+    let (mut received, mut failures) = (0, 0);
+    for line in answers.lines().take(expected) {
+        let line = line.map_err(|e| format!("receive: {e}"))?;
+        received += 1;
+        if serde_json::from_str::<OpProbe>(&line).is_ok_and(|p| p.op == "error") {
+            failures += 1;
+        }
+        writeln!(out, "{line}").map_err(|e| format!("write: {e}"))?;
+    }
+    Ok((received, failures))
 }
 
 /// Connect to the daemon at `addr` with Nagle off, so each request line
@@ -337,6 +353,30 @@ fn metrics(args: &[String]) -> i32 {
     }
 }
 
+/// Read and parse the span log that `trace <sub>` names first in `args`,
+/// warning on stderr about a torn tail (`validate` reports it in its JSON
+/// line instead). Prints the failure and returns the exit code on error.
+fn read_trace(sub: &str, args: &[String]) -> Result<onesched::trace::TraceReplay, i32> {
+    let validate = sub == "validate";
+    let Some(input) = args.first() else {
+        let what = if validate { "a file" } else { "an input file" };
+        eprintln!("onesched-svc: trace {sub} needs {what}\n{USAGE}");
+        return Err(2);
+    };
+    let bytes = std::fs::read(input).map_err(|e| {
+        eprintln!("onesched-svc: read {input}: {e}");
+        1
+    })?;
+    let replay = onesched::trace::parse_trace(&bytes);
+    if replay.torn && !validate {
+        eprintln!(
+            "onesched-svc: {input}: torn tail after {} valid bytes (truncated)",
+            replay.valid_bytes
+        );
+    }
+    Ok(replay)
+}
+
 /// `trace export IN [--out OUT]` / `trace validate PATH`.
 fn trace_cmd(args: &[String]) -> i32 {
     let mut args = args.to_vec();
@@ -348,24 +388,10 @@ fn trace_cmd(args: &[String]) -> i32 {
     match sub.as_str() {
         "export" => {
             let out = take_flag(&mut args, "--out");
-            let Some(input) = args.first() else {
-                eprintln!("onesched-svc: trace export needs an input file\n{USAGE}");
-                return 2;
+            let replay = match read_trace(&sub, &args) {
+                Ok(replay) => replay,
+                Err(code) => return code,
             };
-            let bytes = match std::fs::read(input) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("onesched-svc: read {input}: {e}");
-                    return 1;
-                }
-            };
-            let replay = onesched::trace::parse_trace(&bytes);
-            if replay.torn {
-                eprintln!(
-                    "onesched-svc: {input}: torn tail after {} valid bytes (truncated)",
-                    replay.valid_bytes
-                );
-            }
             let json = onesched::trace::chrome_trace_json(&replay.events);
             match out {
                 Some(path) => {
@@ -383,18 +409,10 @@ fn trace_cmd(args: &[String]) -> i32 {
             0
         }
         "validate" => {
-            let Some(input) = args.first() else {
-                eprintln!("onesched-svc: trace validate needs a file\n{USAGE}");
-                return 2;
+            let replay = match read_trace(&sub, &args) {
+                Ok(replay) => replay,
+                Err(code) => return code,
             };
-            let bytes = match std::fs::read(input) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("onesched-svc: read {input}: {e}");
-                    return 1;
-                }
-            };
-            let replay = onesched::trace::parse_trace(&bytes);
             let mut invalid = 0usize;
             for ev in &replay.events {
                 if let Err(msg) = ev.validate() {
@@ -413,24 +431,10 @@ fn trace_cmd(args: &[String]) -> i32 {
         }
         "report" => {
             let max_jobs = take_parsed(&mut args, "--max-jobs").unwrap_or(10);
-            let Some(input) = args.first() else {
-                eprintln!("onesched-svc: trace report needs an input file\n{USAGE}");
-                return 2;
+            let replay = match read_trace(&sub, &args) {
+                Ok(replay) => replay,
+                Err(code) => return code,
             };
-            let bytes = match std::fs::read(input) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("onesched-svc: read {input}: {e}");
-                    return 1;
-                }
-            };
-            let replay = onesched::trace::parse_trace(&bytes);
-            if replay.torn {
-                eprintln!(
-                    "onesched-svc: {input}: torn tail after {} valid bytes (truncated)",
-                    replay.valid_bytes
-                );
-            }
             let report = onesched::trace::build_report(&replay);
             print!("{}", onesched::trace::render_report(&report, max_jobs));
             0
@@ -438,24 +442,10 @@ fn trace_cmd(args: &[String]) -> i32 {
         "flamegraph" => {
             let out = take_flag(&mut args, "--out");
             let folded_out = take_flag(&mut args, "--folded");
-            let Some(input) = args.first() else {
-                eprintln!("onesched-svc: trace flamegraph needs an input file\n{USAGE}");
-                return 2;
+            let replay = match read_trace(&sub, &args) {
+                Ok(replay) => replay,
+                Err(code) => return code,
             };
-            let bytes = match std::fs::read(input) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("onesched-svc: read {input}: {e}");
-                    return 1;
-                }
-            };
-            let replay = onesched::trace::parse_trace(&bytes);
-            if replay.torn {
-                eprintln!(
-                    "onesched-svc: {input}: torn tail after {} valid bytes (truncated)",
-                    replay.valid_bytes
-                );
-            }
             let report = onesched::trace::build_report(&replay);
             let folded = onesched::trace::fold_jobs(&report.jobs);
             if let Some(path) = folded_out {
@@ -570,10 +560,13 @@ fn gen(args: &[String]) -> i32 {
             return 2;
         }
     };
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
+    let mut out = std::io::stdout().lock();
     for r in reqs {
-        let _ = writeln!(out, "{}", serde_json::to_string(&r).expect("serialize"));
+        // a reader that has gone away ends the run
+        if let Err(e) = writeln!(out, "{}", serde_json::to_string(&r).expect("serialize")) {
+            eprintln!("onesched-svc: write: {e}");
+            return 1;
+        }
     }
     0
 }
@@ -613,6 +606,46 @@ mod tests {
                 .collect();
         let want: Vec<String> = lines.iter().map(|l| format!("{l}\n")).collect();
         assert_eq!(sent, want, "one write per line, newline included");
+    }
+
+    /// A writer that takes one line and then fails every write, like a
+    /// pipe whose reader (`head -n 1`) has exited.
+    #[derive(Default)]
+    struct ClosesAfterOneLine(Vec<u8>);
+
+    impl Write for ClosesAfterOneLine {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.0.contains(&b'\n') {
+                return Err(std::io::ErrorKind::BrokenPipe.into());
+            }
+            self.0.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn relaying_answers_stops_at_the_first_failed_write() {
+        let mut answers: &[u8] = b"{\"op\":\"result\",\"id\":\"a\"}\n\
+            {\"op\":\"result\",\"id\":\"b\"}\n\
+            {\"op\":\"result\",\"id\":\"c\"}\n";
+        let mut out = ClosesAfterOneLine::default();
+        let err = relay_answers(&mut answers, &mut out, 3).unwrap_err();
+        assert!(err.starts_with("write: "), "{err}");
+        assert_eq!(out.0, b"{\"op\":\"result\",\"id\":\"a\"}\n");
+        // the answer whose write failed was the last one read
+        assert_eq!(answers, b"{\"op\":\"result\",\"id\":\"c\"}\n");
+    }
+
+    #[test]
+    fn relaying_answers_counts_lines_and_error_answers() {
+        let answers: &[u8] = b"{\"op\":\"result\",\"id\":\"a\"}\n\
+            {\"op\":\"error\",\"id\":\"b\",\"kind\":\"bad-request\"}\n";
+        let mut out = Vec::new();
+        assert_eq!(relay_answers(answers, &mut out, 5), Ok((2, 1)));
+        assert_eq!(out, answers);
     }
 
     #[test]

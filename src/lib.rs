@@ -31,9 +31,6 @@
 //! * [`service`] — the long-running batch scheduling service behind the
 //!   `onesched-svc` daemon: NDJSON job protocol, priority queue, schedule
 //!   cache, worker pool, and workload generators;
-//! * [`runner`] — the `par_map` sweep runner behind `experiments figs`
-//!   and the machine-readable perf baseline (`BENCH_2.json`), running
-//!   resolved service jobs through the daemon's construction step;
 //! * [`regress`] — schedule fingerprints backing the schedule-equivalence
 //!   regression tests.
 //!
@@ -71,10 +68,6 @@ pub use onesched_service as service;
 pub use onesched_sim as sim;
 pub use onesched_testbeds as testbeds;
 pub use onesched_trace as trace;
-
-// The sweep runner lives in `onesched-service` (its jobs are the service's
-// resolved jobs); re-exported here so `onesched::runner` keeps working.
-pub use onesched_service::runner;
 
 /// The scheduler registry: canonical `SchedulerSpec` addressing for every
 /// scheduler in the workspace. `build`, `list` and `concrete_specs` all
