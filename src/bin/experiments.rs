@@ -163,7 +163,8 @@ fn main() {
 }
 
 /// `record-baseline`: regenerate the schedule-equivalence fixture (direct
-/// paper-platform entries plus the routed star/ring/line entries). Only run
+/// paper-platform entries plus the routed star/ring/line entries, under
+/// every communication model). Only run
 /// this after an *intentional* schedule change (see src/regress.rs) —
 /// `--fixture PATH` writes elsewhere, which is how CI's fixture-drift gate
 /// records a fresh baseline and diffs it against the committed one.

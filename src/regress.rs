@@ -5,7 +5,8 @@
 //! schedules the heuristics produce. This module pins them down: a
 //! [`placement_fingerprint`] hashes every task placement bit-exactly, and a
 //! [`BaselineFile`] records makespan + fingerprint + communication count for
-//! HEFT and ILHA on every testbed at reference sizes. Each entry names its
+//! HEFT and ILHA on every testbed at reference sizes, under every
+//! communication model. Each entry names its
 //! scheduler by canonical [`SchedulerSpec`] string (`heft`, `ilha(b=4)`),
 //! and readers build it through the workspace catalog
 //! (`onesched_baselines::registry::build`). The fixture under
@@ -17,7 +18,8 @@
 use onesched_heuristics::registry::SchedulerSpec;
 use onesched_platform::Platform;
 use onesched_service::cache;
-use onesched_service::protocol::{DagSpec, JobSpec, PlatformSpec, ResolveError};
+use onesched_service::protocol::{parse_model, DagSpec, JobSpec, PlatformSpec, ResolveError};
+use onesched_sim::CommModel;
 use onesched_testbeds::Testbed;
 use onesched_trace::Scope;
 use serde::{Deserialize, Serialize};
@@ -40,6 +42,8 @@ pub struct BaselineEntry {
     /// the testbed's paper-best chunk size on the paper platform or a
     /// fixed `B = 8` ([`ROUTED_BASELINE_PROCS`]) on the routed topologies.
     pub scheduler: String,
+    /// Communication model by kebab-case name ([`CommModel::name`]).
+    pub model: String,
     /// Number of tasks in the generated graph.
     pub tasks: usize,
     /// Exact makespan (round-trips through JSON bit-exactly).
@@ -60,8 +64,15 @@ pub struct BaselineFile {
     pub entries: Vec<BaselineEntry>,
 }
 
+impl BaselineEntry {
+    /// The entry's communication model, parsed from [`BaselineEntry::model`].
+    pub fn comm_model(&self) -> Result<CommModel, String> {
+        parse_model(&self.model)
+    }
+}
+
 /// Schema tag written by [`record_baseline`].
-pub const BASELINE_SCHEMA: &str = "onesched-baseline/v3";
+pub const BASELINE_SCHEMA: &str = "onesched-baseline/v4";
 
 /// The routed topology keys recorded in the baseline fixture.
 pub const BASELINE_TOPOLOGIES: [&str; 3] = ["star", "ring", "line"];
@@ -73,11 +84,28 @@ pub const ROUTED_BASELINE_N: usize = 12;
 /// Processor count of the routed baseline topologies.
 pub const ROUTED_BASELINE_PROCS: usize = 8;
 
-/// The job a baseline entry records: `dag` under one-port-bidir on the
-/// platform its `topology` key names — the paper's complete 10-processor
-/// machine, or an 8-processor routed topology of that kind with unit links
-/// and the service's default heterogeneous cycle-times.
-fn baseline_job(topology: &str, dag: DagSpec, scheduler: Option<SchedulerSpec>) -> JobSpec {
+/// The models besides one-port-bidir the fixture pins, each on the paper
+/// platform at [`MODEL_BASELINE_N`] and on `star` at [`ROUTED_BASELINE_N`].
+pub const BASELINE_VARIANT_MODELS: [CommModel; 3] = [
+    CommModel::OnePortUnidir,
+    CommModel::OnePortNoOverlap,
+    CommModel::MacroDataflow,
+];
+
+/// The paper-platform problem size of the [`BASELINE_VARIANT_MODELS`]
+/// entries.
+pub const MODEL_BASELINE_N: usize = 30;
+
+/// The job a baseline entry records: `dag` under `model` on the platform
+/// its `topology` key names — the paper's complete 10-processor machine,
+/// or an 8-processor routed topology of that kind with unit links and the
+/// service's default heterogeneous cycle-times.
+fn baseline_job(
+    topology: &str,
+    model: CommModel,
+    dag: DagSpec,
+    scheduler: Option<SchedulerSpec>,
+) -> JobSpec {
     let platform = match topology {
         "paper" => PlatformSpec::paper(),
         kind => PlatformSpec::routed(kind, ROUTED_BASELINE_PROCS, 1.0),
@@ -86,7 +114,7 @@ fn baseline_job(topology: &str, dag: DagSpec, scheduler: Option<SchedulerSpec>) 
         dag,
         platform: Some(platform),
         scheduler,
-        model: None,
+        model: Some(model.name().to_string()),
         validate: false,
     }
 }
@@ -96,52 +124,63 @@ fn baseline_job(topology: &str, dag: DagSpec, scheduler: Option<SchedulerSpec>) 
 /// the cheapest carrier). An unknown key is intake's `unknown platform
 /// kind` error.
 pub fn baseline_platform(topology: &str) -> Result<Platform, ResolveError> {
-    Ok(baseline_job(topology, DagSpec::toy(), None)
-        .resolve()?
-        .build_platform())
+    Ok(
+        baseline_job(topology, CommModel::OnePortBidir, DagSpec::toy(), None)
+            .resolve()?
+            .build_platform(),
+    )
 }
 
 /// Schedule HEFT and ILHA on every testbed at each size (paper platform,
 /// bi-directional one-port model), then HEFT and ILHA (`B = 8`) on
 /// every testbed at [`ROUTED_BASELINE_N`] over each
-/// [`BASELINE_TOPOLOGIES`] entry, and record the outcomes. Every entry is
-/// a [`JobSpec`] resolved by the service's intake and built by its
-/// construction step ([`cache::run_job`]); a size intake refuses fails
-/// the recording.
+/// [`BASELINE_TOPOLOGIES`] entry, then the same HEFT and ILHA under each
+/// of [`BASELINE_VARIANT_MODELS`] on the paper platform at
+/// [`MODEL_BASELINE_N`] and on `star` at [`ROUTED_BASELINE_N`], and
+/// record the outcomes. Every entry is a [`JobSpec`] resolved by the
+/// service's intake and built by its construction step
+/// ([`cache::run_job`]); a size intake refuses fails the recording.
 pub fn record_baseline(sizes: &[usize]) -> Result<BaselineFile, ResolveError> {
     let mut entries = Vec::new();
-    let mut record = |topology: &str, tb: Testbed, n: usize, spec: SchedulerSpec| {
-        let job = baseline_job(topology, DagSpec::testbed(tb, n), Some(spec)).resolve()?;
-        let r = cache::run_job(&job, None, &Scope::off());
-        entries.push(BaselineEntry {
-            testbed: tb.name().to_string(),
-            n,
-            topology: topology.to_string(),
-            scheduler: job.scheduler_spec().canonical(),
-            tasks: r.tasks,
-            makespan: r.makespan,
-            fingerprint: format!("{:016x}", r.fingerprint),
-            effective_comms: r.effective_comms,
-        });
+    let mut record = |topology: &str, model: CommModel, tb: Testbed, n: usize| {
+        let b = if topology == "paper" {
+            tb.paper_best_b()
+        } else {
+            ROUTED_BASELINE_PROCS
+        };
+        for spec in [SchedulerSpec::heft(), SchedulerSpec::ilha(b)] {
+            let dag = DagSpec::testbed(tb, n);
+            let job = baseline_job(topology, model, dag, Some(spec)).resolve()?;
+            let r = cache::run_job(&job, None, &Scope::off());
+            entries.push(BaselineEntry {
+                testbed: tb.name().to_string(),
+                n,
+                topology: topology.to_string(),
+                scheduler: job.scheduler_spec().canonical(),
+                model: model.name().to_string(),
+                tasks: r.tasks,
+                makespan: r.makespan,
+                fingerprint: format!("{:016x}", r.fingerprint),
+                effective_comms: r.effective_comms,
+            });
+        }
         Ok::<(), ResolveError>(())
     };
+    let bidir = CommModel::OnePortBidir;
     for tb in Testbed::ALL {
         for &n in sizes {
-            for spec in [
-                SchedulerSpec::heft(),
-                SchedulerSpec::ilha(tb.paper_best_b()),
-            ] {
-                record("paper", tb, n, spec)?;
-            }
+            record("paper", bidir, tb, n)?;
         }
     }
     for topology in BASELINE_TOPOLOGIES {
         for tb in Testbed::ALL {
-            for spec in [
-                SchedulerSpec::heft(),
-                SchedulerSpec::ilha(ROUTED_BASELINE_PROCS),
-            ] {
-                record(topology, tb, ROUTED_BASELINE_N, spec)?;
+            record(topology, bidir, tb, ROUTED_BASELINE_N)?;
+        }
+    }
+    for (topology, n) in [("paper", MODEL_BASELINE_N), ("star", ROUTED_BASELINE_N)] {
+        for model in BASELINE_VARIANT_MODELS {
+            for tb in Testbed::ALL {
+                record(topology, model, tb, n)?;
             }
         }
     }
@@ -217,6 +256,7 @@ mod tests {
                 n: 30,
                 topology: "paper".into(),
                 scheduler: "heft".into(),
+                model: "one-port-unidir".into(),
                 tasks: 465,
                 makespan: 3690.0,
                 fingerprint: "00ff00ff00ff00ff".into(),
@@ -228,5 +268,6 @@ mod tests {
         assert_eq!(back.entries[0].testbed, "LU");
         assert_eq!(back.entries[0].makespan, 3690.0);
         assert_eq!(back.entries[0].fingerprint, "00ff00ff00ff00ff");
+        assert_eq!(back.entries[0].comm_model(), Ok(CommModel::OnePortUnidir));
     }
 }

@@ -9,7 +9,9 @@ use onesched::exec::{
 };
 use onesched::prelude::*;
 use onesched::registry::{self, SchedulerSpec};
-use onesched::regress::{baseline_platform, BaselineFile, BASELINE_TOPOLOGIES};
+use onesched::regress::{
+    baseline_platform, BaselineFile, BASELINE_TOPOLOGIES, BASELINE_VARIANT_MODELS,
+};
 use onesched_sim::{trace_fingerprint, validate, ExecutionTrace, Schedule};
 use onesched_testbeds::{random_layered, RandomDagConfig};
 use proptest::prelude::*;
@@ -17,7 +19,9 @@ use proptest::prelude::*;
 const FIXTURE: &str = include_str!("fixtures/schedule_baseline.json");
 
 /// Every fixture schedule — 6 testbeds × 2 sizes × 2 schedulers on the
-/// paper platform, plus the routed star/ring/line entries — replays
+/// paper platform, plus the routed star/ring/line entries, plus the
+/// entries under the other three communication models — replays under
+/// its own model
 /// bit-exactly: executed start/finish equals the static placement for every
 /// task, the executed makespan equals the static makespan, and the trace
 /// fingerprint — which also covers every communication hop's times
@@ -28,10 +32,10 @@ fn zero_perturbation_replay_is_bit_exact_on_every_fixture() {
     let fixture: BaselineFile = serde_json::from_str(FIXTURE).expect("parse fixture");
     assert_eq!(
         fixture.entries.len(),
-        24 + BASELINE_TOPOLOGIES.len() * 6 * 2
+        24 + BASELINE_TOPOLOGIES.len() * 6 * 2 + BASELINE_VARIANT_MODELS.len() * 2 * 6 * 2
     );
-    let model = CommModel::OnePortBidir;
     for e in &fixture.entries {
+        let model = e.comm_model().expect("fixture models parse");
         let tb = Testbed::ALL
             .iter()
             .copied()
@@ -43,7 +47,10 @@ fn zero_perturbation_replay_is_bit_exact_on_every_fixture() {
         let sched = registry::build(&spec)
             .expect("fixture specs build")
             .schedule(&g, &platform, model);
-        let ctx = format!("{} n={} {} on {}", e.testbed, e.n, e.scheduler, e.topology);
+        let ctx = format!(
+            "{} n={} {} on {} under {model}",
+            e.testbed, e.n, e.scheduler, e.topology
+        );
 
         let rep = execute(&g, &platform, model, &sched, &ExecConfig::replay())
             .unwrap_or_else(|err| panic!("{ctx}: {err}"));

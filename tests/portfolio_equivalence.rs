@@ -8,7 +8,7 @@
 
 use onesched::prelude::*;
 use onesched::registry::{self, SchedulerSpec};
-use onesched::regress::{placement_fingerprint, BaselineFile};
+use onesched::regress::{placement_fingerprint, BaselineFile, BASELINE_VARIANT_MODELS};
 use onesched::sim::EPS;
 
 const FIXTURE: &str = include_str!("fixtures/schedule_baseline.json");
@@ -16,18 +16,26 @@ const FIXTURE: &str = include_str!("fixtures/schedule_baseline.json");
 #[test]
 fn portfolio_schedule_is_the_fixtures_best_member_bit_exactly() {
     let fixture: BaselineFile = serde_json::from_str(FIXTURE).expect("parse fixture");
-    let model = CommModel::OnePortBidir;
     let platform = Platform::paper();
-    // The paper-platform entries pair up (HEFT, ILHA) per (testbed, n).
+    // The paper-platform entries pair up (HEFT, ILHA) per (testbed, n,
+    // model).
     let paper: Vec<_> = fixture
         .entries
         .iter()
         .filter(|e| e.topology == "paper")
         .collect();
-    assert_eq!(paper.len(), 24, "fixture covers every paper instance");
+    assert_eq!(
+        paper.len(),
+        24 + BASELINE_VARIANT_MODELS.len() * 6 * 2,
+        "fixture covers every paper instance"
+    );
     for pair in paper.chunks(2) {
         let (heft_e, ilha_e) = (pair[0], pair[1]);
-        assert_eq!((heft_e.n, &heft_e.testbed), (ilha_e.n, &ilha_e.testbed));
+        assert_eq!(
+            (heft_e.n, &heft_e.testbed, &heft_e.model),
+            (ilha_e.n, &ilha_e.testbed, &ilha_e.model)
+        );
+        let model = heft_e.comm_model().expect("fixture models parse");
         let tb = Testbed::ALL
             .iter()
             .copied()
@@ -53,7 +61,7 @@ fn portfolio_schedule_is_the_fixtures_best_member_bit_exactly() {
         } else {
             heft_e
         };
-        let ctx = format!("{} n={}", heft_e.testbed, heft_e.n);
+        let ctx = format!("{} n={} under {model}", heft_e.testbed, heft_e.n);
         assert_eq!(
             sched.makespan(),
             best.makespan,
@@ -94,6 +102,7 @@ fn default_full_catalog_portfolio_never_loses_to_heft_or_ilha() {
             .entries
             .iter()
             .filter(|e| e.topology == "paper" && e.n == n && e.testbed == tb.name())
+            .filter(|e| e.comm_model() == Ok(model))
         {
             assert!(
                 sched.makespan() <= e.makespan + EPS,

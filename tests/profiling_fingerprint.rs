@@ -39,9 +39,9 @@ fn counting_allocator_is_live_in_this_binary() {
 #[test]
 fn schedules_bit_identical_with_profiling_allocator() {
     let fixture: BaselineFile = serde_json::from_str(FIXTURE).expect("parse fixture");
-    let model = CommModel::OnePortBidir;
     let mut checked = 0;
     for e in &fixture.entries {
+        let model = e.comm_model().expect("fixture models parse");
         let tb = Testbed::ALL
             .iter()
             .copied()
@@ -53,7 +53,10 @@ fn schedules_bit_identical_with_profiling_allocator() {
         let sched = registry::build(&spec)
             .expect("fixture specs build")
             .schedule(&g, &platform, model);
-        let ctx = format!("{} n={} {} on {}", e.testbed, e.n, e.scheduler, e.topology);
+        let ctx = format!(
+            "{} n={} {} on {} under {model}",
+            e.testbed, e.n, e.scheduler, e.topology
+        );
         assert_eq!(sched.makespan(), e.makespan, "{ctx}: makespan drifted");
         assert_eq!(
             format!("{:016x}", placement_fingerprint(&sched)),

@@ -77,7 +77,11 @@ fn daemon_schedules_bit_identically_and_serves_cache_hits() {
 
     // -- Phase A: a mixed-priority batch of every fixture instance at
     // n = 30 (12 jobs, ≥ 8 in flight at once on 8 workers) ------------
-    let entries: Vec<_> = fixture.entries.iter().filter(|e| e.n == 30).collect();
+    let entries: Vec<_> = fixture
+        .entries
+        .iter()
+        .filter(|e| e.n == 30 && e.comm_model() == Ok(CommModel::OnePortBidir))
+        .collect();
     assert_eq!(
         entries.len(),
         12,
