@@ -32,7 +32,7 @@ use crate::perturb::{Outage, PerturbSampler, Perturbation};
 use onesched_dag::{EdgeId, TaskGraph, TaskId, TopoOrder};
 use onesched_heuristics::avg_weights::paper_bottom_levels;
 use onesched_platform::{Platform, ProcId};
-use onesched_sim::{trace_fingerprint, CommModel, ExecutionTrace, Schedule, EPS};
+use onesched_sim::{trace_fingerprint, Claim, CommModel, ExecutionTrace, Schedule, EPS};
 use onesched_sim::{CommPlacement, TaskPlacement};
 
 /// How the engine picks the next activity when a resource frees.
@@ -280,7 +280,7 @@ pub fn execute(
             kind: ActKind::Task(v),
             static_start: p.start,
             duration,
-            claims: task_claims(model, p.proc, n_procs),
+            claims: claim_ids(&model.task_claims(p.proc), n_procs),
             deps: 0,
             dependents: Vec::new(),
             outage: None,
@@ -379,7 +379,13 @@ pub fn execute(
                 },
                 static_start: h.start,
                 duration,
-                claims: comm_claims(model, h.from, h.to, duration, n_procs),
+                // zero-duration hops (zero-latency links) occupy nothing;
+                // the validator skips them too
+                claims: if duration <= EPS {
+                    Vec::new()
+                } else {
+                    claim_ids(&model.comm_claims(h.from, h.to), n_procs)
+                },
                 deps: 0,
                 dependents: Vec::new(),
                 outage: sampler.outage(h.from, h.to),
@@ -585,54 +591,11 @@ pub fn execute(
     })
 }
 
-/// Resource ids: compute `p`, send `P + p`, receive `2P + p`.
-#[inline]
-fn compute_res(p: ProcId) -> u32 {
-    p.0
-}
-#[inline]
-fn send_res(p: ProcId, n_procs: usize) -> u32 {
-    n_procs as u32 + p.0
-}
-#[inline]
-fn recv_res(p: ProcId, n_procs: usize) -> u32 {
-    2 * n_procs as u32 + p.0
-}
-
-/// What a task occupies: its processor's compute core, plus — under the
-/// no-overlap model — both its ports, so any concurrent transfer involving
-/// the processor is excluded while a send can still overlap a receive.
-fn task_claims(model: CommModel, proc: ProcId, n_procs: usize) -> Vec<u32> {
-    let mut claims = vec![compute_res(proc)];
-    if model.excludes_compute() {
-        claims.push(send_res(proc, n_procs));
-        claims.push(recv_res(proc, n_procs));
-    }
-    claims
-}
-
-/// What a transfer occupies: the sender's send port and the receiver's
-/// receive port (one-port models); under the uni-directional model both
-/// map to the processor's single shared port. Macro-dataflow transfers and
-/// zero-duration hops (zero-latency links; the validator skips them too)
-/// occupy nothing.
-fn comm_claims(
-    model: CommModel,
-    from: ProcId,
-    to: ProcId,
-    duration: f64,
-    n_procs: usize,
-) -> Vec<u32> {
-    if !model.is_one_port() || duration <= EPS {
-        return Vec::new();
-    }
-    let mut claims = if model.shared_port() {
-        vec![send_res(from, n_procs), send_res(to, n_procs)]
-    } else {
-        vec![send_res(from, n_procs), recv_res(to, n_procs)]
-    };
-    claims.dedup();
-    claims
+/// The dense resource ids ([`Claim::index`]) of the timelines `claims`
+/// names — the table schedule construction reads too, so a replay
+/// excludes exactly what the pool excluded.
+fn claim_ids(claims: &[Claim], n_procs: usize) -> Vec<u32> {
+    claims.iter().map(|c| c.index(n_procs) as u32).collect()
 }
 
 /// Insert `a` into the ready list at its `priority` position (ties cannot

@@ -5,7 +5,9 @@
 //! provides the resource bookkeeping the heuristics use to build one.
 //!
 //! * [`CommModel`] — the four communication models (macro-dataflow and the
-//!   one-port family, paper §2).
+//!   one-port family, paper §2), and the timelines ([`Claim`]s) each model
+//!   makes a transfer or a task occupy — the one table schedule
+//!   construction and replay both read.
 //! * [`Timeline`] / [`TimeInterval`] — sorted busy-interval sets with
 //!   earliest-gap queries.
 //! * [`ResourcePool`] / [`Txn`] — per-processor compute/send/receive port
@@ -41,7 +43,7 @@ mod trace;
 pub mod validate;
 
 pub use interval::{TimeInterval, Timeline, EPS};
-pub use model::CommModel;
+pub use model::{Claim, Claims, CommModel, Port};
 pub use resources::{ResourcePool, StagedPlacements, Txn, TxnBuffers};
 pub use schedule::{placement_fingerprint, CommPlacement, Schedule, TaskPlacement};
 pub use trace::{trace_fingerprint, ExecutionTrace};

@@ -5,59 +5,25 @@
 //! the senders' ports (paper §4.3). Candidate evaluations must not disturb
 //! each other, so placements are staged in a [`Txn`] that overlays the base
 //! [`ResourcePool`]; only the winning candidate is committed.
+//!
+//! Every activity occupies exactly the timelines it must find free — the
+//! [`CommModel::comm_claims`] / [`CommModel::task_claims`] table — so each
+//! slot search is a fixpoint over at most two timelines in every model.
 
 use crate::interval::GapCursor;
-use crate::{CommModel, TimeInterval, Timeline, EPS};
+use crate::{Claim, CommModel, Port, TimeInterval, Timeline, EPS};
 use onesched_platform::ProcId;
 
-/// Which per-processor resource an interval occupies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Port {
-    Compute,
-    Send,
-    Recv,
-}
-
-/// A fixed-capacity set of `(port, processor)` busy views.
-///
-/// Returned by value so the innermost placement loops
-/// ([`Txn::earliest_comm_slot`] runs once per candidate × message) never
-/// allocate — the former `Vec` return showed up as the dominant allocation
-/// site of schedule construction.
-#[derive(Debug, Clone, Copy)]
-struct Views {
-    views: [(Port, ProcId); 4],
-    len: usize,
-}
-
-impl Views {
-    const fn new(views: &[(Port, ProcId)]) -> Views {
-        let mut buf = [(Port::Compute, ProcId(0)); 4];
-        let mut i = 0;
-        while i < views.len() {
-            buf[i] = views[i];
-            i += 1;
-        }
-        Views {
-            views: buf,
-            len: views.len(),
-        }
-    }
-
-    #[inline]
-    fn as_slice(&self) -> &[(Port, ProcId)] {
-        &self.views[..self.len]
-    }
-}
-
-/// The committed resource state: three timelines per processor
-/// (compute core, send port, receive port).
+/// The committed resource state: three timelines per processor (compute
+/// core, send port, receive port, indexed by [`Claim::index`]), of which
+/// each model uses the ones its claims name.
 #[derive(Debug, Clone)]
 pub struct ResourcePool {
     model: CommModel,
-    compute: Vec<Timeline>,
-    send: Vec<Timeline>,
-    recv: Vec<Timeline>,
+    timelines: Vec<Timeline>,
+    /// Per processor: end of the last committed computation (append-only
+    /// placement starts no earlier).
+    horizon: Vec<f64>,
 }
 
 impl ResourcePool {
@@ -65,9 +31,8 @@ impl ResourcePool {
     pub fn new(p: usize, model: CommModel) -> ResourcePool {
         ResourcePool {
             model,
-            compute: vec![Timeline::new(); p],
-            send: vec![Timeline::new(); p],
-            recv: vec![Timeline::new(); p],
+            timelines: vec![Timeline::new(); 3 * p],
+            horizon: vec![0.0; p],
         }
     }
 
@@ -80,27 +45,34 @@ impl ResourcePool {
     /// Number of processors.
     #[inline]
     pub fn num_procs(&self) -> usize {
-        self.compute.len()
+        self.horizon.len()
     }
 
-    /// The committed compute timeline of `p`.
+    /// The committed timeline a task on `p` claims first: `p`'s compute
+    /// core, or under no-overlap its send port, which also holds its
+    /// computations. A task needs a free slot there, so the timeline's
+    /// gaps bound the task's start from below.
     pub fn compute_timeline(&self, p: ProcId) -> &Timeline {
-        &self.compute[p.index()]
+        self.timeline(self.model.task_claims(p)[0])
     }
 
-    /// The committed send-port timeline of `p`.
+    /// The committed timeline a transfer from `p` claims at `p`: its send
+    /// port (the shared port under uni-directional one-port).
     pub fn send_timeline(&self, p: ProcId) -> &Timeline {
-        &self.send[p.index()]
+        let port = self.model.comm_ports().map_or(Port::Send, |(send, _)| send);
+        self.timeline(Claim::new(port, p))
     }
 
-    /// The committed receive-port timeline of `p`.
+    /// The committed timeline a transfer into `p` claims at `p`: its
+    /// receive port (the shared port under uni-directional one-port).
     pub fn recv_timeline(&self, p: ProcId) -> &Timeline {
-        &self.recv[p.index()]
+        let port = self.model.comm_ports().map_or(Port::Recv, |(_, recv)| recv);
+        self.timeline(Claim::new(port, p))
     }
 
-    /// End of the last committed compute interval on `p`.
+    /// End of the last committed computation on `p`.
     pub fn compute_horizon(&self, p: ProcId) -> f64 {
-        self.compute[p.index()].horizon()
+        self.horizon[p.index()]
     }
 
     /// Begin staging placements on top of the committed state.
@@ -117,6 +89,7 @@ impl ResourcePool {
         bufs.added.clear();
         bufs.next.clear();
         bufs.views.clear();
+        bufs.horizons.clear();
         Txn { pool: self, bufs }
     }
 
@@ -124,14 +97,11 @@ impl ResourcePool {
     /// committed state. Returns the transaction's buffers for
     /// [`ResourcePool::begin_with`].
     pub fn commit(&mut self, staged: StagedPlacements) -> TxnBuffers {
-        for &(port, proc, iv) in &staged.bufs.added {
-            let tl = match port {
-                Port::Compute => &mut self.compute[proc.index()],
-                Port::Send => &mut self.send[proc.index()],
-                Port::Recv => &mut self.recv[proc.index()],
-            };
-            tl.occupy(iv.start, iv.duration());
+        let n = self.num_procs();
+        for &(claim, iv) in &staged.bufs.added {
+            self.timelines[claim.index(n)].occupy(iv.start, iv.duration());
         }
+        self.raise_horizons(&staged.bufs.horizons);
         staged.bufs
     }
 
@@ -142,62 +112,38 @@ impl ResourcePool {
     /// zero-communication placements in a single transaction and commits
     /// them here, amortizing the former per-placement `occupy` cost.
     pub fn commit_batch(&mut self, staged: StagedPlacements) -> TxnBuffers {
+        let n = self.num_procs();
         let mut bufs = staged.bufs;
-        let TxnBuffers { added, batch, .. } = &mut bufs;
-        added.sort_by(|a, b| (a.0 as u8).cmp(&(b.0 as u8)).then(a.1.cmp(&b.1)));
+        let TxnBuffers {
+            added,
+            batch,
+            horizons,
+            ..
+        } = &mut bufs;
+        added.sort_by_key(|&(claim, _)| claim.index(n));
         let mut i = 0;
         while i < added.len() {
-            let (port, proc, _) = added[i];
+            let claim = added[i].0;
             batch.clear();
-            while i < added.len() && added[i].0 == port && added[i].1 == proc {
-                batch.push(added[i].2);
+            while i < added.len() && added[i].0 == claim {
+                batch.push(added[i].1);
                 i += 1;
             }
-            let tl = match port {
-                Port::Compute => &mut self.compute[proc.index()],
-                Port::Send => &mut self.send[proc.index()],
-                Port::Recv => &mut self.recv[proc.index()],
-            };
-            tl.occupy_batch(batch);
+            self.timelines[claim.index(n)].occupy_batch(batch);
         }
+        self.raise_horizons(horizons);
         bufs
     }
 
-    fn timeline(&self, port: Port, proc: ProcId) -> &Timeline {
-        match port {
-            Port::Compute => &self.compute[proc.index()],
-            Port::Send => &self.send[proc.index()],
-            Port::Recv => &self.recv[proc.index()],
+    fn raise_horizons(&mut self, staged: &[(ProcId, f64)]) {
+        for &(p, end) in staged {
+            let h = &mut self.horizon[p.index()];
+            *h = h.max(end);
         }
     }
 
-    /// The busy views constraining a transfer `src -> dst` under `model`.
-    fn comm_views(&self, src: ProcId, dst: ProcId) -> Views {
-        match self.model {
-            CommModel::MacroDataflow => Views::new(&[]),
-            CommModel::OnePortBidir => Views::new(&[(Port::Send, src), (Port::Recv, dst)]),
-            CommModel::OnePortUnidir => Views::new(&[
-                (Port::Send, src),
-                (Port::Recv, src),
-                (Port::Send, dst),
-                (Port::Recv, dst),
-            ]),
-            CommModel::OnePortNoOverlap => Views::new(&[
-                (Port::Send, src),
-                (Port::Recv, dst),
-                (Port::Compute, src),
-                (Port::Compute, dst),
-            ]),
-        }
-    }
-
-    /// The busy views constraining a computation on `p` under `model`.
-    fn compute_views(&self, p: ProcId) -> Views {
-        if self.model.excludes_compute() {
-            Views::new(&[(Port::Compute, p), (Port::Send, p), (Port::Recv, p)])
-        } else {
-            Views::new(&[(Port::Compute, p)])
-        }
+    fn timeline(&self, claim: Claim) -> &Timeline {
+        &self.timelines[claim.index(self.num_procs())]
     }
 }
 
@@ -219,24 +165,26 @@ impl StagedPlacements {
 /// The backing storage of a [`Txn`], recycled through
 /// [`ResourcePool::begin_with`].
 ///
-/// Staged intervals are indexed by `(port, proc)` through intrusive chains
-/// (`next`/`views`): a fixpoint pass of [`Txn::earliest_comm_slot`] walks
-/// only the handful of intervals staged on the queried resource instead of
-/// rescanning every staged interval of the transaction. Each resource also
-/// keeps a gap cursor into its committed timeline, so successive
-/// searches of one transaction — the fixpoint's repeated rounds, then the
-/// next message and the compute slot — resume where the last one stopped
-/// instead of searching the timeline again from the front.
+/// Staged intervals are indexed by claimed timeline through intrusive
+/// chains (`next`/`views`): a fixpoint pass of [`Txn::earliest_comm_slot`]
+/// walks only the handful of intervals staged on the queried timeline
+/// instead of rescanning every staged interval of the transaction. Each
+/// timeline also keeps a gap cursor into its committed state, so
+/// successive searches of one transaction — the fixpoint's repeated
+/// rounds, then the next message and the compute slot — resume where the
+/// last one stopped instead of searching the timeline again from the front.
 #[derive(Debug, Clone, Default)]
 pub struct TxnBuffers {
     /// Staged intervals in insertion (= commit) order.
-    added: Vec<(Port, ProcId, TimeInterval)>,
-    /// `next[i]`: index of the next staged interval on the same
-    /// `(port, proc)`, or [`NO_ENTRY`].
+    added: Vec<(Claim, TimeInterval)>,
+    /// `next[i]`: index of the next staged interval on the same timeline,
+    /// or [`NO_ENTRY`].
     next: Vec<u32>,
-    /// One entry per distinct `(port, proc)` the transaction staged on or
-    /// searched (a handful: a message touches two or four resources).
+    /// One entry per distinct timeline the transaction staged on or
+    /// searched (a handful: an activity claims one or two).
     views: Vec<ViewState>,
+    /// Per processor computed on: end of the last staged computation.
+    horizons: Vec<(ProcId, f64)>,
     /// [`ResourcePool::commit_batch`]'s per-timeline batch.
     batch: Vec<TimeInterval>,
 }
@@ -244,13 +192,12 @@ pub struct TxnBuffers {
 /// Chain terminator for the staged-interval index.
 const NO_ENTRY: u32 = u32::MAX;
 
-/// What a transaction knows about one `(port, proc)` resource: the head
-/// and tail of the chain of intervals staged on it ([`NO_ENTRY`] when
-/// none), and where the last gap search stopped in its committed timeline.
+/// What a transaction knows about one claimed timeline: the head and tail
+/// of the chain of intervals staged on it ([`NO_ENTRY`] when none), and
+/// where the last gap search stopped in its committed state.
 #[derive(Debug, Clone, Copy)]
 struct ViewState {
-    port: Port,
-    proc: ProcId,
+    claim: Claim,
     head: u32,
     tail: u32,
     cursor: GapCursor,
@@ -293,20 +240,14 @@ impl<'a> Txn<'a> {
         self.bufs
     }
 
-    /// Index of the state of `(port, proc)` in `views`, created on first use.
+    /// Index of the state of `claim` in `views`, created on first use.
     #[inline]
-    fn view(&mut self, port: Port, proc: ProcId) -> usize {
-        if let Some(i) = self
-            .bufs
-            .views
-            .iter()
-            .position(|v| v.port == port && v.proc == proc)
-        {
+    fn view(&mut self, claim: Claim) -> usize {
+        if let Some(i) = self.bufs.views.iter().position(|v| v.claim == claim) {
             return i;
         }
         self.bufs.views.push(ViewState {
-            port,
-            proc,
+            claim,
             head: NO_ENTRY,
             tail: NO_ENTRY,
             cursor: GapCursor::default(),
@@ -314,12 +255,12 @@ impl<'a> Txn<'a> {
         self.bufs.views.len() - 1
     }
 
-    /// Record a staged interval under its `(port, proc)` chain.
-    fn stage(&mut self, port: Port, proc: ProcId, iv: TimeInterval) {
+    /// Record a staged interval under its timeline's chain.
+    fn stage(&mut self, claim: Claim, iv: TimeInterval) {
         let idx = self.bufs.added.len() as u32;
-        self.bufs.added.push((port, proc, iv));
+        self.bufs.added.push((claim, iv));
         self.bufs.next.push(NO_ENTRY);
-        let v = self.view(port, proc);
+        let v = self.view(claim);
         let Some(view) = self.bufs.views.get_mut(v) else {
             return;
         };
@@ -330,23 +271,20 @@ impl<'a> Txn<'a> {
         view.tail = idx;
     }
 
-    /// Head of the staged chain for `(port, proc)`, if any interval is
-    /// staged there.
+    /// Whether any interval is staged on `claim`'s timeline.
     #[inline]
-    fn chain_head(&self, port: Port, proc: ProcId) -> Option<u32> {
+    fn has_staged(&self, claim: Claim) -> bool {
         self.bufs
             .views
             .iter()
-            .find(|v| v.port == port && v.proc == proc)
-            .map(|v| v.head)
-            .filter(|&h| h != NO_ENTRY)
+            .any(|v| v.claim == claim && v.head != NO_ENTRY)
     }
 
     /// The staged intervals of the chain starting at `head`, in staging order.
     fn chain(&self, head: u32) -> impl Iterator<Item = TimeInterval> + '_ {
         let mut cursor = head;
         std::iter::from_fn(move || {
-            let &(_, _, iv) = self.bufs.added.get(cursor as usize)?;
+            let &(_, iv) = self.bufs.added.get(cursor as usize)?;
             cursor = self
                 .bufs
                 .next
@@ -357,14 +295,15 @@ impl<'a> Txn<'a> {
         })
     }
 
-    /// Earliest `t >= after` such that `[t, t + dur)` is free on every view.
+    /// Earliest `t >= after` such that `[t, t + dur)` is free on every
+    /// claimed timeline (at most two).
     ///
-    /// `pre_cleared`: view index already known to admit a slot at exactly
+    /// `pre_cleared`: claim index already known to admit a slot at exactly
     /// `after` (committed timeline *and* staged chain), letting the caller
-    /// reuse a previously computed single-view gap as a verified start.
+    /// reuse a previously computed single-timeline gap as a verified start.
     fn earliest_in_views(
         &mut self,
-        views: &[(Port, ProcId)],
+        claims: &[Claim],
         after: f64,
         dur: f64,
         pre_cleared: Option<usize>,
@@ -373,38 +312,35 @@ impl<'a> Txn<'a> {
         if dur <= EPS {
             return t;
         }
-        // Each view's state, looked up once for all rounds.
-        let mut slots = [0usize; 4];
-        debug_assert!(views.len() <= slots.len());
-        for (slot, &(port, proc)) in slots.iter_mut().zip(views) {
-            *slot = self.view(port, proc);
+        // Each timeline's state, looked up once for all rounds.
+        let mut slots = [0usize; 2];
+        debug_assert!(claims.len() <= slots.len());
+        for (slot, &claim) in slots.iter_mut().zip(claims) {
+            *slot = self.view(claim);
         }
-        // `cleared[v]`: the view already admitted a free slot at exactly the
-        // current `t`, so re-querying it would return `t` again — the final
-        // confirmation round touches only views that have not been queried
-        // since `t` last moved.
-        let mut cleared = [f64::NAN; 4];
+        // `cleared[v]`: the timeline already admitted a free slot at
+        // exactly the current `t`, so re-querying it would return `t`
+        // again — the final confirmation round touches only timelines that
+        // have not been queried since `t` last moved.
+        let mut cleared = [f64::NAN; 2];
         if let Some(c) = pre_cleared.and_then(|v| cleared.get_mut(v)) {
             *c = t;
         }
         loop {
             let mut moved = false;
-            for (&slot, clear) in slots.iter().zip(cleared.iter_mut()).take(views.len()) {
+            for (&slot, clear) in slots.iter().zip(cleared.iter_mut()).take(claims.len()) {
                 if *clear == t {
                     continue;
                 }
                 let Some(view) = self.bufs.views.get_mut(slot) else {
                     continue;
                 };
-                // earliest free slot in this view alone (chunk-skips packed
-                // regions), resumed where this view's last search stopped;
-                // alternating to a fixpoint yields the earliest slot free in
-                // every view simultaneously.
-                let g = self.pool.timeline(view.port, view.proc).earliest_gap_from(
-                    &mut view.cursor,
-                    t,
-                    dur,
-                );
+                // earliest free slot in this timeline alone (chunk-skips
+                // packed regions), resumed where its last search stopped;
+                // alternating to a fixpoint yields the earliest slot free
+                // in every claimed timeline simultaneously.
+                let g = self.pool.timelines[view.claim.index(self.pool.num_procs())]
+                    .earliest_gap_from(&mut view.cursor, t, dur);
                 let head = view.head;
                 if g > t {
                     t = g;
@@ -419,9 +355,9 @@ impl<'a> Txn<'a> {
                     }
                 }
                 // The timeline query verifies its returned slot by
-                // construction, so the view admits `t` unless the *staged
-                // chain* moved it (a chain bump leaves the timeline part
-                // unverified at the new `t`).
+                // construction, so the timeline admits `t` unless the
+                // *staged chain* moved it (a chain bump leaves the
+                // committed part unverified at the new `t`).
                 *clear = if t == after_timeline { t } else { f64::NAN };
             }
             if !moved {
@@ -439,16 +375,16 @@ impl<'a> Txn<'a> {
         if src == dst || dur <= EPS {
             return after;
         }
-        let views = self.pool.comm_views(src, dst);
-        self.earliest_in_views(views.as_slice(), after, dur, None)
+        let claims = self.pool.model.comm_claims(src, dst);
+        self.earliest_in_views(&claims, after, dur, None)
     }
 
     /// [`Txn::earliest_comm_slot`] for a caller that already knows the
-    /// committed send port of `src` is free for `dur` at `send_free`
-    /// (typically from a memoized `Timeline::earliest_gap` on
-    /// `send_timeline(src)`). When the search starts exactly there and this
-    /// transaction has nothing staged on that send port, the send view is
-    /// pre-verified and its first fixpoint query is skipped.
+    /// committed `send_timeline(src)` is free for `dur` at `send_free`
+    /// (typically from a memoized `Timeline::earliest_gap` on it). When
+    /// the search starts exactly there and this transaction has nothing
+    /// staged on that timeline, it is pre-verified and its first fixpoint
+    /// query is skipped.
     pub fn earliest_comm_slot_seeded(
         &mut self,
         src: ProcId,
@@ -461,33 +397,35 @@ impl<'a> Txn<'a> {
             return after.max(send_free);
         }
         let start = after.max(send_free);
-        let views = self.pool.comm_views(src, dst);
-        let send_clear = (start == send_free
-            && !views.as_slice().is_empty()
-            && self.chain_head(Port::Send, src).is_none())
-        .then_some(0);
-        self.earliest_in_views(views.as_slice(), start, dur, send_clear)
+        let claims = self.pool.model.comm_claims(src, dst);
+        let send_clear = claims
+            .first()
+            .is_some_and(|&send| start == send_free && !self.has_staged(send))
+            .then_some(0);
+        self.earliest_in_views(&claims, start, dur, send_clear)
     }
 
-    /// Stage a transfer `[start, start + dur)` from `src` to `dst`,
-    /// occupying `src`'s send port and `dst`'s receive port.
-    /// Local or zero-duration transfers stage nothing, and under
+    /// Stage a transfer `[start, start + dur)` from `src` to `dst` on the
+    /// timelines it claims ([`CommModel::comm_claims`]). Local or
+    /// zero-duration transfers stage nothing, and under
     /// [`CommModel::MacroDataflow`] nothing is staged at all (ports are
     /// unlimited, so transfers never occupy a resource).
     pub fn add_comm(&mut self, src: ProcId, dst: ProcId, start: f64, dur: f64) {
-        if src == dst || dur <= EPS || !self.pool.model.is_one_port() {
+        if src == dst || dur <= EPS {
             return;
         }
         let iv = TimeInterval::new(start, dur);
-        self.stage(Port::Send, src, iv);
-        self.stage(Port::Recv, dst, iv);
+        for &claim in self.pool.model.comm_claims(src, dst).iter() {
+            self.stage(claim, iv);
+        }
     }
 
     /// Earliest start `>= after` for a computation of `dur` on `p`.
     ///
     /// With `insertion = true` the task may fill an idle gap between already
     /// placed tasks (classical insertion-based HEFT); with `false` it can
-    /// only start after everything already placed on `p` (append-only).
+    /// only start after every computation already placed on `p`
+    /// (append-only).
     pub fn earliest_compute_slot(
         &mut self,
         p: ProcId,
@@ -495,26 +433,31 @@ impl<'a> Txn<'a> {
         dur: f64,
         insertion: bool,
     ) -> f64 {
-        let views = self.pool.compute_views(p);
-        if insertion {
-            self.earliest_in_views(views.as_slice(), after, dur, None)
-        } else {
-            // Start past the horizon of everything staged or committed on
-            // the compute core, then respect no-overlap port views.
-            let mut t = after.max(self.pool.compute_horizon(p));
-            if let Some(head) = self.chain_head(Port::Compute, p) {
-                t = self.chain(head).fold(t, |t, iv| t.max(iv.end));
+        let claims = self.pool.model.task_claims(p);
+        let mut t = after;
+        if !insertion {
+            t = t.max(self.pool.compute_horizon(p));
+            if let Some(&(_, end)) = self.bufs.horizons.iter().find(|h| h.0 == p) {
+                t = t.max(end);
             }
-            self.earliest_in_views(views.as_slice(), t, dur, None)
         }
+        self.earliest_in_views(&claims, t, dur, None)
     }
 
-    /// Stage a computation `[start, start + dur)` on `p`.
+    /// Stage a computation `[start, start + dur)` on `p`, on the timelines
+    /// it claims ([`CommModel::task_claims`]).
     pub fn add_compute(&mut self, p: ProcId, start: f64, dur: f64) {
         if dur <= EPS {
             return;
         }
-        self.stage(Port::Compute, p, TimeInterval::new(start, dur));
+        let iv = TimeInterval::new(start, dur);
+        for &claim in self.pool.model.task_claims(p).iter() {
+            self.stage(claim, iv);
+        }
+        match self.bufs.horizons.iter_mut().find(|h| h.0 == p) {
+            Some(h) => h.1 = h.1.max(iv.end),
+            None => self.bufs.horizons.push((p, iv.end)),
+        }
     }
 }
 
@@ -763,5 +706,186 @@ mod tests {
         assert_eq!(txn.earliest_comm_slot(P0, P1, 0.0, 1.0), 2.0);
         // 2-unit transfer: [2,4) hits staged [3,5) on send; next free is 5.
         assert_eq!(txn.earliest_comm_slot(P0, P1, 0.0, 2.0), 5.0);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    const PROCS: u32 = 4;
+
+    /// One placed activity of the brute-force reference.
+    #[derive(Debug, Clone, Copy)]
+    enum Act {
+        Comm {
+            src: u32,
+            dst: u32,
+            iv: TimeInterval,
+        },
+        Task {
+            p: u32,
+            iv: TimeInterval,
+        },
+    }
+
+    impl Act {
+        fn iv(&self) -> TimeInterval {
+            match *self {
+                Act::Comm { iv, .. } | Act::Task { iv, .. } => iv,
+            }
+        }
+    }
+
+    /// Whether two activities may not run at once under `model`, by the
+    /// validator's per-model rules: computations on one processor are
+    /// serialised; under every one-port model sends are serialised and
+    /// receives are serialised; under uni-directional one-port a
+    /// processor's sends and receives share one port; under no-overlap a
+    /// computation excludes every transfer of its processor.
+    fn exclusive(model: CommModel, a: Act, b: Act) -> bool {
+        match (a, b) {
+            (Act::Task { p, .. }, Act::Task { p: q, .. }) => p == q,
+            (Act::Comm { src, dst, .. }, Act::Comm { src: s, dst: d, .. }) => {
+                model.is_one_port()
+                    && (src == s || dst == d || (model.shared_port() && (src == d || dst == s)))
+            }
+            (Act::Task { p, .. }, Act::Comm { src, dst, .. })
+            | (Act::Comm { src, dst, .. }, Act::Task { p, .. }) => {
+                model.excludes_compute() && (p == src || p == dst)
+            }
+        }
+    }
+
+    fn conflicts(model: CommModel, placed: &[Act], act: Act) -> bool {
+        placed
+            .iter()
+            .any(|&b| exclusive(model, act, b) && act.iv().overlaps(&b.iv()))
+    }
+
+    /// Brute force: the earliest of `after` and every activity end past it
+    /// at which `make(start)` conflicts with nothing placed. Every slot
+    /// search answers with one of these candidates.
+    fn reference(model: CommModel, placed: &[Act], after: f64, make: impl Fn(f64) -> Act) -> f64 {
+        let mut starts: Vec<f64> = placed
+            .iter()
+            .map(|a| a.iv().end)
+            .filter(|&end| end > after)
+            .collect();
+        starts.push(after);
+        starts.sort_by(f64::total_cmp);
+        starts
+            .into_iter()
+            .find(|&t| !conflicts(model, placed, make(t)))
+            .expect("the latest end is always free")
+    }
+
+    /// `(comm?, a, b, start, dur)` drafts (a transfer `a → b` when the
+    /// first field is 1 and `a != b`, else a task on `a`); each is kept
+    /// only if it conflicts with none kept before it, so the set is a
+    /// valid state.
+    fn valid_state(model: CommModel, drafts: &[(u8, u32, u32, u32, u32)]) -> Vec<Act> {
+        let mut placed = Vec::new();
+        for &(comm, a, b, start, dur) in drafts {
+            let iv = TimeInterval::new(f64::from(start), f64::from(dur));
+            let act = if comm == 1 && a != b {
+                Act::Comm { src: a, dst: b, iv }
+            } else {
+                Act::Task { p: a, iv }
+            };
+            if !conflicts(model, &placed, act) {
+                placed.push(act);
+            }
+        }
+        placed
+    }
+
+    fn stage(txn: &mut Txn<'_>, act: Act) {
+        match act {
+            Act::Comm { src, dst, iv } => {
+                txn.add_comm(ProcId(src), ProcId(dst), iv.start, iv.duration())
+            }
+            Act::Task { p, iv } => txn.add_compute(ProcId(p), iv.start, iv.duration()),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Under every model, the comm and compute slot searches of a
+        /// transaction over a committed pool return exactly the
+        /// brute-force earliest start that breaks none of the validator's
+        /// rules against the committed and the staged activities.
+        #[test]
+        fn slot_searches_match_brute_force(
+            drafts in proptest::collection::vec((0u8..2, 0..PROCS, 0..PROCS, 0u32..60, 1u32..8), 0..60),
+            split in 0.0f64..1.0,
+            batched in 0u8..2,
+            queries in proptest::collection::vec((0..PROCS, 0..PROCS, 0u32..70, 1u32..10, 0u8..2), 1..12),
+        ) {
+            for model in CommModel::ALL {
+                check_slot_searches(model, &drafts, split, batched == 1, &queries);
+            }
+        }
+    }
+
+    fn check_slot_searches(
+        model: CommModel,
+        drafts: &[(u8, u32, u32, u32, u32)],
+        split: f64,
+        batched: bool,
+        queries: &[(u32, u32, u32, u32, u8)],
+    ) {
+        let placed = valid_state(model, drafts);
+        let (committed, staged) = placed.split_at((placed.len() as f64 * split) as usize);
+        let mut pool = ResourcePool::new(PROCS as usize, model);
+        let mut txn = pool.begin();
+        for &act in committed {
+            stage(&mut txn, act);
+        }
+        let done = txn.finish();
+        if batched {
+            pool.commit_batch(done);
+        } else {
+            pool.commit(done);
+        }
+        let mut txn = pool.begin();
+        for &act in staged {
+            stage(&mut txn, act);
+        }
+        for &(a, b, after, dur, insertion) in queries {
+            let (after, dur, insertion) = (f64::from(after), f64::from(dur), insertion == 1);
+            if a != b {
+                let (src, dst) = (ProcId(a), ProcId(b));
+                let want = reference(model, &placed, after, |t| Act::Comm {
+                    src: a,
+                    dst: b,
+                    iv: TimeInterval::new(t, dur),
+                });
+                let ctx = format!("{model}: comm {a}->{b} after {after} dur {dur}");
+                assert_eq!(txn.earliest_comm_slot(src, dst, after, dur), want, "{ctx}");
+                let send_free = pool.send_timeline(src).earliest_gap(after, dur);
+                let seeded = txn.earliest_comm_slot_seeded(src, dst, after, dur, send_free);
+                assert_eq!(seeded, want, "{ctx}, seeded");
+            }
+            // append-only starts past every computation on the processor
+            let floor = placed
+                .iter()
+                .filter_map(|act| match *act {
+                    Act::Task { p, iv } if p == a && !insertion => Some(iv.end),
+                    _ => None,
+                })
+                .fold(after, f64::max);
+            let want = reference(model, &placed, floor, |t| Act::Task {
+                p: a,
+                iv: TimeInterval::new(t, dur),
+            });
+            assert_eq!(
+                txn.earliest_compute_slot(ProcId(a), after, dur, insertion),
+                want,
+                "{model}: compute on {a} after {after} dur {dur} insertion {insertion}"
+            );
+        }
     }
 }
