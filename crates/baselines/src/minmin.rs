@@ -2,7 +2,7 @@
 
 use onesched_dag::{TaskGraph, TaskId};
 use onesched_heuristics::{
-    commit_placement, place_on, PlacementPolicy, Probe, Scheduler, TentativePlacement,
+    best_placement_with, EftScratch, PlacementPolicy, Probe, Scheduler, TentativePlacement,
 };
 use onesched_platform::Platform;
 use onesched_sim::{CommModel, ResourcePool, Schedule, EPS};
@@ -57,20 +57,13 @@ fn batch_schedule(
         .filter(|&v| pending.get(v.index()).is_some_and(|&d| d == 0))
         .collect();
 
+    let mut scratch = EftScratch::default();
     while !ready.is_empty() {
         let mut chosen: Option<(usize, TentativePlacement)> = None;
         for (ri, &task) in ready.iter().enumerate() {
-            // the task's own best processor
-            let mut best: Option<TentativePlacement> = None;
-            for proc in platform.procs() {
-                let tp = place_on(g, platform, &sched, pool.begin(), task, proc, policy);
-                if best.as_ref().is_none_or(|b| tp.finish < b.finish - EPS) {
-                    best = Some(tp);
-                }
-            }
-            // platforms have at least one processor, so `best` is always
-            // filled; an empty pathological platform just skips the task
-            let Some(tp) = best else { continue };
+            // the task's own best processor: earliest finish, ties to the
+            // lowest processor id
+            let tp = best_placement_with(g, platform, &pool, &sched, task, policy, &mut scratch);
             let replace = match &chosen {
                 None => true,
                 Some((_, c)) => {
@@ -81,15 +74,20 @@ fn batch_schedule(
                     }
                 }
             };
-            if replace {
-                chosen = Some((ri, tp));
+            let loser = if replace {
+                chosen.replace((ri, tp)).map(|(_, old)| old)
+            } else {
+                Some(tp)
+            };
+            if let Some(loser) = loser {
+                scratch.discard(loser);
             }
         }
         // the ready set is non-empty, so something was chosen; bail out
         // instead of spinning if the invariant ever breaks
         let Some((ri, tp)) = chosen else { break };
         let task = tp.task;
-        commit_placement(&mut pool, &mut sched, tp);
+        scratch.commit(&mut pool, &mut sched, tp);
         ready.swap_remove(ri);
         for (succ, _) in g.successors(task) {
             if let Some(d) = pending.get_mut(succ.index()) {

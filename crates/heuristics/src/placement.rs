@@ -196,6 +196,12 @@ impl EftScratch {
         let bufs = commit_into(pool, sched, tp);
         recycle(&mut self.spare, bufs);
     }
+
+    /// Drop a placement that will not be committed, keeping its storage
+    /// for the next scan made with this scratch.
+    pub fn discard(&mut self, tp: TentativePlacement) {
+        recycle(&mut self.spare, tp.into_buffers());
+    }
 }
 
 /// Whether a candidate that can finish no earlier than `bound` could still
