@@ -24,8 +24,7 @@ use std::time::Duration;
 
 /// A write-only [`Probe`] that accumulates per-phase wall time,
 /// allocation deltas, and placement-scan counters over one (or several)
-/// constructions, timed by a [`Clock`], plus the allocation delta of each
-/// whole `schedule()` call [`construct`] runs it on. Single-threaded by
+/// constructions, timed by a [`Clock`]. Single-threaded by
 /// design (`Cell` state): one worker owns one probe for the duration of a
 /// job, then reads the totals out.
 ///
@@ -43,7 +42,6 @@ pub struct ConstructProbe<'a> {
     alloc_begin: [Cell<AllocSnapshot>; 4],
     alloc_total: [Cell<AllocSnapshot>; 4],
     scan: Cell<ScanStats>,
-    construct_allocs: Cell<AllocSnapshot>,
 }
 
 /// The fixed phase order of the accumulator arrays, and of the
@@ -72,7 +70,6 @@ impl<'a> ConstructProbe<'a> {
             alloc_begin: Default::default(),
             alloc_total: Default::default(),
             scan: Cell::new(ScanStats::default()),
-            construct_allocs: Cell::default(),
         }
     }
 
@@ -96,13 +93,6 @@ impl<'a> ConstructProbe<'a> {
     /// Cumulative placement-scan counters reported by the scheduler.
     pub fn scan(&self) -> ScanStats {
         self.scan.get()
-    }
-
-    /// Accumulated allocation activity of the whole `schedule()` calls
-    /// [`construct`] ran with this probe (zero without the `profiling`
-    /// allocator registered).
-    pub fn construct_allocs(&self) -> AllocSnapshot {
-        self.construct_allocs.get()
     }
 
     /// Record the `construct.{rank,step1,scan,commit}` children of the
@@ -201,8 +191,8 @@ pub struct JobOutcome {
 /// already-built problem (`g` and `platform` from `job`) with the job's
 /// scheduler and record the outcome next to the schedule. The `schedule()`
 /// call alone is timed, and is the `construct` span of `scope`; `probe`
-/// (when given) observes it, adds the phase children and its allocation
-/// delta, and cannot influence the schedule.
+/// (when given) observes it and adds the phase children, and cannot
+/// influence the schedule.
 pub fn construct(
     job: &ResolvedJob,
     g: &TaskGraph,
@@ -217,15 +207,12 @@ pub fn construct(
     let (sched, construct) = {
         let span = scope.open("construct", "job.attempt");
         let observer = probe.map_or(&NoProbe as &dyn Probe, |p| p);
-        let a0 = onesched_prof::snapshot();
         let t0 = clock.now_micros();
         // `platform` is connected (intake checked it), so the construction
         // runs without the trait wrappers' connectivity check
         let sched = scheduler.schedule_with_probe(g, platform, job.model(), observer);
         let construct = Duration::from_micros(clock.now_micros().saturating_sub(t0));
         if let Some(p) = probe {
-            let allocs = onesched_prof::snapshot().delta_since(a0);
-            add_allocs(&p.construct_allocs, allocs);
             p.record_phases(scope, span.start_us());
         }
         (sched, construct)
