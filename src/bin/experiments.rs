@@ -59,8 +59,9 @@
 //! harness and the daemon exercise the same code path. The sweeps and
 //! `league` fan out over the workspace's one ordered fan-out,
 //! `heuristics::par_map` (`--threads`, default: all cores); output never
-//! depends on the thread count. An unknown command, a failed write, or a
-//! job intake refuses exits 2 with a message. Construction timing is the
+//! depends on the thread count. An unknown command, an argument left after
+//! the command (other than `probe`'s two), a failed write, or a job intake
+//! refuses exits 2 with a message. Construction timing is the
 //! benchmark's job (`perfbench/`); the sweeps print theirs for the log only.
 //!
 //! Run in release mode: `cargo run --release --bin experiments -- all`.
@@ -117,10 +118,14 @@ fn main() {
         procs: take_parsed(&mut args, "--procs").unwrap_or(defaults.procs),
         fixture: take_flag(&mut args, "--fixture"),
     };
-    let cmd = args.first().map(String::as_str).unwrap_or("all");
-    // the one command that writes no files
+    let (cmd, rest) = match args.split_first() {
+        Some((cmd, rest)) => (cmd.as_str(), rest),
+        None => ("all", &[][..]),
+    };
+    // the one command that writes no files, and the one that takes
+    // positional arguments
     if cmd == "probe" {
-        return probe(&args[1..]);
+        return probe(rest);
     }
     let run: fn(&Opts) = match cmd {
         "fig1" => fig1,
@@ -157,6 +162,9 @@ fn main() {
         },
         other => die(format_args!("unknown command: {other}")),
     };
+    if let Some(extra) = rest.first() {
+        die(format_args!("unexpected argument after {cmd}: {extra}"));
+    }
     // only a known command creates the output directory
     create_dir(&opts.out);
     run(&opts);

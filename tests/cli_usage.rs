@@ -26,6 +26,15 @@ fn experiments_rejects_malformed_command_lines() {
         &["--sizes", "12,x", "fig8"],
         &["no-such-command"],
         &["bench-compare", "a.json", "b.json"],
+        // a flag after the command is not a flag of the command
+        &[
+            "--out",
+            concat!(env!("CARGO_TARGET_TMPDIR"), "/trailing"),
+            "fig1",
+            "--sizze",
+            "12",
+        ],
+        &["probe", "LU", "12", "extra"],
     ] {
         assert_usage_error(bin, "experiments", args);
     }
