@@ -6,7 +6,10 @@
 //! at runtime, and every acquisition is checked against the §2 exclusivity
 //! constraints the static validator enforces (one transfer per send port,
 //! one per receive port, shared port under the uni-directional model,
-//! compute/communication exclusion under the no-overlap model). Durations
+//! compute/communication exclusion under the no-overlap model). What each
+//! activity claims comes from [`CommModel::comm_claims`] and
+//! [`CommModel::task_claims`], the table schedule construction reads too.
+//! Durations
 //! come from the *platform* (`w × t_alloc`, `data × link`), optionally
 //! scaled by seeded [`Perturbation`] factors — the recorded times in the
 //! schedule only supply the dispatch order, so a schedule that lies about

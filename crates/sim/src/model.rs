@@ -9,6 +9,12 @@ use serde::{Deserialize, Serialize};
 /// The paper argues the classical macro-dataflow model is unrealistic and
 /// proposes the bi-directional one-port model; §2.3 also mentions the
 /// stricter variants implemented here.
+///
+/// Each model is also a table of the per-processor timelines an activity
+/// claims ([`CommModel::comm_claims`], [`CommModel::task_claims`]): a
+/// message touches two timelines (none under macro-dataflow) and a task
+/// one or two, and an activity occupies exactly the timelines it must
+/// find free. [`crate::validate()`] checks the same rules independently.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum CommModel {
     /// Macro-dataflow (§2.1): unlimited communication resources. A processor
@@ -106,7 +112,7 @@ impl CommModel {
 }
 
 /// One of a processor's three timelines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Port {
     /// The compute core.
     Compute,
@@ -118,7 +124,7 @@ pub enum Port {
 }
 
 /// One timeline an activity claims: `port` of processor `proc`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Claim {
     /// Which of the processor's timelines.
     pub port: Port,
