@@ -339,7 +339,9 @@ impl<'a> Txn<'a> {
                 // packed regions), resumed where its last search stopped;
                 // alternating to a fixpoint yields the earliest slot free
                 // in every claimed timeline simultaneously.
-                let g = self.pool.timelines[view.claim.index(self.pool.num_procs())]
+                let g = self
+                    .pool
+                    .timeline(view.claim)
                     .earliest_gap_from(&mut view.cursor, t, dur);
                 let head = view.head;
                 if g > t {
